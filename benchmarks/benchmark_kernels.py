@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Benchmark the numba-jitted kernels against their pure-numpy fallbacks.
 
-Times the two hot kernels (the oscillatory amplitude sum behind every
-tomogram row, and the Hermite-function recurrence) plus an end-to-end
+Times the two hot kernels (the oscillatory amplitude sum behind `branch=`
+tomogram rows, and the Hermite-function recurrence) plus an end-to-end
 tomogram grid build on each backend.
 
 Usage:

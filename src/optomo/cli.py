@@ -32,6 +32,7 @@ from .tomography import (
     save_tomogram_csv,
     tomogram_grid,
     uniform_phases,
+    wrap_phase,
 )
 
 EXIT_OK = 0
@@ -52,12 +53,9 @@ def _grid_for_phases(state, thetas, n_x=None):
     """Small grid holding exactly the phases a check needs (plus partners)."""
     wanted = set()
     for theta in thetas:
-        reduced = math.fmod(float(theta), math.pi)
-        if reduced < 0:
-            reduced += math.pi
+        reduced, _ = wrap_phase(theta)
         wanted.add(reduced)
-        partner = math.fmod(reduced + math.pi / 2.0, math.pi)
-        wanted.add(partner)
+        wanted.add(wrap_phase(reduced + math.pi / 2.0)[0])
     return tomogram_grid(state, np.array(sorted(wanted)), n_x=n_x)
 
 

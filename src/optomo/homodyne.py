@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InputError
 from .inequalities import BOUND, InequalityReport
 from .states import State, grid_halfwidth, state_label
-from .tomography import _state_row
+from .tomography import _state_row, wrap_phase
 
 __all__ = [
     "GENERATOR_NAME",
@@ -200,7 +200,7 @@ def empirical_trifonov(
     estimates; satisfied means lhs >= 1/4 - 3*stderr.
     """
     phase = float(phase)
-    other = math.fmod(phase + math.pi / 2.0, math.pi)
+    other, _ = wrap_phase(phase + math.pi / 2.0)
     e1 = estimate_moments(ds1, phase)
     e1_rot = estimate_moments(ds1, other)
     e2 = estimate_moments(ds2, phase)

@@ -1,18 +1,27 @@
 """Optical tomograms: quadrature distributions w(X, theta) of photon states.
 
-A row at local-oscillator phase theta is computed from the oscillatory
-transform of the wavefunction,
+Rows come from closed forms.  A phase rotation multiplies the Fock
+coefficients c_n by exp(-i n theta), so a Fock-superposition row is
+
+    w(X, theta) = |sum_n c_n exp(-i n theta) psi_n(X)|^2
+
+over the Hermite functions psi_n; a Gaussian row is the normal density with
+the mean and variance of ``analytic_moments``; a mixture's row is the
+weighted sum of its components' rows.  A grid is one product C(theta) @ H per
+component over a single Hermite table H shared by every phase and component.
+
+The oscillatory transform of the wavefunction,
 
     w(X, theta) = |integral Psi(y) exp(i y^2 cot(theta)/2 - i X y / sin(theta)) dy|^2
                   / (2 pi |sin theta|),
 
-evaluated over the position wavefunction when |sin| >= |cos| and over the
-momentum wavefunction otherwise (the same transform shifted by pi/2), which
-keeps the kernel bounded at every phase.  At the exact endpoints the rows are
-the position/momentum marginals |Psi(X)|^2 and |Psi~(X)|^2.
+is kept as an independent cross-check, run only when ``optical_tomogram`` is
+given ``branch="position"`` (the integral above, singular at theta = 0) or
+``branch="momentum"`` (the same transform over the momentum wavefunction,
+shifted by pi/2, singular at theta = pi/2).
 
-Phases are stored on [0, pi); any other phase is reached through the parity
-rule w(X, theta + pi) = w(-X, theta).
+Phases are reduced to [0, pi) by ``wrap_phase``; any other phase is reached
+through the parity rule w(X, theta + pi) = w(-X, theta).
 """
 
 from __future__ import annotations
@@ -88,7 +97,8 @@ def wrap_phase(phase: float):
 
 
 def gaussian_row(xs, mean: float, variance: float) -> np.ndarray:
-    """Normal density on a grid; handy for test rows not derived from any state."""
+    """Normal density on a grid: a Gaussian state's row, or a test row not
+    derived from any state."""
     xs = np.asarray(xs, dtype=float)
     if variance <= 0:
         raise InputError(f"variance must be > 0, got {variance}")
@@ -185,8 +195,50 @@ class TomogramGrid:
 
 
 # --------------------------------------------------------------------------
-# row evaluation
+# row evaluation: closed forms by default, the oscillatory transform on request
 # --------------------------------------------------------------------------
+
+def _fock_rows(coeffs, reduced, mirrored, herm):
+    """|C(theta) @ H|^2 for every phase at once; row i of C holds the rotated
+    coefficients c_n exp(-i n theta_i), with the odd ones negated on mirrored
+    phases since psi_n(-X) = (-1)^n psi_n(X)."""
+    n = np.arange(coeffs.size)
+    parity = np.where(mirrored[:, None], (-1.0) ** n, 1.0)
+    rotated = coeffs * np.exp(-1j * np.outer(reduced, n)) * parity
+    amp = rotated @ herm[: coeffs.size]
+    return amp.real ** 2 + amp.imag ** 2
+
+
+def _gaussian_rows(state, reduced, mirrored, xs):
+    rows = np.empty((reduced.size, xs.size))
+    for i, (theta, flip) in enumerate(zip(reduced, mirrored)):
+        m = analytic_moments(state, float(theta))
+        rows[i] = gaussian_row(xs, -m.mean if flip else m.mean, m.variance)
+    return rows
+
+
+def _state_rows(state, phases, xs) -> np.ndarray:
+    """Closed-form rows w(X, phase), shape (len(phases), len(xs)), for a pure
+    or mixed state; every Fock component shares one Hermite table."""
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    wrapped = [wrap_phase(p) for p in phases]
+    reduced = np.array([r for r, _ in wrapped], dtype=float)
+    mirrored = np.array([m for _, m in wrapped], dtype=bool)
+    components = state.components if isinstance(state, MixedState) else ((1.0, state),)
+    cutoffs = [s.cutoff for _, s in components if isinstance(s, FockSuperposition)]
+    herm = kernels.hermite_functions(max(cutoffs), xs) if cutoffs else None
+    total = np.zeros((reduced.size, xs.size))
+    for weight, comp in components:
+        if isinstance(comp, FockSuperposition):
+            total += weight * _fock_rows(comp.coeff_array(), reduced, mirrored, herm)
+        else:
+            total += weight * _gaussian_rows(comp, reduced, mirrored, xs)
+    return total
+
+
+def _state_row(state, phase, xs):
+    return _state_rows(state, [phase], xs)[0]
+
 
 def _is_uniform(xs):
     if xs.size < 4:
@@ -195,19 +247,11 @@ def _is_uniform(xs):
     return bool(np.allclose(steps, steps[0], rtol=1e-12, atol=0.0))
 
 
-def _pure_row(state, theta, xs, *, branch=None, closed_endpoints=True, quad_tol=1e-11):
-    """Tomogram row of a pure state at theta in [0, pi) on arbitrary X points."""
+def _transform_row(state, theta, xs, branch, quad_tol):
+    """Row of a pure state at theta in [0, pi) from the oscillatory transform
+    over the position or momentum wavefunction."""
     st, ct = math.sin(theta), math.cos(theta)
-    if branch is None and closed_endpoints:
-        if abs(st) < _ENDPOINT_EPS:
-            amp = eval_position_wavefunction(state, xs)
-            return np.abs(np.atleast_1d(amp)) ** 2
-        if abs(ct) < _ENDPOINT_EPS:
-            amp = eval_momentum_wavefunction(state, xs)
-            return np.abs(np.atleast_1d(amp)) ** 2
-
-    use_position = abs(st) >= abs(ct) if branch is None else branch == "position"
-    if use_position:
+    if branch == "position":
         if abs(st) < _ENDPOINT_EPS:
             raise InputError("position-representation branch is singular at theta = 0")
         chirp = ct / (2.0 * st)
@@ -275,14 +319,18 @@ def optical_tomogram(
     xs,
     *,
     branch: str | None = None,
-    closed_endpoints: bool = True,
     quad_tol: float = 1e-11,
 ) -> np.ndarray:
     """One tomogram row w(X, phase) of a pure state on the given X points.
 
-    ``branch`` forces the "position" or "momentum" evaluation path (both are
-    valid wherever non-singular); by default the better-conditioned one is
-    used and the exact marginals are returned at theta = 0 and pi/2.
+    By default the row is the closed form: |sum_n c_n exp(-i n theta)
+    psi_n(X)|^2 for a Fock superposition, the normal density with the
+    ``analytic_moments`` mean and variance for a Gaussian.  ``branch``
+    ("position" or "momentum") instead evaluates the oscillatory transform of
+    that wavefunction, refined until successive estimates differ by at most
+    ``quad_tol``; it is an independent cross-check of the closed form, valid
+    wherever the branch is not singular (theta = 0 for "position", pi/2 for
+    "momentum").
     """
     if not isinstance(state, (GaussianState, FockSuperposition)):
         raise InputError(f"expected a pure state, got {type(state).__name__}")
@@ -291,25 +339,10 @@ def optical_tomogram(
     pts = np.atleast_1d(np.asarray(xs, dtype=float))
     if not np.all(np.isfinite(pts)):
         raise InputError("x points must be finite")
+    if branch is None:
+        return _state_row(state, phase, pts)
     reduced, mirrored = wrap_phase(phase)
-    eval_pts = -pts if mirrored else pts
-    return _pure_row(
-        state,
-        reduced,
-        eval_pts,
-        branch=branch,
-        closed_endpoints=closed_endpoints,
-        quad_tol=quad_tol,
-    )
-
-
-def _state_row(state, phase, xs, **kw):
-    if isinstance(state, MixedState):
-        total = np.zeros(np.atleast_1d(xs).shape, dtype=float)
-        for w, comp in state.components:
-            total += w * optical_tomogram(comp, phase, xs, **kw)
-        return total
-    return optical_tomogram(state, phase, xs, **kw)
+    return _transform_row(state, reduced, -pts if mirrored else pts, branch, quad_tol)
 
 
 def _resolve_phases(phases):
@@ -338,13 +371,12 @@ def tomogram_grid(
     phases=DEFAULT_N_PHASES,
     n_x: int | None = None,
     window=None,
-    *,
-    quad_tol: float = 1e-11,
 ) -> TomogramGrid:
     """Compute a full tomogram grid for a pure or mixed state.
 
     ``phases`` is either a count (uniform on [0, pi)) or an explicit list;
-    ``window`` defaults to the symmetric 8-sigma window of the state.
+    ``window`` defaults to the symmetric 8-sigma window of the state.  All
+    rows come from one closed-form pass over a shared Hermite table.
     """
     if not isinstance(state, (GaussianState, FockSuperposition, MixedState)):
         raise InputError(f"expected a state, got {type(state).__name__}")
@@ -356,10 +388,7 @@ def tomogram_grid(
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise InputError(f"invalid window {window!r}")
     xs = np.linspace(lo, hi, default_n_x(state, (lo, hi), n_x))
-    values = np.empty((phase_arr.size, xs.size))
-    for i, theta in enumerate(phase_arr):
-        values[i] = _state_row(state, float(theta), xs, quad_tol=quad_tol)
-    return TomogramGrid(phase_arr, xs, values, source=state)
+    return TomogramGrid(phase_arr, xs, _state_rows(state, phase_arr, xs), source=state)
 
 
 def tomogram_of_mixed(
@@ -367,12 +396,11 @@ def tomogram_of_mixed(
     phases=DEFAULT_N_PHASES,
     n_x: int | None = None,
     window=None,
-    **kw,
 ) -> TomogramGrid:
     """Tomogram grid of a convex mixture (weighted sum of component rows)."""
     if not isinstance(state, MixedState):
         raise InputError(f"expected a mixed state, got {type(state).__name__}")
-    return tomogram_grid(state, phases, n_x, window, **kw)
+    return tomogram_grid(state, phases, n_x, window)
 
 
 # --------------------------------------------------------------------------

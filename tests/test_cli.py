@@ -92,6 +92,17 @@ def test_check_trifonov_from_states(workspace, capsys):
     assert payload["satisfied"] is True
 
 
+def test_check_trifonov_accepts_a_phase_just_below_zero(workspace, capsys):
+    # -1e-20 + pi rounds to pi, so the phase must be reduced by wrap_phase
+    args = ["check", "trifonov", "--state1", str(workspace / "s2.json"),
+            "--state2", str(workspace / "s2.json")]
+    assert main(args + ["--theta=-1e-20"]) == 0
+    near_zero = _last_json(capsys)
+    assert main(args + ["--theta", "0"]) == 0
+    at_zero = _last_json(capsys)
+    assert abs(near_zero["lhs"] - at_zero["lhs"]) <= 1e-12
+
+
 def test_check_trifonov_violation_exit_code(workspace, capsys):
     code = main(
         [

@@ -26,14 +26,15 @@ from optomo import (
     uniform_phases,
     vacuum,
 )
-from optomo.tomography import wrap_phase
-from oracles import fock_row, gaussian_tomogram_row
+from optomo import kernels, quadrature
+from optomo.tomography import _state_row, wrap_phase
+from oracles import fock_row, gaussian_tomogram_row, random_state
 
 SQRT_PI_INV = math.pi ** -0.5
 
 
 # --------------------------------------------------------------------------
-# rows from the oscillatory transform vs closed forms
+# default rows vs the independent oracles
 # --------------------------------------------------------------------------
 
 @pytest.mark.parametrize("theta", [0.0, 0.35, math.pi / 4, 1.2, math.pi / 2, 2.5])
@@ -131,6 +132,54 @@ def test_forcing_a_singular_branch_raises():
         optical_tomogram(vacuum(), 0.0, np.array([0.0]), branch="position")
     with pytest.raises(InputError):
         optical_tomogram(vacuum(), math.pi / 2, np.array([0.0]), branch="momentum")
+
+
+# --------------------------------------------------------------------------
+# closed-form rows against the oscillatory transform
+# --------------------------------------------------------------------------
+
+@given(
+    seed=hyp_st.integers(0, 2**32 - 1),
+    branch=hyp_st.sampled_from(["position", "momentum"]),
+    offset=hyp_st.floats(0.35, math.pi - 0.35),
+)
+def test_closed_rows_match_the_oscillatory_transform(seed, branch, offset):
+    state = random_state(np.random.default_rng(seed))
+    # the offset keeps theta at least 0.35 rad from the branch's singular
+    # phase: 0 for "position", pi/2 for "momentum"
+    theta, _ = wrap_phase(offset if branch == "position" else offset + math.pi / 2)
+    grid = tomogram_grid(state, phases=np.array([theta]))
+    xs = grid.xs[::8]
+    components = state.components if isinstance(state, MixedState) else ((1.0, state),)
+    transform = sum(
+        w * optical_tomogram(s, theta, xs, branch=branch) for w, s in components
+    )
+    assert np.max(np.abs(grid.values[0, ::8] - transform)) <= 1e-10
+    # parity rule on the closed path, mirrored phases included
+    assert np.allclose(
+        _state_row(state, theta + math.pi, xs), _state_row(state, theta, -xs),
+        rtol=0.0, atol=1e-12,
+    )
+
+
+def test_default_grids_never_run_the_transform(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("default rows must not use the oscillatory transform")
+
+    monkeypatch.setattr(quadrature, "adaptive", forbidden)
+    monkeypatch.setattr(kernels, "amplitude_rows", forbidden)
+    monkeypatch.setattr(kernels, "amplitude_rows_uniform", forbidden)
+    states = [
+        FockSuperposition((0.6, 0.0, 0.8j, 0.1)),
+        GaussianState(1.0, -0.5, 2.0),
+        MixedState(
+            ((0.4, FockSuperposition((0.5, 0.5j, 0.5))), (0.6, GaussianState(0.3, 0.2, 0.7)))
+        ),
+    ]
+    for state in states:
+        assert tomogram_grid(state, phases=16).n_phases == 16
+    with pytest.raises(AssertionError, match="oscillatory transform"):
+        optical_tomogram(vacuum(), 0.7, np.array([0.0]), branch="position")
 
 
 # --------------------------------------------------------------------------
