@@ -2,8 +2,7 @@
 
 Exit codes: 0 success, 1 a checked inequality is violated, 2 input error
 (including usage errors), 3 numerical error.  All file formats round-trip
-between subcommands.  TOMO_THREADS caps kernel parallelism and
-TOMO_DISABLE_NUMBA forces the pure-numpy kernels.
+between subcommands.
 """
 
 from __future__ import annotations
@@ -11,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 
 import numpy as np
@@ -288,7 +288,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--config",
-        help="JSON file of flag defaults (keys are flag names with underscores)",
+        help=(
+            "JSON file of defaults for the subcommand's flags (keys are flag "
+            "names with underscores); flags given on the command line win"
+        ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -374,9 +377,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args):
-    if not getattr(args, "config", None):
-        return
+def _leaf_parser(parser, args):
+    """The parser of the subcommand that ``args`` came from."""
+    while True:
+        subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        if not subs:
+            return parser
+        parser = subs[0].choices[getattr(args, subs[0].dest)]
+
+
+def _config_value(key, value, action):
+    """A config value, converted as if its JSON text had been typed on the command line."""
+    try:
+        return (action.type or str)(value if isinstance(value, str) else json.dumps(value))
+    except ValueError as exc:
+        raise InputError(f"config key {key!r}: bad value {value!r}: {exc}") from exc
+
+
+def _apply_config(parser, args, argv):
+    """Re-parse ``argv`` with the config's keys as the subcommand's flag defaults."""
+    if not args.config:
+        return args
     try:
         with open(args.config) as fh:
             config = json.load(fh)
@@ -386,17 +407,40 @@ def _apply_config(args):
         raise InputError(f"invalid JSON in config {args.config}: {exc}") from exc
     if not isinstance(config, dict):
         raise InputError("config must be a JSON object of flag defaults")
+    leaf = _leaf_parser(parser, args)
+    flags = {a.dest: a for a in leaf._actions if a.option_strings and a.dest != "help"}
+    defaults = {}
     for key, value in config.items():
-        attr = key.replace("-", "_")
-        if hasattr(args, attr) and getattr(args, attr) is None:
-            setattr(args, attr, value)
+        action = flags.get(key.replace("-", "_"))
+        if action is None:
+            raise InputError(f"unknown config key {key!r}: {leaf.prog} has no such flag")
+        defaults[action.dest] = _config_value(key, value, action)
+    leaf.set_defaults(**defaults)
+    return parser.parse_args(argv)
+
+
+# argparse takes a value such as "-1e-20" for a flag, not for this flag's value
+_FLOAT_FLAGS = ("--theta", "--x-min", "--x-max", "--tolerance", "--tol")
+_NEGATIVE_NUMBER = re.compile(r"-\.?\d")
+
+
+def _join_float_values(argv):
+    """Rewrite "--theta -1e-20" as "--theta=-1e-20" for the float flags."""
+    out = []
+    for tok in argv:
+        if out and out[-1] in _FLOAT_FLAGS and _NEGATIVE_NUMBER.match(tok):
+            out[-1] += "=" + tok
+        else:
+            out.append(tok)
+    return out
 
 
 def main(argv=None) -> int:
     parser = build_parser()
+    argv = _join_float_values(sys.argv[1:] if argv is None else list(argv))
     args = parser.parse_args(argv)
     try:
-        _apply_config(args)
+        args = _apply_config(parser, args, argv)
         return args.handler(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

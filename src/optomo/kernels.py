@@ -1,62 +1,30 @@
-"""Hot numeric kernels: numba fast paths with pure-numpy fallbacks.
+"""Hot numeric kernels, written in numpy only.
 
-The backend is picked once at import time: numba when importable, unless
-``TOMO_DISABLE_NUMBA`` is set (1/true/yes/on).  Both implementations of every
-kernel stay importable so tests and ``benchmarks/benchmark_kernels.py`` can
-compare them; they agree to ~1e-13.  ``TOMO_THREADS`` caps the numba thread
-pool.
+``hermite_functions`` builds the shared table of every closed-form row;
+``amplitude_rows`` and ``amplitude_rows_uniform`` evaluate the oscillatory
+sums of the transform cross-check and of grid characteristic functions.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 __all__ = [
-    "USE_NUMBA",
-    "backend_name",
     "amplitude_rows",
     "amplitude_rows_uniform",
     "hermite_functions",
-    "warm_up",
 ]
 
 # cap numpy scratch matrices at ~64 MB of complex128
 _CHUNK_ELEMS = 4 << 20
-# re-anchor the uniform-grid phase recurrence to limit rounding drift
-_RESYNC_EVERY = 512
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
-
-
-try:
-    import numba
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    numba = None
-
-USE_NUMBA = numba is not None and not _env_flag("TOMO_DISABLE_NUMBA")
-
-if numba is not None and os.environ.get("TOMO_THREADS"):
-    try:
-        _cap = int(os.environ["TOMO_THREADS"])
-    except ValueError:
-        _cap = 0
-    if _cap >= 1:
-        numba.set_num_threads(min(_cap, numba.config.NUMBA_NUM_THREADS))
-
-
-def backend_name() -> str:
-    return "numba" if USE_NUMBA else "numpy"
-
-
-# --------------------------------------------------------------------------
-# pure-numpy implementations
-# --------------------------------------------------------------------------
-
-def _amplitude_rows_np(g, y, c, xs):
+def amplitude_rows(g, y, c, xs):
+    """``out[i] = sum_k g[k] * exp(-1j * c * xs[i] * y[k])`` for arbitrary xs."""
+    g = np.ascontiguousarray(g, dtype=np.complex128)
+    y = np.ascontiguousarray(y, dtype=np.float64)
+    xs = np.ascontiguousarray(xs, dtype=np.float64)
+    c = float(c)
     out = np.empty(xs.size, dtype=np.complex128)
     block = max(1, _CHUNK_ELEMS // max(1, y.size))
     for lo in range(0, xs.size, block):
@@ -65,100 +33,10 @@ def _amplitude_rows_np(g, y, c, xs):
     return out
 
 
-def _amplitude_rows_uniform_np(g, y, c, x0, dx, n):
-    xs = x0 + dx * np.arange(n)
-    return _amplitude_rows_np(g, y, c, xs)
-
-
-def _hermite_functions_np(nmax, y):
-    out = np.empty((nmax + 1, y.size))
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * y * y)
-    if nmax >= 1:
-        out[1] = np.sqrt(2.0) * y * out[0]
-    for n in range(2, nmax + 1):
-        out[n] = np.sqrt(2.0 / n) * y * out[n - 1] - np.sqrt((n - 1.0) / n) * out[n - 2]
-    return out
-
-
-# --------------------------------------------------------------------------
-# numba implementations
-# --------------------------------------------------------------------------
-
-if numba is not None:
-
-    @numba.njit(cache=True)
-    def _amplitude_rows_nb(g, y, c, xs):  # pragma: no cover - jitted
-        out = np.empty(xs.size, dtype=np.complex128)
-        for i in range(xs.size):
-            b = -c * xs[i]
-            acc = complex(0.0, 0.0)
-            for k in range(y.size):
-                ph = b * y[k]
-                acc += g[k] * complex(np.cos(ph), np.sin(ph))
-            out[i] = acc
-        return out
-
-    @numba.njit(cache=True)
-    def _amplitude_rows_uniform_nb(g, y, c, x0, dx, n):  # pragma: no cover - jitted
-        m = y.size
-        out = np.empty(n, dtype=np.complex128)
-        cur = np.empty(m, dtype=np.complex128)
-        step = np.empty(m, dtype=np.complex128)
-        for k in range(m):
-            ph = -c * dx * y[k]
-            step[k] = complex(np.cos(ph), np.sin(ph))
-        for i in range(n):
-            if i % _RESYNC_EVERY == 0:
-                b = -c * (x0 + dx * i)
-                for k in range(m):
-                    cur[k] = complex(np.cos(b * y[k]), np.sin(b * y[k]))
-            acc = complex(0.0, 0.0)
-            for k in range(m):
-                acc += g[k] * cur[k]
-                cur[k] = cur[k] * step[k]
-            out[i] = acc
-        return out
-
-    @numba.njit(cache=True)
-    def _hermite_functions_nb(nmax, y):  # pragma: no cover - jitted
-        m = y.size
-        out = np.empty((nmax + 1, m))
-        c0 = np.pi ** -0.25
-        for j in range(m):
-            out[0, j] = c0 * np.exp(-0.5 * y[j] * y[j])
-        if nmax >= 1:
-            s2 = np.sqrt(2.0)
-            for j in range(m):
-                out[1, j] = s2 * y[j] * out[0, j]
-        for n in range(2, nmax + 1):
-            a = np.sqrt(2.0 / n)
-            b = np.sqrt((n - 1.0) / n)
-            for j in range(m):
-                out[n, j] = a * y[j] * out[n - 1, j] - b * out[n - 2, j]
-        return out
-
-
-# --------------------------------------------------------------------------
-# dispatchers
-# --------------------------------------------------------------------------
-
-def amplitude_rows(g, y, c, xs):
-    """``out[i] = sum_k g[k] * exp(-1j * c * xs[i] * y[k])`` for arbitrary xs."""
-    g = np.ascontiguousarray(g, dtype=np.complex128)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    if USE_NUMBA:
-        return _amplitude_rows_nb(g, y, float(c), xs)
-    return _amplitude_rows_np(g, y, float(c), xs)
-
-
 def amplitude_rows_uniform(g, y, c, x0, dx, n):
     """Same sum as :func:`amplitude_rows` on the uniform grid x0 + dx*arange(n)."""
-    g = np.ascontiguousarray(g, dtype=np.complex128)
-    y = np.ascontiguousarray(y, dtype=np.float64)
-    if USE_NUMBA:
-        return _amplitude_rows_uniform_nb(g, y, float(c), float(x0), float(dx), int(n))
-    return _amplitude_rows_uniform_np(g, y, float(c), float(x0), float(dx), int(n))
+    xs = float(x0) + float(dx) * np.arange(int(n))
+    return amplitude_rows(g, y, c, xs)
 
 
 def hermite_functions(nmax, y):
@@ -169,15 +47,11 @@ def hermite_functions(nmax, y):
     overflowing H_n or n! factors.
     """
     y = np.ascontiguousarray(y, dtype=np.float64)
-    if USE_NUMBA:
-        return _hermite_functions_nb(int(nmax), y)
-    return _hermite_functions_np(int(nmax), y)
-
-
-def warm_up():
-    """Trigger JIT compilation of every kernel on tiny inputs."""
-    g = np.array([1.0 + 0.5j, -0.25j])
-    y = np.array([-0.3, 0.7])
-    amplitude_rows(g, y, 1.1, np.array([0.0, 0.4]))
-    amplitude_rows_uniform(g, y, 1.1, -0.2, 0.1, 3)
-    hermite_functions(3, y)
+    nmax = int(nmax)
+    out = np.empty((nmax + 1, y.size))
+    out[0] = np.pi ** -0.25 * np.exp(-0.5 * y * y)
+    if nmax >= 1:
+        out[1] = np.sqrt(2.0) * y * out[0]
+    for n in range(2, nmax + 1):
+        out[n] = np.sqrt(2.0 / n) * y * out[n - 1] - np.sqrt((n - 1.0) / n) * out[n - 2]
+    return out

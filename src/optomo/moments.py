@@ -11,7 +11,6 @@ import math
 import warnings
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import InputError, NumericalError, TruncationWarning
 from .states import MomentSet, State, grid_halfwidth
@@ -30,11 +29,45 @@ NORM_TOL = 1e-6
 TAIL_TOL = 1e-6
 
 
+def _simpson(y, xs):
+    """Simpson's rule for samples y on the strictly increasing grid xs.
+
+    Reproduces ``scipy.integrate.simpson(y, x=xs)``: the composite rule for
+    irregular spacing over pairs of intervals; for an even point count it
+    covers the first N-3 intervals and adds Cartwright's correction for the
+    last one.
+    """
+    n = xs.size
+    h = np.diff(xs)
+    stop = n - 2 if n % 2 else n - 3
+    h0 = h[0:stop:2]
+    h1 = h[1:stop + 1:2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    total = np.sum(
+        hsum / 6.0 * (
+            y[0:stop:2] * (2.0 - 1.0 / ratio)
+            + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+            + y[2:stop + 2:2] * (2.0 - ratio)
+        )
+    )
+    if n % 2 == 0:
+        # one-element arrays, as in scipy: a scalar hb ** 3 can round differently
+        ha, hb = h[-2:-1], h[-1:]
+        alpha = (2 * hb ** 2 + 3 * ha * hb) / (6 * (hb + ha))
+        beta = (hb ** 2 + 3.0 * ha * hb) / (6 * ha)
+        eta = hb ** 3 / (6 * ha * (ha + hb))
+        total += (alpha * y[-1] + beta * y[-2] - eta * y[-3])[0]
+    return float(total)
+
+
 def _checked(xs, row, norm_tol):
     xs = np.asarray(xs, dtype=float)
     row = np.asarray(row, dtype=float)
     if xs.ndim != 1 or xs.shape != row.shape or xs.size < 3:
         raise InputError("row and x grid must be matching 1-D arrays (>= 3 points)")
+    if not np.all(np.diff(xs) > 0.0):
+        raise InputError("x grid must be strictly increasing")
     mass = float(np.trapezoid(row, xs))
     if abs(mass - 1.0) > norm_tol:
         raise InputError(
@@ -47,14 +80,14 @@ def _checked(xs, row, norm_tol):
 def row_mean(xs, row, *, norm_tol: float = NORM_TOL) -> float:
     """integral w(X) X dX over the grid (Simpson)."""
     xs, row = _checked(xs, row, norm_tol)
-    return float(simpson(row * xs, x=xs))
+    return _simpson(row * xs, xs)
 
 
 def row_variance(xs, row, *, norm_tol: float = NORM_TOL) -> float:
     """integral w X^2 dX - (integral w X dX)^2, with a window-coverage guard."""
     xs, row = _checked(xs, row, norm_tol)
-    mean = float(simpson(row * xs, x=xs))
-    var = float(simpson(row * xs * xs, x=xs)) - mean * mean
+    mean = _simpson(row * xs, xs)
+    var = _simpson(row * xs * xs, xs) - mean * mean
     var = max(var, 0.0)
     sigma = math.sqrt(var)
     if mean - 6.0 * sigma < xs[0] or mean + 6.0 * sigma > xs[-1]:

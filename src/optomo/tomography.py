@@ -26,12 +26,12 @@ through the parity rule w(X, theta + pi) = w(-X, theta).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from numbers import Real
 
 import numpy as np
-from scipy.special import eval_genlaguerre, gammaln
 
 from . import kernels, quadrature
 from .errors import ExtrapolationError, InputError, ResolutionError
@@ -469,6 +469,14 @@ _displacement_cache: dict = {}
 _DISPLACEMENT_CACHE_MAX = 4
 
 
+@functools.cache
+def _special():
+    """scipy.special, imported on first use: only characteristic functions need it."""
+    import scipy.special
+
+    return scipy.special
+
+
 def _displacement_factors(nmax, r):
     """M[j, m, n] = <m| exp(i r_j X(0)) |n> for the unrotated quadrature.
 
@@ -485,11 +493,12 @@ def _displacement_factors(nmax, r):
     env = np.exp(-0.5 * a2)
     out = np.empty((r.size, nmax + 1, nmax + 1), dtype=complex)
     alpha = 1j * r / math.sqrt(2.0)
+    special = _special()
     for m in range(nmax + 1):
         for n in range(m, nmax + 1):
             k = n - m
-            scale = math.exp(0.5 * (gammaln(m + 1) - gammaln(n + 1)))
-            val = scale * alpha ** k * env * eval_genlaguerre(m, k, a2)
+            scale = math.exp(0.5 * (special.gammaln(m + 1) - special.gammaln(n + 1)))
+            val = scale * alpha ** k * env * special.eval_genlaguerre(m, k, a2)
             out[:, m, n] = val
             out[:, n, m] = val
     while len(_displacement_cache) >= _DISPLACEMENT_CACHE_MAX:
@@ -509,7 +518,7 @@ def _char_from_state(state, theta, r):
         if nonzero.size == 1:
             n = int(nonzero[0])
             a2 = 0.5 * r * r
-            return np.exp(-0.5 * a2) * eval_genlaguerre(n, 0, a2) + 0j
+            return np.exp(-0.5 * a2) * _special().eval_genlaguerre(n, 0, a2) + 0j
         d = c * np.exp(-1j * np.arange(c.size) * theta)
         mats = _displacement_factors(state.cutoff, r)
         return np.einsum("m,jmn,n->j", np.conj(d), mats, d)

@@ -1,4 +1,3 @@
-import pytest
 from hypothesis import HealthCheck, settings
 
 settings.register_profile(
@@ -10,10 +9,3 @@ settings.register_profile(
 )
 settings.load_profile("optomo")
 
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # compile the jitted kernels once so tests measure steady-state runtimes
-    from optomo import kernels
-
-    kernels.warm_up()

@@ -98,6 +98,9 @@ def test_check_trifonov_accepts_a_phase_just_below_zero(workspace, capsys):
             "--state2", str(workspace / "s2.json")]
     assert main(args + ["--theta=-1e-20"]) == 0
     near_zero = _last_json(capsys)
+    # argparse alone reads the space-separated "-1e-20" as a flag
+    assert main(args + ["--theta", "-1e-20"]) == 0
+    assert _last_json(capsys) == near_zero
     assert main(args + ["--theta", "0"]) == 0
     at_zero = _last_json(capsys)
     assert abs(near_zero["lhs"] - at_zero["lhs"]) <= 1e-12
@@ -308,3 +311,41 @@ def test_config_file_supplies_defaults(workspace, capsys):
     payload = _last_json(capsys)
     assert payload["n_phases"] == 8
     assert payload["out"].endswith("w.csv")
+
+
+def test_config_overrides_flag_defaults(workspace, capsys):
+    config = workspace / "config.json"
+    config.write_text(json.dumps({"tolerance": 1.0}))
+    args = ["check", "heisenberg", "--state", str(workspace / "vacuum.json")]
+    assert main(["--config", str(config)] + args) == 0
+    assert _last_json(capsys)["tolerance"] == 1.0
+    assert main(["--config", str(config)] + args + ["--tolerance", "0.5"]) == 0
+    assert _last_json(capsys)["tolerance"] == 0.5
+
+
+def test_config_rejects_unknown_keys(workspace, capsys):
+    config = workspace / "config.json"
+    config.write_text(json.dumps({"tolerence": 1.0}))
+    code = main(
+        ["--config", str(config), "check", "heisenberg", "--state", str(workspace / "vacuum.json")]
+    )
+    assert code == 2
+    assert "'tolerence'" in capsys.readouterr().err
+
+
+def test_config_rejects_values_the_flag_type_rejects(workspace, capsys):
+    config = workspace / "config.json"
+    config.write_text(json.dumps({"phases": "abc"}))
+    code = main(
+        [
+            "--config",
+            str(config),
+            "tomogram",
+            "--state",
+            str(workspace / "vacuum.json"),
+            "--out",
+            str(workspace / "w.csv"),
+        ]
+    )
+    assert code == 2
+    assert "'phases'" in capsys.readouterr().err

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hyp_st
 
 from optomo import (
     GaussianState,
@@ -16,6 +18,7 @@ from optomo import (
     save_dataset_csv,
     vacuum,
 )
+from oracles import random_state
 
 S2 = GaussianState(0.0, 0.0, 2.0)
 SHALF = GaussianState(0.0, 0.0, 0.5)
@@ -142,11 +145,12 @@ def test_missing_partner_phase_is_an_input_error():
         empirical_trifonov(ds, ds, 0.0)
 
 
-def test_dataset_csv_round_trip(tmp_path):
-    ds = sample(S2, [(0.0, 200), (1.1, 100)], seed=9)
-    path = tmp_path / "data.csv"
+@given(seed=hyp_st.integers(0, 2**32 - 1))
+def test_dataset_csv_round_trip(tmp_path_factory, seed):
+    ds = sample(random_state(np.random.default_rng(seed)), [(0.0, 200), (1.1, 100)], seed=9)
+    path = tmp_path_factory.mktemp("csv") / "data.csv"
     save_dataset_csv(ds, path)
-    assert (tmp_path / "data.json").exists()
+    assert path.with_suffix(".json").exists()
     again = load_dataset_csv(path)
     assert np.array_equal(again.xs, ds.xs)
     assert np.array_equal(again.thetas, ds.thetas)

@@ -1,8 +1,12 @@
-import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import optomo
 from optomo import kernels
 from oracles import hermite_psi
 
@@ -31,24 +35,6 @@ def test_amplitude_rows_uniform_matches_general():
     assert np.allclose(fast, slow, atol=1e-11)
 
 
-@pytest.mark.skipif(kernels.numba is None, reason="numba not installed")
-def test_numba_and_numpy_paths_agree():
-    g = rng.normal(size=257) + 1j * rng.normal(size=257)
-    y = np.linspace(-7, 7, 257)
-    xs = np.linspace(-3, 3, 97)
-    a_nb = kernels._amplitude_rows_nb(g, y, 0.9, xs)
-    a_np = kernels._amplitude_rows_np(g, y, 0.9, xs)
-    assert np.allclose(a_nb, a_np, atol=1e-11)
-
-    u_nb = kernels._amplitude_rows_uniform_nb(g, y, 0.9, -3.0, 0.0625, 97)
-    u_np = kernels._amplitude_rows_uniform_np(g, y, 0.9, -3.0, 0.0625, 97)
-    assert np.allclose(u_nb, u_np, atol=1e-11)
-
-    h_nb = kernels._hermite_functions_nb(16, y)
-    h_np = kernels._hermite_functions_np(16, y)
-    assert np.allclose(h_nb, h_np, atol=1e-13)
-
-
 @pytest.mark.parametrize("n", [0, 1, 2, 5, 11])
 def test_hermite_functions_match_explicit_formula(n):
     y = np.linspace(-6, 6, 201)
@@ -66,5 +52,21 @@ def test_hermite_functions_orthonormal_at_high_order():
     assert abs(np.trapezoid(table[60] * table[58], y)) < 1e-8
 
 
-def test_backend_name_reports_selection():
-    assert kernels.backend_name() == ("numba" if kernels.USE_NUMBA else "numpy")
+
+def test_import_loads_no_third_party_package_but_numpy():
+    # scipy is imported lazily and no compiled-kernel backend is loaded
+    src = str(Path(optomo.__file__).resolve().parents[1])
+    code = (
+        "import sys; before = set(sys.modules); import optomo; "
+        "new = {m.split('.')[0] for m in set(sys.modules) - before}; "
+        "print(sorted(new - set(sys.stdlib_module_names)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+        check=True,
+    )
+    assert done.stdout.strip() == "['numpy', 'optomo']"

@@ -13,6 +13,7 @@ from optomo import (
     fock,
     gaussian_row,
     moments_from_state,
+    row_mean,
     row_variance,
     tomogram_grid,
     tomographic_mean,
@@ -20,6 +21,7 @@ from optomo import (
     tomographic_variance,
     vacuum,
 )
+from optomo.moments import _simpson
 from oracles import random_state
 
 
@@ -92,6 +94,31 @@ def test_unnormalized_row_rejected():
     xs = np.linspace(-5, 5, 101)
     with pytest.raises(InputError, match="integrates"):
         row_variance(xs, gaussian_row(xs, 0.0, 0.5) * 1.01)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 10, 33, 256, 257, 2048, 2049])
+def test_simpson_matches_scipy(n):
+    from scipy.integrate import simpson
+
+    rng = np.random.default_rng(n)
+    for _ in range(10):
+        uniform = np.linspace(-6.0, rng.uniform(-2.0, 8.0), n)
+        irregular = np.cumsum(rng.uniform(0.01, 1.0, n)) - 3.0
+        for xs in (uniform, irregular):
+            y = rng.uniform(0.1, 1.0, n)
+            want = simpson(y, x=xs)
+            assert abs(_simpson(y, xs) - want) <= 1e-15 * abs(want)
+
+
+def test_non_increasing_grid_rejected():
+    xs = np.linspace(-5, 5, 101)
+    row = gaussian_row(xs, 0.0, 0.5)
+    with pytest.raises(InputError, match="strictly increasing"):
+        row_mean(xs[::-1], row[::-1])
+    repeated = xs.copy()
+    repeated[50] = repeated[49]
+    with pytest.raises(InputError, match="strictly increasing"):
+        row_mean(repeated, row)
 
 
 def test_narrow_window_warns_when_tails_are_small():

@@ -234,6 +234,7 @@ def test_wrap_phase_reduction():
 def test_wrap_phase_is_consistent_under_full_turns(phase, turns):
     reduced, mirrored = wrap_phase(phase)
     assert 0.0 <= reduced < math.pi
+    assert wrap_phase(reduced) == (reduced, False)
     # near-exact multiples of pi legitimately round across the seam
     assume(1e-6 < reduced < math.pi - 1e-6)
     again, mirrored_again = wrap_phase(phase + 2.0 * math.pi * turns)
@@ -410,9 +411,10 @@ def test_negative_r_rejected():
 # CSV round trip
 # --------------------------------------------------------------------------
 
-def test_csv_round_trip_is_exact(tmp_path):
-    grid = tomogram_grid(GaussianState(0.3, -0.2, 1.7), phases=5)
-    path = tmp_path / "w.csv"
+@given(seed=hyp_st.integers(0, 2**32 - 1))
+def test_csv_round_trip_is_exact(tmp_path_factory, seed):
+    grid = tomogram_grid(random_state(np.random.default_rng(seed)), phases=5)
+    path = tmp_path_factory.mktemp("csv") / "w.csv"
     save_tomogram_csv(grid, path)
     again = load_tomogram_csv(path)
     assert np.array_equal(again.phases, grid.phases)
