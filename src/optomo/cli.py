@@ -28,6 +28,8 @@ from .purity import purity_classify
 from .states import load_state, state_label, state_to_dict
 from .tomography import (
     DEFAULT_N_PHASES,
+    PHASE_TOL,
+    TomogramGrid,
     load_tomogram_csv,
     save_tomogram_csv,
     tomogram_grid,
@@ -49,23 +51,27 @@ def _emit(payload: dict, out_path):
             fh.write(text + "\n")
 
 
-def _grid_for_phases(state, thetas, n_x=None):
-    """Small grid holding exactly the phases a check needs (plus partners)."""
+def _grid_for_phases(source, thetas):
+    """A loaded tomogram as it is; a state as a small grid holding exactly the
+    phases a check needs (plus partners)."""
+    if isinstance(source, TomogramGrid):
+        return source
     wanted = set()
     for theta in thetas:
         reduced, _ = wrap_phase(theta)
         wanted.add(reduced)
         wanted.add(wrap_phase(reduced + math.pi / 2.0)[0])
-    return tomogram_grid(state, np.array(sorted(wanted)), n_x=n_x)
+    return tomogram_grid(source, np.array(sorted(wanted)))
 
 
-def _load_check_source(args, suffix, thetas):
+def _read_source(args, suffix):
+    """The state spec or tomogram grid that --state<suffix> or --tomogram<suffix> names."""
     state_path = getattr(args, f"state{suffix}", None)
     tomo_path = getattr(args, f"tomogram{suffix}", None)
     if state_path and tomo_path:
         raise InputError(f"give either --state{suffix} or --tomogram{suffix}, not both")
     if state_path:
-        return _grid_for_phases(load_state(state_path), thetas)
+        return load_state(state_path)
     if tomo_path:
         return load_tomogram_csv(tomo_path)
     raise InputError(f"missing --state{suffix} or --tomogram{suffix}")
@@ -142,7 +148,7 @@ def _cmd_tomogram(args):
 
 
 def _cmd_check_heisenberg(args):
-    grid = _load_check_source(args, "", [0.0])
+    grid = _grid_for_phases(_read_source(args, ""), [0.0])
     report = heisenberg_lhs(grid, tolerance=args.tolerance)
     _emit(report.to_dict(), args.out)
     return EXIT_OK if report.satisfied else EXIT_VIOLATION
@@ -160,37 +166,39 @@ def _cmd_check_trifonov(args):
             load_dataset_csv(data1), load_dataset_csv(data2), args.theta
         )
     else:
-        w1 = _load_check_source(args, "1", [args.theta])
-        w2 = _load_check_source(args, "2", [args.theta])
+        w1 = _grid_for_phases(_read_source(args, "1"), [args.theta])
+        w2 = _grid_for_phases(_read_source(args, "2"), [args.theta])
         report = trifonov_lhs(w1, w2, args.theta, tolerance=args.tolerance)
     _emit(report.to_dict(), args.out)
     return EXIT_OK if report.satisfied else EXIT_VIOLATION
 
 
 def _cmd_check_purity(args):
-    if (args.state is None) == (args.tomogram is None):
-        raise InputError("give exactly one of --state or --tomogram")
-    src = load_state(args.state) if args.state else load_tomogram_csv(args.tomogram)
-    report = purity_classify(src, tol=args.tol)
+    report = purity_classify(_read_source(args, ""), tol=args.tol)
     _emit(report.to_dict(), args.out)
     return EXIT_OK
 
 
-def _sweep_phases(args):
-    """Sweep over --phases when given, else over a loaded grid's own phases."""
+def _sweep_sources(args):
+    """(thetas, w1, w2), each tomogram CSV read once.  The sweep runs over
+    --phases when given, else over the phases every loaded tomogram holds."""
+    sources = [_read_source(args, "1"), _read_source(args, "2")]
+    grids = [s for s in sources if isinstance(s, TomogramGrid)]
     if args.phases is not None:
-        return uniform_phases(args.phases)
-    for name in ("tomogram1", "tomogram2"):
-        path = getattr(args, name, None)
-        if path:
-            return load_tomogram_csv(path).phases
-    return uniform_phases(DEFAULT_N_PHASES)
+        thetas = uniform_phases(args.phases)
+    elif grids:
+        thetas = grids[0].phases
+        held = np.isclose(thetas[:, None], grids[-1].phases, rtol=0.0, atol=PHASE_TOL)
+        thetas = thetas[held.any(axis=1)]
+        if not thetas.size:
+            raise InputError(f"{args.tomogram1} and {args.tomogram2} hold no phase in common")
+    else:
+        thetas = uniform_phases(DEFAULT_N_PHASES)
+    return (thetas,) + tuple(_grid_for_phases(s, thetas) for s in sources)
 
 
 def _cmd_sweep_trifonov(args):
-    thetas = _sweep_phases(args)
-    w1 = _load_check_source(args, "1", thetas)
-    w2 = _load_check_source(args, "2", thetas)
+    thetas, w1, w2 = _sweep_sources(args)
     report = trifonov_sweep(w1, w2, thetas, tolerance=args.tolerance)
     _emit(report.to_dict(), args.out)
     return EXIT_OK if report.satisfied else EXIT_VIOLATION
@@ -233,12 +241,7 @@ def _cmd_estimate(args):
 
 
 def _cmd_plotdata_row(args):
-    if (args.state is None) == (args.tomogram is None):
-        raise InputError("give exactly one of --state or --tomogram")
-    if args.state:
-        grid = _grid_for_phases(load_state(args.state), [args.theta])
-    else:
-        grid = load_tomogram_csv(args.tomogram)
+    grid = _grid_for_phases(_read_source(args, ""), [args.theta])
     row, mirrored = grid.row_at(args.theta)
     xs = -grid.xs[::-1] if mirrored else grid.xs
     row = row[::-1] if mirrored else row
@@ -251,9 +254,7 @@ def _cmd_plotdata_row(args):
 
 
 def _cmd_plotdata_sweep(args):
-    thetas = _sweep_phases(args)
-    w1 = _load_check_source(args, "1", thetas)
-    w2 = _load_check_source(args, "2", thetas)
+    thetas, w1, w2 = _sweep_sources(args)
     with open(args.out, "w") as fh:
         fh.write("theta,lhs\n")
         for theta in thetas:
@@ -289,8 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--config",
         help=(
-            "JSON file of defaults for the subcommand's flags (keys are flag "
-            "names with underscores); flags given on the command line win"
+            "JSON file of defaults for the subcommand's flags, required ones "
+            "included (keys: flag names with underscores); the command line wins"
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -377,6 +378,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _parsers(parser):
+    """``parser`` and every subcommand parser below it."""
+    yield parser
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from _parsers(sub)
+
+
 def _leaf_parser(parser, args):
     """The parser of the subcommand that ``args`` came from."""
     while True:
@@ -394,20 +404,18 @@ def _config_value(key, value, action):
         raise InputError(f"config key {key!r}: bad value {value!r}: {exc}") from exc
 
 
-def _apply_config(parser, args, argv):
-    """Re-parse ``argv`` with the config's keys as the subcommand's flag defaults."""
-    if not args.config:
-        return args
+def _apply_config(leaf, path):
+    """Make the config's keys the defaults of the subcommand's flags; return
+    the flags they cover."""
     try:
-        with open(args.config) as fh:
+        with open(path) as fh:
             config = json.load(fh)
     except OSError as exc:
-        raise InputError(f"cannot read config {args.config}: {exc}") from exc
+        raise InputError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in config {args.config}: {exc}") from exc
+        raise InputError(f"invalid JSON in config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise InputError("config must be a JSON object of flag defaults")
-    leaf = _leaf_parser(parser, args)
     flags = {a.dest: a for a in leaf._actions if a.option_strings and a.dest != "help"}
     defaults = {}
     for key, value in config.items():
@@ -416,6 +424,19 @@ def _apply_config(parser, args, argv):
             raise InputError(f"unknown config key {key!r}: {leaf.prog} has no such flag")
         defaults[action.dest] = _config_value(key, value, action)
     leaf.set_defaults(**defaults)
+    return {flags[dest] for dest in defaults}
+
+
+def _parse_args(parser, argv):
+    """Parse ``argv`` with the --config keys as the subcommand's flag defaults;
+    a key that names a required flag stands in for it, the command line wins."""
+    required = [a for p in _parsers(parser) for a in p._actions if a.required and a.option_strings]
+    for action in required:
+        action.required = False
+    args = parser.parse_args(argv)
+    covered = _apply_config(_leaf_parser(parser, args), args.config) if args.config else set()
+    for action in required:
+        action.required = action not in covered
     return parser.parse_args(argv)
 
 
@@ -438,11 +459,10 @@ def _join_float_values(argv):
 def main(argv=None) -> int:
     parser = build_parser()
     argv = _join_float_values(sys.argv[1:] if argv is None else list(argv))
-    args = parser.parse_args(argv)
     try:
-        args = _apply_config(parser, args, argv)
+        args = _parse_args(parser, argv)
         return args.handler(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:  # OSError: an --out path that cannot be written
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericalError as exc:

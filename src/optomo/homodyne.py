@@ -129,8 +129,8 @@ def sample(
 
     Deterministic: the seed and schedule fully determine the dataset.
     """
-    if isinstance(seed, bool) or not isinstance(seed, int):
-        raise InputError(f"seed must be an integer, got {seed!r}")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise InputError(f"seed must be a non-negative integer, got {seed!r}")
     schedule = list(phase_schedule)
     if not schedule:
         raise InputError("phase schedule must be non-empty")

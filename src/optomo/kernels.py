@@ -20,12 +20,13 @@ _CHUNK_ELEMS = 4 << 20
 
 
 def amplitude_rows(g, y, c, xs):
-    """``out[i] = sum_k g[k] * exp(-1j * c * xs[i] * y[k])`` for arbitrary xs."""
+    """``out[i] = sum_k g[k] * exp(-1j * c * xs[i] * y[k])`` for arbitrary xs;
+    columns of a 2-D ``g`` share one exponential table (``out[i, j]``)."""
     g = np.ascontiguousarray(g, dtype=np.complex128)
     y = np.ascontiguousarray(y, dtype=np.float64)
     xs = np.ascontiguousarray(xs, dtype=np.float64)
     c = float(c)
-    out = np.empty(xs.size, dtype=np.complex128)
+    out = np.empty((xs.size,) + g.shape[1:], dtype=np.complex128)
     block = max(1, _CHUNK_ELEMS // max(1, y.size))
     for lo in range(0, xs.size, block):
         hi = min(lo + block, xs.size)

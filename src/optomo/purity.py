@@ -82,7 +82,7 @@ def _check_source(obj, name):
 
 
 def _max_abs_phi(src, phases, r):
-    return max(abs(tomogram_characteristic(src, float(t), float(r))) for t in phases)
+    return float(np.max(np.abs(tomogram_characteristic(src, phases, float(r)))))
 
 
 def _nyquist_limit(src):
@@ -116,13 +116,9 @@ def purity_overlap(
         or _max_abs_phi(b, phases, r_max) > PHI_TAIL
     ):
         r_max = min(r_max * 1.3, r_limit)
-    tail = max(
-        abs(
-            tomogram_characteristic(a, float(t), float(r_max))
-            * np.conj(tomogram_characteristic(b, float(t), float(r_max)))
-        )
-        for t in phases
-    ) * r_max ** 2
+    phi_a = tomogram_characteristic(a, phases, r_max)
+    phi_b = tomogram_characteristic(b, phases, r_max)
+    tail = float(np.max(np.abs(phi_a * np.conj(phi_b)))) * r_max ** 2
     if tail > TAIL_TOL:
         raise ResolutionError(
             f"radial truncation at r = {r_max:.4g} leaves a tail estimate "
@@ -131,16 +127,10 @@ def purity_overlap(
         )
 
     def radial_all(r, wts):
-        # one radial integral per phase; shared r nodes keep the
-        # characteristic-function factor caches hot
-        rw = wts * r
-        out = np.empty(phases.size, dtype=complex)
-        for j in range(phases.size):
-            t = float(phases[j])
-            phi_a = tomogram_characteristic(a, t, r)
-            phi_b = tomogram_characteristic(b, t, r)
-            out[j] = np.sum(rw * phi_a * np.conj(phi_b))
-        return out
+        # one radial integral per phase
+        phi_a = tomogram_characteristic(a, phases, r)
+        phi_b = phi_a if b is a else tomogram_characteristic(b, phases, r)
+        return np.sum(wts * r * phi_a * np.conj(phi_b), axis=1)
 
     per_theta = quadrature.adaptive(
         radial_all, 0.0, r_max, n0=128, tol=quad_tol, label="radial overlap"
@@ -158,7 +148,7 @@ def purity_overlap(
 
 def purity_classify(src, tol: float = 1e-3, **kw) -> PurityReport:
     """Label a source pure when its self-overlap is within ``tol`` of 1."""
-    if tol <= 0:
+    if not tol > 0:
         raise InputError(f"tolerance must be > 0, got {tol}")
     value = purity_overlap(src, src, **kw)
     label = "pure" if abs(value - 1.0) <= tol else "mixed"

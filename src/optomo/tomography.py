@@ -26,7 +26,6 @@ through the parity rule w(X, theta + pi) = w(-X, theta).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass, field
 from numbers import Real
@@ -198,6 +197,13 @@ class TomogramGrid:
 # row evaluation: closed forms by default, the oscillatory transform on request
 # --------------------------------------------------------------------------
 
+def _wrap_phases(phases):
+    """(reduced, mirrored) arrays: ``wrap_phase`` applied to every phase."""
+    wrapped = [wrap_phase(p) for p in phases]
+    reduced = np.array([t for t, _ in wrapped], dtype=float)
+    return reduced, np.array([m for _, m in wrapped], dtype=bool)
+
+
 def _fock_rows(coeffs, reduced, mirrored, herm):
     """|C(theta) @ H|^2 for every phase at once; row i of C holds the rotated
     coefficients c_n exp(-i n theta_i), with the odd ones negated on mirrored
@@ -221,9 +227,7 @@ def _state_rows(state, phases, xs) -> np.ndarray:
     """Closed-form rows w(X, phase), shape (len(phases), len(xs)), for a pure
     or mixed state; every Fock component shares one Hermite table."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    wrapped = [wrap_phase(p) for p in phases]
-    reduced = np.array([r for r, _ in wrapped], dtype=float)
-    mirrored = np.array([m for _, m in wrapped], dtype=bool)
+    reduced, mirrored = _wrap_phases(phases)
     components = state.components if isinstance(state, MixedState) else ((1.0, state),)
     cutoffs = [s.cutoff for _, s in components if isinstance(s, FockSuperposition)]
     herm = kernels.hermite_functions(max(cutoffs), xs) if cutoffs else None
@@ -465,109 +469,42 @@ def symplectic_tomogram(
 # characteristic functions of tomogram rows
 # --------------------------------------------------------------------------
 
-_displacement_cache: dict = {}
-_DISPLACEMENT_CACHE_MAX = 4
+def _fock_characteristic(rho, reduced, r):
+    """Tr[rho exp(i r X(theta))] for a Fock-basis density matrix rho, shape
+    (len(reduced), len(r)).
 
-
-@functools.cache
-def _special():
-    """scipy.special, imported on first use: only characteristic functions need it."""
-    import scipy.special
-
-    return scipy.special
-
-
-def _displacement_factors(nmax, r):
-    """M[j, m, n] = <m| exp(i r_j X(0)) |n> for the unrotated quadrature.
-
-    These are displacement-operator matrix elements with alpha = i r/sqrt(2);
-    the matrix is symmetric in (m, n).  Recent (nmax, r-grid) results are
-    cached since phase sweeps reuse the same radial nodes.
+    With x = r^2/2 the unrotated matrix elements are <m| exp(i r X(0)) |m+k> =
+    v_k h_m^(k): v_k = <k|D(i r/sqrt(2))|0> and h_m^(k) = sqrt(k! m!/(m+k)!)
+    L_m^(k)(x), the normalised generalised Laguerre polynomial, run up its
+    three-term recurrence in m for every k at once.  The matrix is symmetric,
+    and a rotation by theta multiplies its k-th upper (lower) diagonal by
+    exp(-i k theta) (exp(i k theta)).
     """
-    r = np.asarray(r, dtype=float)
-    key = (int(nmax), r.tobytes())
-    hit = _displacement_cache.get(key)
-    if hit is not None:
-        return hit
-    a2 = 0.5 * r * r
-    env = np.exp(-0.5 * a2)
-    out = np.empty((r.size, nmax + 1, nmax + 1), dtype=complex)
-    alpha = 1j * r / math.sqrt(2.0)
-    special = _special()
-    for m in range(nmax + 1):
-        for n in range(m, nmax + 1):
-            k = n - m
-            scale = math.exp(0.5 * (special.gammaln(m + 1) - special.gammaln(n + 1)))
-            val = scale * alpha ** k * env * special.eval_genlaguerre(m, k, a2)
-            out[:, m, n] = val
-            out[:, n, m] = val
-    while len(_displacement_cache) >= _DISPLACEMENT_CACHE_MAX:
-        _displacement_cache.pop(next(iter(_displacement_cache)))
-    _displacement_cache[key] = out
-    return out
+    n = rho.shape[0]
+    x = 0.5 * r * r
+    k = np.arange(n)
+    up = np.zeros((n, r.size), dtype=complex)  # sum_m rho[m, m+k] h_m^(k)
+    down = np.zeros((n, r.size), dtype=complex)  # sum_m rho[m+k, m] h_m^(k)
+    h_prev, h = None, np.ones((n, r.size))
+    for m in range(n):
+        kk = k[: n - m, None]
+        if m == 1:
+            h_prev, h = h, (1.0 + kk - x) / np.sqrt(kk + 1.0)
+        elif m >= 2:
+            a = np.sqrt(m / (m + kk)) * (2 * m - 1 + kk - x)
+            b = (m - 1 + kk) * np.sqrt(m * (m - 1) / ((m + kk) * (m + kk - 1)))
+            h_prev, h = h, (a * h[: n - m] - b * h_prev[: n - m]) / m
+        up[: n - m] += rho[m, m:, None] * h[: n - m]
+        down[: n - m] += rho[m:, m, None] * h[: n - m]
+    # v_0 = exp(-x/2), v_k = v_(k-1) i r / sqrt(2k)
+    v = np.cumprod(np.vstack([np.exp(-0.5 * x), 1j * r / np.sqrt(2.0 * k[1:, None])]), axis=0)
+    rotation = np.exp(-1j * np.outer(reduced, np.concatenate([k, -k[1:]])))
+    return rotation @ np.concatenate([v * up, (v * down)[1:]])
 
 
-def _char_from_state(state, theta, r):
-    r = np.atleast_1d(np.asarray(r, dtype=float))
-    if isinstance(state, GaussianState):
-        m = analytic_moments(state, theta)
-        return np.exp(1j * r * m.mean - 0.5 * r * r * m.variance)
-    if isinstance(state, FockSuperposition):
-        c = state.coeff_array()
-        nonzero = np.nonzero(np.abs(c) > 0.0)[0]
-        if nonzero.size == 1:
-            n = int(nonzero[0])
-            a2 = 0.5 * r * r
-            return np.exp(-0.5 * a2) * _special().eval_genlaguerre(n, 0, a2) + 0j
-        d = c * np.exp(-1j * np.arange(c.size) * theta)
-        mats = _displacement_factors(state.cutoff, r)
-        return np.einsum("m,jmn,n->j", np.conj(d), mats, d)
-    if isinstance(state, MixedState):
-        total = np.zeros(r.shape, dtype=complex)
-        for w, comp in state.components:
-            total += w * _char_from_state(comp, theta, r)
-        return total
-    raise InputError(f"expected a state, got {type(state).__name__}")
-
-
-def tomogram_characteristic(source, phase: float, r):
-    """phi(r, theta) = integral w(U, theta) exp(i r U) dU for r >= 0.
-
-    ``source`` is a state spec (closed form; also used when a grid carries
-    one) or a bare TomogramGrid (trapezoid sum over the stored row, guarded
-    against X-grid aliasing).
-    """
-    r_arr = np.atleast_1d(np.asarray(r, dtype=float))
-    if not np.all(np.isfinite(r_arr)):
-        raise InputError("r must be finite")
-    if np.any(r_arr < 0.0):
-        raise InputError("r must be >= 0")
-
-    if isinstance(source, TomogramGrid):
-        if source.source is not None:
-            out = _char_from_state_wrapped(source.source, phase, r_arr)
-        else:
-            out = _char_from_grid(source, phase, r_arr)
-    elif isinstance(source, (GaussianState, FockSuperposition, MixedState)):
-        out = _char_from_state_wrapped(source, phase, r_arr)
-    else:
-        raise InputError(
-            f"expected a TomogramGrid or state, got {type(source).__name__}"
-        )
-    if np.ndim(r) == 0:
-        return complex(out[0])
-    return out
-
-
-def _char_from_state_wrapped(state, phase, r_arr):
-    reduced, mirrored = wrap_phase(phase)
-    out = _char_from_state(state, reduced, r_arr)
-    return np.conj(out) if mirrored else out
-
-
-def _char_from_grid(grid, phase, r_arr):
-    row, mirrored = grid.row_at(phase)
-    r_top = float(r_arr.max()) if r_arr.size else 0.0
+def _grid_characteristic(grid, reduced, r):
+    rows = grid.values[[grid.phase_index(theta) for theta in reduced]]
+    r_top = float(r.max()) if r.size else 0.0
     if r_top * grid.dx > math.pi / 2.0:
         raise ResolutionError(
             f"x grid spacing {grid.dx:.4g} is too coarse for r = {r_top:.4g} "
@@ -576,8 +513,58 @@ def _char_from_grid(grid, phase, r_arr):
     wts = np.full(grid.n_x, grid.dx)
     wts[0] *= 0.5
     wts[-1] *= 0.5
-    out = kernels.amplitude_rows(row * wts, grid.xs, -1.0, r_arr)
-    return np.conj(out) if mirrored else out
+    return kernels.amplitude_rows((rows * wts).T, grid.xs, -1.0, r).T
+
+
+def _state_characteristic(state, reduced, r):
+    """phi(r, theta) of a state at phases in [0, pi), shape (len(reduced),
+    len(r)); all Fock components are summed into one density matrix."""
+    components = state.components if isinstance(state, MixedState) else ((1.0, state),)
+    fock_coeffs = [(w, s.coeff_array()) for w, s in components if isinstance(s, FockSuperposition)]
+    total = np.zeros((reduced.size, r.size), dtype=complex)
+    if fock_coeffs:
+        n = max(c.size for _, c in fock_coeffs)
+        rho = np.zeros((n, n), dtype=complex)
+        for w, c in fock_coeffs:
+            rho[: c.size, : c.size] += w * np.outer(np.conj(c), c)
+        total += _fock_characteristic(rho, reduced, r)
+    for w, s in components:
+        if isinstance(s, GaussianState):
+            moments = [analytic_moments(s, float(theta)) for theta in reduced]
+            mean = np.array([m.mean for m in moments])[:, None]
+            variance = np.array([m.variance for m in moments])[:, None]
+            total += w * np.exp(1j * r * mean - 0.5 * r * r * variance)
+    return total
+
+
+def tomogram_characteristic(source, phase, r):
+    """phi(r, theta) = integral w(U, theta) exp(i r U) dU for r >= 0.
+
+    ``phase`` and ``r`` are numbers or arrays; the result has shape
+    ``np.shape(phase) + np.shape(r)`` (a complex number for two scalars).
+    ``source`` is a state spec (closed form; also used when a grid carries
+    one) or a bare TomogramGrid (trapezoid sums over the stored rows, guarded
+    against X-grid aliasing).  Phases outside [0, pi) use the parity rule
+    phi(r, theta + pi) = conj(phi(r, theta)).
+    """
+    r_arr = np.ravel(np.asarray(r, dtype=float))
+    if not np.all(np.isfinite(r_arr)):
+        raise InputError("r must be finite")
+    if np.any(r_arr < 0.0):
+        raise InputError("r must be >= 0")
+    reduced, mirrored = _wrap_phases(np.ravel(phase))
+    if isinstance(source, TomogramGrid):
+        if source.source is None:
+            out = _grid_characteristic(source, reduced, r_arr)
+        else:
+            out = _state_characteristic(source.source, reduced, r_arr)
+    elif isinstance(source, (GaussianState, FockSuperposition, MixedState)):
+        out = _state_characteristic(source, reduced, r_arr)
+    else:
+        raise InputError(f"expected a TomogramGrid or state, got {type(source).__name__}")
+    out = np.where(mirrored[:, None], np.conj(out), out)
+    shape = np.shape(phase) + np.shape(r)
+    return out.reshape(shape) if shape else complex(out[0, 0])
 
 
 # --------------------------------------------------------------------------

@@ -45,6 +45,19 @@ def gaussian_tomogram_row(mean_q, mean_p, squeeze, theta, xs):
     return np.exp(-((xs - mean) ** 2) / (2 * var)) / math.sqrt(2 * math.pi * var)
 
 
+def state_row(state, theta, xs):
+    """Closed-form tomogram row of any state: the weighted sum of its
+    components' explicit Fock or Gaussian rows."""
+    components = state.components if isinstance(state, MixedState) else ((1.0, state),)
+    row = np.zeros(np.shape(xs))
+    for w, s in components:
+        if isinstance(s, GaussianState):
+            row = row + w * gaussian_tomogram_row(s.mean_q, s.mean_p, s.squeeze, theta, xs)
+        else:
+            row = row + w * fock_row(s.coeffs, theta, xs)
+    return row
+
+
 def trapz_mean(xs, row):
     return float(np.trapezoid(row * xs, xs))
 
@@ -76,17 +89,20 @@ def random_fock(rng, max_cutoff=8):
     return FockSuperposition(tuple(c))
 
 
-def random_pure_state(rng):
-    return random_gaussian(rng) if rng.random() < 0.5 else random_fock(rng)
+def random_pure_state(rng, max_cutoff=8):
+    return random_gaussian(rng) if rng.random() < 0.5 else random_fock(rng, max_cutoff)
 
 
-def random_state(rng):
+def random_state(rng, max_cutoff=8):
     roll = rng.random()
     if roll < 0.4:
         return random_gaussian(rng)
     if roll < 0.8:
-        return random_fock(rng)
+        return random_fock(rng, max_cutoff)
     w = rng.uniform(0.05, 0.95)
     return MixedState(
-        ((w, random_pure_state(rng)), (1.0 - w, random_pure_state(rng)))
+        (
+            (w, random_pure_state(rng, max_cutoff)),
+            (1.0 - w, random_pure_state(rng, max_cutoff)),
+        )
     )

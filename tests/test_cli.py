@@ -1,8 +1,13 @@
+import argparse
+import contextlib
+import io
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hyp_st
 
 from optomo import (
     GaussianState,
@@ -13,7 +18,7 @@ from optomo import (
     uniform_phases,
     vacuum,
 )
-from optomo.cli import main
+from optomo.cli import _parsers, build_parser, main
 
 
 @pytest.fixture()
@@ -349,3 +354,109 @@ def test_config_rejects_values_the_flag_type_rejects(workspace, capsys):
     )
     assert code == 2
     assert "'phases'" in capsys.readouterr().err
+
+
+def test_config_alone_supplies_a_required_flag(workspace, capsys):
+    config = workspace / "config.json"
+    config.write_text(json.dumps({"out": str(workspace / "c.csv")}))
+    args = ["tomogram", "--state", str(workspace / "vacuum.json"), "--phases", "4"]
+    assert main(["--config", str(config)] + args) == 0
+    assert _last_json(capsys)["out"].endswith("c.csv")
+    assert (workspace / "c.csv").exists()
+    # still required when neither the config nor the command line gives it
+    config.write_text(json.dumps({"phases": 4}))
+    with pytest.raises(SystemExit) as exc:
+        main(["--config", str(config)] + args)
+    assert exc.value.code == 2
+    assert "--out" in capsys.readouterr().err
+
+
+def test_sweep_over_two_tomograms_uses_their_common_phases(workspace, capsys):
+    xs = np.linspace(-8.0, 8.0, 513)
+    row = gaussian_row(xs, 0.0, 0.6)
+    row = row / np.trapezoid(row, xs)
+    for name, phases in (
+        ("a.csv", uniform_phases(16)),
+        ("b.csv", uniform_phases(8)),
+        ("c.csv", np.array([0.1, 0.5, 1.0])),
+    ):
+        grid = TomogramGrid(phases, xs, np.tile(row, (phases.size, 1)))
+        save_tomogram_csv(grid, workspace / name)
+    a, b, c = (str(workspace / name) for name in ("a.csv", "b.csv", "c.csv"))
+    payloads = []
+    for first, second in ((a, b), (b, a)):
+        for command in (["sweep", "trifonov"], ["plotdata", "sweep"]):
+            out = workspace / "sweep.out"
+            argv = command + ["--tomogram1", first, "--tomogram2", second, "--out", str(out)]
+            assert main(argv) == 0
+            if command[0] == "plotdata":
+                assert len(out.read_text().strip().splitlines()) == 1 + 8
+            else:
+                payloads.append(_last_json(capsys))
+    assert payloads[0] == payloads[1]
+    assert abs(payloads[0]["lhs"] - 0.36) < 1e-6
+    assert main(["sweep", "trifonov", "--tomogram1", b, "--tomogram2", c]) == 2
+    err = capsys.readouterr().err
+    assert "b.csv" in err and "c.csv" in err
+
+
+def test_bad_paths_seeds_and_tolerances_are_input_errors(workspace, capsys):
+    vac = str(workspace / "vacuum.json")
+    for argv in (
+        ["tomogram", "--state", vac, "--out", str(workspace)],  # a directory
+        ["check", "purity", "--state", ""],
+        ["check", "purity", "--state", vac, "--tol", "nan"],
+        ["simulate", "--state", vac, "--schedule", "0:40", "--seed", "-1",
+         "--out", str(workspace / "d.csv")],
+    ):
+        assert main(argv) == 2, argv
+        assert "input error" in capsys.readouterr().err
+
+# every leaf subcommand with its flags, read from the parser itself
+_LEAVES = [
+    (p.prog.split()[1:], [f for a in p._actions for f in a.option_strings if a.dest != "help"])
+    for p in _parsers(build_parser())
+    if not any(isinstance(a, argparse._SubParsersAction) for a in p._actions)
+]
+_FILE_FLAGS = ("--state", "--tomogram", "--data", "--out")
+_NUMBERS = [
+    "0", "1", "3", "8", "-1", "-1e-20", "0.5", "1e-300", "nan", "inf", "-inf", "abc", "", "0:40,1:40",
+]
+
+
+@pytest.fixture(scope="module")
+def junk_workspace(tmp_path_factory):
+    root = tmp_path_factory.mktemp("cli_junk")
+    save_state(vacuum(), root / "vacuum.json")
+    (root / "junk.json").write_text("{not json")
+    (root / "fock.json").write_text('{"type": "fock", "coeffs": [[0, 0], [1, 0]]}')
+    (root / "config.json").write_text('{"out": "%s", "seed": 2}' % (root / "cfg.csv"))
+    assert main(["tomogram", "--state", str(root / "vacuum.json"), "--phases", "4",
+                 "--out", str(root / "w.csv")]) == 0
+    assert main(["simulate", "--state", str(root / "vacuum.json"), "--schedule",
+                 "0:40,1.5707963267948966:40", "--seed", "1", "--out", str(root / "d.csv")]) == 0
+    return root
+
+
+@given(data=hyp_st.data())
+def test_cli_exit_codes_are_0_to_3_and_never_a_traceback(junk_workspace, data):
+    # valid files, junk files, missing files, a directory and empty strings
+    files = [str(junk_workspace / name) for name in (
+        "vacuum.json", "fock.json", "w.csv", "d.csv", "out.csv", "junk.json", "missing.csv",
+    )]
+    files += ["", str(junk_workspace), str(junk_workspace / "no_dir" / "x.csv")]
+    command, flags = data.draw(hyp_st.sampled_from(_LEAVES))
+    argv = list(command)
+    for flag in flags:
+        if data.draw(hyp_st.booleans()):
+            pool = files if flag.startswith(_FILE_FLAGS) else _NUMBERS
+            argv += [flag, data.draw(hyp_st.sampled_from(pool))]
+    if data.draw(hyp_st.booleans()):
+        config = data.draw(hyp_st.sampled_from(files + [str(junk_workspace / "config.json")]))
+        argv = ["--config", config] + argv
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    assert code in (0, 1, 2, 3), argv

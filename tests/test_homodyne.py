@@ -167,3 +167,8 @@ def test_dataset_metadata_content(tmp_path):
     assert meta["seed"] == 4
     assert "gaussian" in meta["state_label"]
     assert "PCG64" in meta["generator"]
+
+
+def test_negative_seed_is_an_input_error():
+    with pytest.raises(InputError, match="non-negative"):
+        sample(vacuum(), [(0.0, 40)], seed=-1)

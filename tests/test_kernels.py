@@ -54,7 +54,7 @@ def test_hermite_functions_orthonormal_at_high_order():
 
 
 def test_import_loads_no_third_party_package_but_numpy():
-    # scipy is imported lazily and no compiled-kernel backend is loaded
+    # neither scipy nor a compiled-kernel backend is loaded
     src = str(Path(optomo.__file__).resolve().parents[1])
     code = (
         "import sys; before = set(sys.modules); import optomo; "
@@ -70,3 +70,22 @@ def test_import_loads_no_third_party_package_but_numpy():
         check=True,
     )
     assert done.stdout.strip() == "['numpy', 'optomo']"
+
+
+def test_purity_and_characteristic_functions_run_without_scipy():
+    src = str(Path(optomo.__file__).resolve().parents[1])
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "from optomo import fock, purity_classify, thermal_state, tomogram_characteristic\n"
+        "print(purity_classify(thermal_state(1.0)).classification)\n"
+        "print(abs(tomogram_characteristic(fock(3), 0.4, 1.0)) > 0)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == ["mixed", "True"]

@@ -28,7 +28,7 @@ from optomo import (
 )
 from optomo import kernels, quadrature
 from optomo.tomography import _state_row, wrap_phase
-from oracles import fock_row, gaussian_tomogram_row, random_state
+from oracles import fock_row, gaussian_tomogram_row, random_state, state_row
 
 SQRT_PI_INV = math.pi ** -0.5
 
@@ -393,6 +393,40 @@ def test_characteristic_respects_parity_rule():
     direct = tomogram_characteristic(state, 0.4, rs)
     reflected = tomogram_characteristic(state, 0.4 + math.pi, rs)
     assert np.allclose(reflected, np.conj(direct), atol=1e-12)
+
+
+@given(
+    seed=hyp_st.integers(0, 2**32 - 1),
+    theta=hyp_st.floats(0.0, 2.0 * math.pi, exclude_max=True),
+)
+def test_characteristic_matches_dense_fourier_transform_of_the_row(seed, theta):
+    # cutoffs up to the package maximum; the oracle never uses the Laguerre
+    # recurrence, only the explicit Hermite rows and a dense trapezoid sum
+    state = random_state(np.random.default_rng(seed), max_cutoff=64)
+    rs = np.linspace(0.0, 20.0, 21)
+    xs = np.linspace(-26.0, 26.0, 5201)
+    row = state_row(state, theta, xs)
+    quad = np.array([np.trapezoid(row * np.exp(1j * r * xs), xs) for r in rs])
+    got = tomogram_characteristic(state, theta, rs)
+    assert np.max(np.abs(got - quad)) <= 1e-9
+
+
+def test_phase_arrays_match_scalar_calls():
+    fock_part = FockSuperposition((0.3, -0.5j, 0.7, 0.2 + 0.4j))
+    mixture = MixedState(((0.4, fock_part), (0.6, GaussianState(0.7, -0.3, 1.9))))
+    grid = tomogram_grid(FockSuperposition((0.8, 0.0, 0.6)), phases=8)
+    bare = TomogramGrid(grid.phases, grid.xs, grid.values)
+    rs = np.linspace(0.0, 6.0, 13)
+    for source in (mixture, grid, bare):
+        phases = np.concatenate([grid.phases, grid.phases + math.pi])  # mirrored half
+        batch = tomogram_characteristic(source, phases, rs)
+        assert batch.shape == (phases.size, rs.size)
+        rows = np.array([tomogram_characteristic(source, float(t), rs) for t in phases])
+        assert np.allclose(batch, rows, rtol=0.0, atol=1e-14)
+        assert np.allclose(batch[8:], np.conj(batch[:8]), rtol=0.0, atol=1e-14)
+        single = tomogram_characteristic(source, phases, 2.5)
+        assert single.shape == (phases.size,)
+        assert np.allclose(single, batch[:, 5], rtol=0.0, atol=1e-14)
 
 
 def test_nyquist_guard_on_coarse_grids():
