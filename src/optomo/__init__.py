@@ -62,7 +62,6 @@ from .tomography import (
     symplectic_tomogram,
     tomogram_characteristic,
     tomogram_grid,
-    tomogram_of_mixed,
     uniform_phases,
 )
 

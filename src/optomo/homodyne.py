@@ -73,8 +73,8 @@ class HomodyneDataset:
     def phases(self) -> np.ndarray:
         return np.unique(self.thetas)
 
-    def values_at(self, phase: float, tol: float = PHASE_MATCH_TOL) -> np.ndarray:
-        mask = np.abs(self.thetas - float(phase)) <= tol
+    def values_at(self, phase: float) -> np.ndarray:
+        mask = np.abs(self.thetas - float(phase)) <= PHASE_MATCH_TOL
         return self.xs[mask]
 
 
@@ -90,17 +90,9 @@ class MomentEstimate:
     variance_stderr: float
 
 
-_cdf_cache: dict = {}
-_CDF_CACHE_MAX = 64
-
-
-def _tabulated_cdf(state: State, phase: float, n_points: int):
-    key = (state, float(phase), int(n_points))
-    hit = _cdf_cache.get(key)
-    if hit is not None:
-        return hit
+def _tabulated_cdf(state: State, phase: float):
     half = grid_halfwidth(state)
-    xs = np.linspace(-half, half, n_points)
+    xs = np.linspace(-half, half, CDF_POINTS)
     row = _state_row(state, float(phase), xs)
     dx = xs[1] - xs[0]
     cdf = np.concatenate(([0.0], np.cumsum(0.5 * (row[1:] + row[:-1]) * dx)))
@@ -109,25 +101,17 @@ def _tabulated_cdf(state: State, phase: float, n_points: int):
         raise InputError("density row has no mass; cannot sample")
     cdf /= total
     # strictly increasing knots keep the inverse lookup single-valued
-    eps = np.arange(n_points) * (1e-15 / n_points)
+    eps = np.arange(CDF_POINTS) * (1e-15 / CDF_POINTS)
     cdf = np.maximum.accumulate(cdf + eps)
     cdf /= cdf[-1]
-    while len(_cdf_cache) >= _CDF_CACHE_MAX:
-        _cdf_cache.pop(next(iter(_cdf_cache)))
-    _cdf_cache[key] = (cdf, xs)
     return cdf, xs
 
 
-def sample(
-    state: State,
-    phase_schedule,
-    seed: int,
-    *,
-    n_cdf: int = CDF_POINTS,
-) -> HomodyneDataset:
+def sample(state: State, phase_schedule, seed: int) -> HomodyneDataset:
     """Draw quadrature samples for each (phase, count) entry of the schedule.
 
-    Deterministic: the seed and schedule fully determine the dataset.
+    Deterministic: the seed and schedule fully determine the dataset.  Each
+    entry tabulates its own CDF; nothing is kept between calls.
     """
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
@@ -151,7 +135,7 @@ def sample(
     theta_parts = []
     x_parts = []
     for (phase, count), child in zip(parsed, children):
-        cdf, xs = _tabulated_cdf(state, phase, n_cdf)
+        cdf, xs = _tabulated_cdf(state, phase)
         rng = np.random.Generator(np.random.PCG64(child))
         u = rng.random(count)
         x_parts.append(np.interp(u, cdf, xs))
@@ -178,8 +162,8 @@ def estimate_moments(ds: HomodyneDataset, phase: float) -> MomentEstimate:
         )
     mean = float(values.mean())
     var = float(values.var(ddof=1))
-    centered = values - mean
-    m4 = float(np.mean(centered ** 4))
+    squared = (values - mean) ** 2
+    m4 = float(np.mean(squared * squared))
     var_of_var = max(0.0, (m4 - var * var * (n - 3) / (n - 1)) / n)
     return MomentEstimate(
         mean=mean,

@@ -89,7 +89,9 @@ class InequalityReport:
             raise InputError(f"report is missing field {exc}") from exc
 
 
-def _report(kind, phase, lhs, tolerance, stderr=None):
+def _report(kind, phase, lhs, tolerance):
+    if not (math.isfinite(tolerance) and tolerance >= 0.0):
+        raise InputError(f"tolerance must be finite and >= 0, got {tolerance}")
     margin = lhs - BOUND
     return InequalityReport(
         kind=kind,
@@ -98,7 +100,6 @@ def _report(kind, phase, lhs, tolerance, stderr=None):
         bound=BOUND,
         margin=float(margin),
         satisfied=bool(margin >= -tolerance),
-        stderr=stderr,
         tolerance=float(tolerance),
     )
 

@@ -27,6 +27,7 @@ __all__ = [
 
 NORM_TOL = 1e-6
 TAIL_TOL = 1e-6
+STATE_ROW_POINTS = 2049
 
 
 def _simpson(y, xs):
@@ -61,7 +62,7 @@ def _simpson(y, xs):
     return float(total)
 
 
-def _checked(xs, row, norm_tol):
+def _checked(xs, row):
     xs = np.asarray(xs, dtype=float)
     row = np.asarray(row, dtype=float)
     if xs.ndim != 1 or xs.shape != row.shape or xs.size < 3:
@@ -69,23 +70,23 @@ def _checked(xs, row, norm_tol):
     if not np.all(np.diff(xs) > 0.0):
         raise InputError("x grid must be strictly increasing")
     mass = float(np.trapezoid(row, xs))
-    if abs(mass - 1.0) > norm_tol:
+    if abs(mass - 1.0) > NORM_TOL:
         raise InputError(
-            f"row integrates to {mass:.8f}, outside 1 +/- {norm_tol}; "
+            f"row integrates to {mass:.8f}, outside 1 +/- {NORM_TOL}; "
             "normalize it before taking moments"
         )
     return xs, row
 
 
-def row_mean(xs, row, *, norm_tol: float = NORM_TOL) -> float:
+def row_mean(xs, row) -> float:
     """integral w(X) X dX over the grid (Simpson)."""
-    xs, row = _checked(xs, row, norm_tol)
+    xs, row = _checked(xs, row)
     return _simpson(row * xs, xs)
 
 
-def row_variance(xs, row, *, norm_tol: float = NORM_TOL) -> float:
+def row_variance(xs, row) -> float:
     """integral w X^2 dX - (integral w X dX)^2, with a window-coverage guard."""
-    xs, row = _checked(xs, row, norm_tol)
+    xs, row = _checked(xs, row)
     mean = _simpson(row * xs, xs)
     var = _simpson(row * xs * xs, xs) - mean * mean
     var = max(var, 0.0)
@@ -107,28 +108,29 @@ def row_variance(xs, row, *, norm_tol: float = NORM_TOL) -> float:
     return var
 
 
-def tomographic_mean(grid: TomogramGrid, phase: float, *, norm_tol: float = NORM_TOL) -> float:
+def tomographic_mean(grid: TomogramGrid, phase: float) -> float:
     row, mirrored = grid.row_at(phase)
-    mean = row_mean(grid.xs, row, norm_tol=norm_tol)
+    mean = row_mean(grid.xs, row)
     return -mean if mirrored else mean
 
 
-def tomographic_variance(grid: TomogramGrid, phase: float, *, norm_tol: float = NORM_TOL) -> float:
+def tomographic_variance(grid: TomogramGrid, phase: float) -> float:
     row, _ = grid.row_at(phase)  # variance is invariant under X -> -X
-    return row_variance(grid.xs, row, norm_tol=norm_tol)
+    return row_variance(grid.xs, row)
 
 
-def tomographic_moments(grid: TomogramGrid, phase: float, *, norm_tol: float = NORM_TOL) -> MomentSet:
+def tomographic_moments(grid: TomogramGrid, phase: float) -> MomentSet:
     return MomentSet(
-        tomographic_mean(grid, phase, norm_tol=norm_tol),
-        tomographic_variance(grid, phase, norm_tol=norm_tol),
+        tomographic_mean(grid, phase),
+        tomographic_variance(grid, phase),
         float(phase),
     )
 
 
-def moments_from_state(state: State, phase: float, *, n_x: int = 2049) -> MomentSet:
-    """Tomographic moments from a dedicated fine row, independent of any grid."""
+def moments_from_state(state: State, phase: float) -> MomentSet:
+    """Tomographic moments from a dedicated fine row (2049 points over the
+    state's window), independent of any grid."""
     half = grid_halfwidth(state)
-    xs = np.linspace(-half, half, n_x)
+    xs = np.linspace(-half, half, STATE_ROW_POINTS)
     row = _state_row(state, phase, xs)
     return MomentSet(row_mean(xs, row), row_variance(xs, row), float(phase))

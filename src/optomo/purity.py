@@ -33,6 +33,7 @@ R_CAP = 64.0
 PHI_TAIL = 1e-10
 TAIL_TOL = 1e-8
 RESIDUAL_TOL = 1e-8
+RADIAL_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -56,7 +57,7 @@ def _is_state(obj):
     return isinstance(obj, (GaussianState, FockSuperposition, MixedState))
 
 
-def _phase_grid(a, b, n_theta):
+def _phase_grid(a, b):
     grids = [s for s in (a, b) if isinstance(s, TomogramGrid) and s.source is None]
     if grids:
         phases = grids[0].phases
@@ -66,7 +67,7 @@ def _phase_grid(a, b, n_theta):
         ):
             raise InputError("the two tomograms must share one phase grid")
     else:
-        phases = uniform_phases(n_theta or DEFAULT_STATE_PHASES)
+        phases = uniform_phases(DEFAULT_STATE_PHASES)
     n = phases.size
     if not np.allclose(phases, uniform_phases(n), atol=1e-9, rtol=0):
         raise InputError(
@@ -91,26 +92,22 @@ def _nyquist_limit(src):
     return math.inf
 
 
-def purity_overlap(
-    a,
-    b,
-    *,
-    n_theta: int | None = None,
-    r_max: float = R_START,
-    quad_tol: float = 1e-12,
-) -> float:
+def purity_overlap(a, b) -> float:
     """The tomogram-pair overlap functional (equals Tr rho_a rho_b).
 
-    Sources are state specs (characteristic functions in closed form) or bare
-    tomogram grids (row quadrature).  The radial cutoff grows from ``r_max``
-    until both characteristic functions have decayed below 1e-10.
+    Sources are state specs (characteristic functions in closed form, on 256
+    uniform phases) or bare tomogram grids (row quadrature on their stored
+    phases).  The radial cutoff grows from r = 12 (``R_START``) by factors of
+    1.3 until both characteristic functions have decayed below 1e-10, up to
+    r = 64 or the grid's Nyquist limit; the radial integral is refined until
+    it changes by at most 1e-12.
     """
     a = _check_source(a, "first source")
     b = _check_source(b, "second source")
-    phases = _phase_grid(a, b, n_theta)
+    phases = _phase_grid(a, b)
 
     r_limit = min(_nyquist_limit(a), _nyquist_limit(b), R_CAP)
-    r_max = min(float(r_max), r_limit)
+    r_max = min(R_START, r_limit)
     while r_max < r_limit and (
         _max_abs_phi(a, phases, r_max) > PHI_TAIL
         or _max_abs_phi(b, phases, r_max) > PHI_TAIL
@@ -133,7 +130,7 @@ def purity_overlap(
         return np.sum(wts * r * phi_a * np.conj(phi_b), axis=1)
 
     per_theta = quadrature.adaptive(
-        radial_all, 0.0, r_max, n0=128, tol=quad_tol, label="radial overlap"
+        radial_all, 0.0, r_max, n0=128, tol=RADIAL_TOL, label="radial overlap"
     )
     half_sum = complex(np.sum(per_theta))
     # the [pi, 2pi) half contributes the conjugate of each term (parity rule)
@@ -146,10 +143,10 @@ def purity_overlap(
     return float(value.real)
 
 
-def purity_classify(src, tol: float = 1e-3, **kw) -> PurityReport:
+def purity_classify(src, tol: float = 1e-3) -> PurityReport:
     """Label a source pure when its self-overlap is within ``tol`` of 1."""
     if not tol > 0:
         raise InputError(f"tolerance must be > 0, got {tol}")
-    value = purity_overlap(src, src, **kw)
+    value = purity_overlap(src, src)
     label = "pure" if abs(value - 1.0) <= tol else "mixed"
     return PurityReport(overlap=value, classification=label, tolerance=float(tol))

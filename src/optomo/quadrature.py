@@ -46,17 +46,17 @@ def pow2_at_least(x):
     return 1 << max(0, int(np.ceil(np.log2(max(1.0, float(x))))))
 
 
-def adaptive(f, a, b, *, n0=128, tol=1e-11, max_nodes=MAX_NODES, label=""):
+def adaptive(f, a, b, *, n0=128, tol=1e-11, label=""):
     """Refine ``f(nodes, weights) -> estimate`` until the sup-norm change <= tol.
 
     The estimate may be a scalar or an ndarray.  Raises QuadratureError with
-    diagnostics when the cap is hit.
+    diagnostics when refinement reaches ``MAX_NODES``.
     """
-    n = min(pow2_at_least(n0), max_nodes // 2)
+    n = min(pow2_at_least(n0), MAX_NODES // 2)
     y, w = nodes(n, a, b)
     prev = f(y, w)
     err = np.inf
-    while n < max_nodes:
+    while n < MAX_NODES:
         n *= 2
         y, w = nodes(n, a, b)
         cur = f(y, w)
@@ -67,5 +67,5 @@ def adaptive(f, a, b, *, n0=128, tol=1e-11, max_nodes=MAX_NODES, label=""):
     what = f" for {label}" if label else ""
     raise QuadratureError(
         f"quadrature did not converge{what}: last change {err:.3e} > {tol:.3e} "
-        f"at {max_nodes} nodes on [{a:.6g}, {b:.6g}]"
+        f"at {MAX_NODES} nodes on [{a:.6g}, {b:.6g}]"
     )

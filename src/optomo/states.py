@@ -43,6 +43,7 @@ __all__ = [
 
 MAX_FOCK_CUTOFF = 64
 WEIGHT_TOL = 1e-10
+GRID_SIGMAS = 8.0
 
 
 @dataclass(frozen=True)
@@ -316,11 +317,12 @@ def min_rotated_variance(state: State) -> float:
     return max(a - math.hypot(b, c), 1e-6)
 
 
-def grid_halfwidth(state: State, n_sigma: float = 8.0) -> float:
-    """Half-width of an X window covering every rotated density of ``state``."""
+def grid_halfwidth(state: State) -> float:
+    """Half-width of an X window covering every rotated density of ``state``:
+    the largest rotated mean plus ``GRID_SIGMAS`` (8) standard deviations."""
     if isinstance(state, MixedState):
-        return max(grid_halfwidth(s, n_sigma) for _, s in state.components)
-    return rotated_mean_amplitude(state) + n_sigma * math.sqrt(max_rotated_variance(state))
+        return max(grid_halfwidth(s) for _, s in state.components)
+    return rotated_mean_amplitude(state) + GRID_SIGMAS * math.sqrt(max_rotated_variance(state))
 
 
 def quadrature_halfwidth(state: PureState) -> float:

@@ -20,8 +20,9 @@ given ``branch="position"`` (the integral above, singular at theta = 0) or
 ``branch="momentum"`` (the same transform over the momentum wavefunction,
 shifted by pi/2, singular at theta = pi/2).
 
-Phases are reduced to [0, pi) by ``wrap_phase``; any other phase is reached
-through the parity rule w(X, theta + pi) = w(-X, theta).
+Phases are reduced to [0, pi) by ``_wrap_phases`` (``wrap_phase`` is its
+scalar view); any other phase is reached through the parity rule
+w(X, theta + pi) = w(-X, theta).
 """
 
 from __future__ import annotations
@@ -56,7 +57,6 @@ __all__ = [
     "gaussian_row",
     "optical_tomogram",
     "tomogram_grid",
-    "tomogram_of_mixed",
     "symplectic_tomogram",
     "tomogram_characteristic",
     "save_tomogram_csv",
@@ -69,6 +69,7 @@ MAX_N_X = 4096
 NEGATIVE_TOL = 1e-12
 NORM_TOL = 1e-6
 PHASE_TOL = 1e-9
+TRANSFORM_TOL = 1e-11
 _ENDPOINT_EPS = 1e-12
 
 
@@ -79,20 +80,39 @@ def uniform_phases(n: int) -> np.ndarray:
     return np.arange(n) * (math.pi / n)
 
 
-def wrap_phase(phase: float):
-    """Map a phase into [0, pi); the flag says the X axis is mirrored there.
+def _wrap_phases(phases):
+    """(reduced, mirrored) arrays: every phase mapped into [0, pi), with the
+    flag saying the X axis is mirrored there.
 
     Implements w(X, theta + pi) = w(-X, theta).
     """
-    phase = float(phase)
-    if not math.isfinite(phase):
+    phases = np.asarray(phases, dtype=float)
+    if not np.all(np.isfinite(phases)):
         raise InputError("phase must be finite")
-    k = math.floor(phase / math.pi)
-    reduced = phase - k * math.pi
-    if reduced >= math.pi:
-        reduced -= math.pi
-        k += 1
-    return reduced, bool(k % 2)
+    k = np.floor(phases / math.pi)
+    reduced = phases - k * math.pi
+    # a remainder below 0 is folded back: phase / pi underflows to -0.0 for
+    # the smallest negative phases, and can round up to the next integer
+    below = reduced < 0.0
+    reduced = np.where(below, reduced + math.pi, reduced)
+    k = k - below
+    above = reduced >= math.pi
+    reduced = np.where(above, reduced - math.pi, reduced)
+    k = k + above
+    return reduced, k % 2 == 1
+
+
+def wrap_phase(phase: float):
+    """Map a phase into [0, pi); the flag says the X axis is mirrored there.
+
+    The scalar view of ``_wrap_phases``.  A phase already in [0, pi), as
+    every stored grid phase is, comes back unchanged without a numpy call.
+    """
+    phase = float(phase)
+    if 0.0 <= phase < math.pi:
+        return phase, False
+    reduced, mirrored = _wrap_phases(phase)
+    return float(reduced), bool(mirrored)
 
 
 def gaussian_row(xs, mean: float, variance: float) -> np.ndarray:
@@ -172,11 +192,11 @@ class TomogramGrid:
     def dx(self) -> float:
         return float(self.xs[1] - self.xs[0])
 
-    def phase_index(self, phase: float, tol: float = PHASE_TOL) -> int:
+    def phase_index(self, phase: float) -> int:
         """Index of a grid phase, after parity reduction into [0, pi)."""
         reduced, _ = wrap_phase(phase)
         idx = int(np.argmin(np.abs(self.phases - reduced)))
-        if abs(self.phases[idx] - reduced) > tol:
+        if abs(self.phases[idx] - reduced) > PHASE_TOL:
             raise InputError(
                 f"phase {phase:.9g} (reduced {reduced:.9g}) is not on the grid; "
                 f"nearest stored phase is {self.phases[idx]:.9g}"
@@ -196,13 +216,6 @@ class TomogramGrid:
 # --------------------------------------------------------------------------
 # row evaluation: closed forms by default, the oscillatory transform on request
 # --------------------------------------------------------------------------
-
-def _wrap_phases(phases):
-    """(reduced, mirrored) arrays: ``wrap_phase`` applied to every phase."""
-    wrapped = [wrap_phase(p) for p in phases]
-    reduced = np.array([t for t, _ in wrapped], dtype=float)
-    return reduced, np.array([m for _, m in wrapped], dtype=bool)
-
 
 def _fock_rows(coeffs, reduced, mirrored, herm):
     """|C(theta) @ H|^2 for every phase at once; row i of C holds the rotated
@@ -251,7 +264,7 @@ def _is_uniform(xs):
     return bool(np.allclose(steps, steps[0], rtol=1e-12, atol=0.0))
 
 
-def _transform_row(state, theta, xs, branch, quad_tol):
+def _transform_row(state, theta, xs, branch):
     """Row of a pure state at theta in [0, pi) from the oscillatory transform
     over the position or momentum wavefunction."""
     st, ct = math.sin(theta), math.cos(theta)
@@ -312,7 +325,7 @@ def _transform_row(state, theta, xs, branch, quad_tol):
         -halfwidth,
         halfwidth,
         n0=n0,
-        tol=quad_tol,
+        tol=TRANSFORM_TOL,
         label=f"tomogram row at theta={theta:.6g}",
     )
 
@@ -323,7 +336,6 @@ def optical_tomogram(
     xs,
     *,
     branch: str | None = None,
-    quad_tol: float = 1e-11,
 ) -> np.ndarray:
     """One tomogram row w(X, phase) of a pure state on the given X points.
 
@@ -332,9 +344,9 @@ def optical_tomogram(
     ``analytic_moments`` mean and variance for a Gaussian.  ``branch``
     ("position" or "momentum") instead evaluates the oscillatory transform of
     that wavefunction, refined until successive estimates differ by at most
-    ``quad_tol``; it is an independent cross-check of the closed form, valid
-    wherever the branch is not singular (theta = 0 for "position", pi/2 for
-    "momentum").
+    1e-11 (``TRANSFORM_TOL``); it is an independent cross-check of the closed
+    form, valid wherever the branch is not singular (theta = 0 for
+    "position", pi/2 for "momentum").
     """
     if not isinstance(state, (GaussianState, FockSuperposition)):
         raise InputError(f"expected a pure state, got {type(state).__name__}")
@@ -346,7 +358,7 @@ def optical_tomogram(
     if branch is None:
         return _state_row(state, phase, pts)
     reduced, mirrored = wrap_phase(phase)
-    return _transform_row(state, reduced, -pts if mirrored else pts, branch, quad_tol)
+    return _transform_row(state, reduced, -pts if mirrored else pts, branch)
 
 
 def _resolve_phases(phases):
@@ -395,18 +407,6 @@ def tomogram_grid(
     return TomogramGrid(phase_arr, xs, _state_rows(state, phase_arr, xs), source=state)
 
 
-def tomogram_of_mixed(
-    state: MixedState,
-    phases=DEFAULT_N_PHASES,
-    n_x: int | None = None,
-    window=None,
-) -> TomogramGrid:
-    """Tomogram grid of a convex mixture (weighted sum of component rows)."""
-    if not isinstance(state, MixedState):
-        raise InputError(f"expected a mixed state, got {type(state).__name__}")
-    return tomogram_grid(state, phases, n_x, window)
-
-
 # --------------------------------------------------------------------------
 # symplectic (scaled) tomogram
 # --------------------------------------------------------------------------
@@ -426,14 +426,7 @@ def symplectic_tomogram(
     if mu == 0.0 and nu == 0.0:
         raise InputError("(mu, nu) = (0, 0) is not a valid quadrature direction")
     r = math.hypot(mu, nu)
-    angle = math.atan2(nu, mu)
-    mirrored = False
-    if angle < 0.0:
-        angle += math.pi
-        mirrored = True
-    if angle >= math.pi:
-        angle -= math.pi
-        mirrored = not mirrored
+    angle, mirrored = wrap_phase(math.atan2(nu, mu))
     u = x / r
     if mirrored:
         u = -u

@@ -408,6 +408,14 @@ def test_bad_paths_seeds_and_tolerances_are_input_errors(workspace, capsys):
         ["check", "purity", "--state", vac, "--tol", "nan"],
         ["simulate", "--state", vac, "--schedule", "0:40", "--seed", "-1",
          "--out", str(workspace / "d.csv")],
+        ["check", "heisenberg", "--state", vac, "--tolerance", "nan"],
+        ["check", "heisenberg", "--state", vac, "--tolerance", "-1"],
+        ["check", "trifonov", "--state1", vac, "--state2", vac, "--theta", "0",
+         "--tolerance", "inf"],
+        ["sweep", "trifonov", "--state1", vac, "--state2", vac, "--phases", "4",
+         "--tolerance", "nan"],
+        ["sweep", "trifonov", "--state1", vac, "--state2", vac, "--phases", "4",
+         "--tolerance", "-1e-20"],
     ):
         assert main(argv) == 2, argv
         assert "input error" in capsys.readouterr().err

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as hyp_st
 
 from optomo import (
@@ -11,6 +11,7 @@ from optomo import (
     GaussianState,
     InputError,
     MixedState,
+    QuadratureError,
     ResolutionError,
     TomogramGrid,
     fock,
@@ -22,12 +23,11 @@ from optomo import (
     thermal_state,
     tomogram_characteristic,
     tomogram_grid,
-    tomogram_of_mixed,
     uniform_phases,
     vacuum,
 )
 from optomo import kernels, quadrature
-from optomo.tomography import _state_row, wrap_phase
+from optomo.tomography import _state_row, _wrap_phases, wrap_phase
 from oracles import fock_row, gaussian_tomogram_row, random_state, state_row
 
 SQRT_PI_INV = math.pi ** -0.5
@@ -182,6 +182,16 @@ def test_default_grids_never_run_the_transform(monkeypatch):
         optical_tomogram(vacuum(), 0.7, np.array([0.0]), branch="position")
 
 
+def test_quadrature_that_never_settles_reports_the_node_cap():
+    # the estimate is the node count, so every refinement changes it
+    with pytest.raises(QuadratureError) as info:
+        quadrature.adaptive(lambda y, w: float(y.size), 0.0, 1.0, label="a restless integrand")
+    message = str(info.value)
+    assert "for a restless integrand" in message
+    assert f"last change {quadrature.MAX_NODES / 2:.3e}" in message
+    assert f"at {quadrature.MAX_NODES} nodes" in message
+
+
 # --------------------------------------------------------------------------
 # grids
 # --------------------------------------------------------------------------
@@ -231,10 +241,15 @@ def test_wrap_phase_reduction():
 
 
 @given(phase=hyp_st.floats(-50.0, 50.0), turns=hyp_st.integers(-4, 4))
+@example(phase=-5e-324, turns=0)  # phase / pi underflows to -0.0
 def test_wrap_phase_is_consistent_under_full_turns(phase, turns):
     reduced, mirrored = wrap_phase(phase)
     assert 0.0 <= reduced < math.pi
     assert wrap_phase(reduced) == (reduced, False)
+    # the scalar view agrees with the array reduction, in range or not
+    arr_reduced, arr_mirrored = _wrap_phases(np.array([phase, reduced]))
+    assert arr_reduced.tolist() == [reduced, reduced]
+    assert arr_mirrored.tolist() == [mirrored, False]
     # near-exact multiples of pi legitimately round across the seam
     assume(1e-6 < reduced < math.pi - 1e-6)
     again, mirrored_again = wrap_phase(phase + 2.0 * math.pi * turns)
@@ -257,7 +272,7 @@ def test_phase_lookup_uses_parity_and_rejects_off_grid():
 def test_mixture_of_one_component_equals_the_pure_tomogram():
     mix = MixedState(((1.0, vacuum()),))
     phases = uniform_phases(4)
-    a = tomogram_of_mixed(mix, phases)
+    a = tomogram_grid(mix, phases)
     b = tomogram_grid(vacuum(), phases)
     assert np.allclose(a.values, b.values, atol=1e-14)
 
@@ -269,7 +284,7 @@ def test_equal_mixture_value_at_origin():
             [w * optical_tomogram(s, theta, np.array([0.0]))[0] for w, s in mix.components]
         ).sum()
         assert row == pytest.approx(0.5 * SQRT_PI_INV, abs=1e-10)
-    grid = tomogram_of_mixed(mix, phases=4)
+    grid = tomogram_grid(mix, phases=4)
     mid = np.argmin(np.abs(grid.xs))  # grid is symmetric, includes x near 0
     assert grid.values[0, mid] == pytest.approx(
         0.5 * SQRT_PI_INV * math.exp(-grid.xs[mid] ** 2)
@@ -285,11 +300,6 @@ def test_thermal_tomogram_converges_to_gaussian_density():
         row = sum(w * optical_tomogram(s, theta, xs) for w, s in state.components)
         oracle = gaussian_row(xs, 0.0, 1.5)
         assert np.max(np.abs(row - oracle)) < 1e-8
-
-
-def test_tomogram_of_mixed_rejects_pure_states():
-    with pytest.raises(InputError):
-        tomogram_of_mixed(vacuum(), phases=4)
 
 
 # --------------------------------------------------------------------------
