@@ -23,7 +23,7 @@ from .homodyne import (
     sample,
     save_dataset_csv,
 )
-from .inequalities import heisenberg_lhs, trifonov_lhs, trifonov_sweep
+from .inequalities import DEFAULT_TOLERANCE, heisenberg_lhs, trifonov_lhs, trifonov_sweep
 from .purity import purity_classify
 from .states import load_state, state_label, state_to_dict
 from .tomography import (
@@ -162,13 +162,19 @@ def _cmd_check_trifonov(args):
         for suffix in ("1", "2"):
             if getattr(args, f"state{suffix}", None) or getattr(args, f"tomogram{suffix}", None):
                 raise InputError("--data sources cannot be mixed with states/tomograms")
+        if args.tolerance is not None:
+            raise InputError(
+                "--tolerance does not apply to --data1/--data2: the dataset check "
+                "uses 3 standard errors"
+            )
         report = empirical_trifonov(
             load_dataset_csv(data1), load_dataset_csv(data2), args.theta
         )
     else:
         w1 = _grid_for_phases(_read_source(args, "1"), [args.theta])
         w2 = _grid_for_phases(_read_source(args, "2"), [args.theta])
-        report = trifonov_lhs(w1, w2, args.theta, tolerance=args.tolerance)
+        tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
+        report = trifonov_lhs(w1, w2, args.theta, tolerance=tolerance)
     _emit(report.to_dict(), args.out)
     return EXIT_OK if report.satisfied else EXIT_VIOLATION
 
@@ -326,7 +332,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_pair_sources(p_trif, with_data=True)
     p_trif.add_argument("--theta", type=float, required=True)
-    p_trif.add_argument("--tolerance", type=float, default=1e-9)
+    p_trif.add_argument(
+        "--tolerance",
+        type=float,
+        help=f"states and tomograms only (default {DEFAULT_TOLERANCE:g}); "
+        "the dataset check uses 3 standard errors",
+    )
     p_trif.add_argument("--out")
     p_trif.set_defaults(handler=_cmd_check_trifonov)
 

@@ -36,6 +36,7 @@ GENERATOR_NAME = "numpy-PCG64(SeedSequence-spawn-per-phase)"
 MIN_SAMPLES = 30
 CDF_POINTS = 4097
 PHASE_MATCH_TOL = 1e-9
+CSV_BLOCK_LINES = 4096
 
 
 @dataclass(frozen=True, eq=False)
@@ -220,10 +221,21 @@ def _sidecar_path(path) -> Path:
 
 
 def save_dataset_csv(ds: HomodyneDataset, path):
+    """Write "theta,x" records and the JSON metadata sidecar.  Lines are
+    formatted in blocks of ``CSV_BLOCK_LINES``; a run of equal phases shares
+    one formatted prefix (runs split on the bits, since 0.0 and -0.0 print
+    differently)."""
+    n = ds.n_records
+    bits = ds.thetas.view(np.int64)
+    edges = (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
+    starts = [0, *edges] if n else []
     with open(path, "w") as fh:
         fh.write("theta,x\n")
-        for theta, x in zip(ds.thetas, ds.xs):
-            fh.write(f"{theta:.17g},{x:.17g}\n")
+        for lo, hi in zip(starts, [*edges, n]):
+            prefix = f"{float(ds.thetas[lo]):.17g},"
+            for a in range(lo, hi, CSV_BLOCK_LINES):
+                block = ds.xs[a:min(a + CSV_BLOCK_LINES, hi)].tolist()
+                fh.write("".join([f"{prefix}{x:.17g}\n" for x in block]))
     meta = {"seed": ds.seed, "state_label": ds.state_label, "generator": ds.generator}
     with open(_sidecar_path(path), "w") as fh:
         json.dump(meta, fh, indent=2)

@@ -1,8 +1,12 @@
 """Means and dispersions extracted from tomogram rows.
 
-Moments on stored grids use Simpson's rule; moments taken directly from a
-state bypass the stored grid through a dedicated fine row, so estimator
-accuracy is not tied to grid resolution.
+All moments use Simpson's rule (``quadrature.simpson``).  A grid computes
+every row's mean and variance in one pass on its first moment query and
+keeps them (``TomogramGrid.row_moments``), so a query at a grid phase is a
+lookup plus the mirror sign and the window-coverage guard.  Loose rows
+(``row_mean``, ``row_variance``) are validated on every call.  Moments taken
+directly from a state bypass the stored grid through a dedicated fine row,
+so estimator accuracy is not tied to grid resolution.
 """
 
 from __future__ import annotations
@@ -13,8 +17,9 @@ import warnings
 import numpy as np
 
 from .errors import InputError, NumericalError, TruncationWarning
+from .quadrature import simpson, simpson_moments
 from .states import MomentSet, State, grid_halfwidth
-from .tomography import TomogramGrid, _state_row
+from .tomography import TomogramGrid, _state_row, wrap_phase
 
 __all__ = [
     "row_mean",
@@ -28,38 +33,6 @@ __all__ = [
 NORM_TOL = 1e-6
 TAIL_TOL = 1e-6
 STATE_ROW_POINTS = 2049
-
-
-def _simpson(y, xs):
-    """Simpson's rule for samples y on the strictly increasing grid xs.
-
-    Reproduces ``scipy.integrate.simpson(y, x=xs)``: the composite rule for
-    irregular spacing over pairs of intervals; for an even point count it
-    covers the first N-3 intervals and adds Cartwright's correction for the
-    last one.
-    """
-    n = xs.size
-    h = np.diff(xs)
-    stop = n - 2 if n % 2 else n - 3
-    h0 = h[0:stop:2]
-    h1 = h[1:stop + 1:2]
-    hsum = h0 + h1
-    ratio = h0 / h1
-    total = np.sum(
-        hsum / 6.0 * (
-            y[0:stop:2] * (2.0 - 1.0 / ratio)
-            + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
-            + y[2:stop + 2:2] * (2.0 - ratio)
-        )
-    )
-    if n % 2 == 0:
-        # one-element arrays, as in scipy: a scalar hb ** 3 can round differently
-        ha, hb = h[-2:-1], h[-1:]
-        alpha = (2 * hb ** 2 + 3 * ha * hb) / (6 * (hb + ha))
-        beta = (hb ** 2 + 3.0 * ha * hb) / (6 * ha)
-        eta = hb ** 3 / (6 * ha * (ha + hb))
-        total += (alpha * y[-1] + beta * y[-2] - eta * y[-3])[0]
-    return float(total)
 
 
 def _checked(xs, row):
@@ -78,18 +51,9 @@ def _checked(xs, row):
     return xs, row
 
 
-def row_mean(xs, row) -> float:
-    """integral w(X) X dX over the grid (Simpson)."""
-    xs, row = _checked(xs, row)
-    return _simpson(row * xs, xs)
-
-
-def row_variance(xs, row) -> float:
-    """integral w X^2 dX - (integral w X dX)^2, with a window-coverage guard."""
-    xs, row = _checked(xs, row)
-    mean = _simpson(row * xs, xs)
-    var = _simpson(row * xs * xs, xs) - mean * mean
-    var = max(var, 0.0)
+def _guard_window(xs, row, mean, var):
+    """Warn (or raise, when the boundary density is not negligible) if the
+    window does not cover mean +/- 6 sigma of the row."""
     sigma = math.sqrt(var)
     if mean - 6.0 * sigma < xs[0] or mean + 6.0 * sigma > xs[-1]:
         tail_estimate = (float(row[0]) + float(row[-1])) * max(sigma, 1e-3)
@@ -103,28 +67,50 @@ def row_variance(xs, row) -> float:
             f"grid window is narrower than 6 sigma around mean {mean:.4g}; "
             "variance may be slightly truncated",
             TruncationWarning,
-            stacklevel=2,
+            stacklevel=3,  # the caller of the public moment function
         )
+
+
+def row_mean(xs, row) -> float:
+    """integral w(X) X dX over the grid (Simpson)."""
+    xs, row = _checked(xs, row)
+    return float(simpson(row * xs, xs))
+
+
+def row_variance(xs, row) -> float:
+    """integral w X^2 dX - (integral w X dX)^2, with a window-coverage guard."""
+    xs, row = _checked(xs, row)
+    mean, var = simpson_moments(xs, row)
+    mean, var = float(mean), float(var)
+    _guard_window(xs, row, mean, var)
     return var
 
 
+def _grid_moments(grid, phase):
+    """(mean, variance, row, mirrored): the stored row at a grid phase and its
+    kept moments; the mean is that of the unmirrored row."""
+    reduced, mirrored = wrap_phase(phase)
+    i = grid.phase_index(reduced)
+    means, variances = grid.row_moments
+    return float(means[i]), float(variances[i]), grid.values[i], mirrored
+
+
 def tomographic_mean(grid: TomogramGrid, phase: float) -> float:
-    row, mirrored = grid.row_at(phase)
-    mean = row_mean(grid.xs, row)
+    mean, _, _, mirrored = _grid_moments(grid, phase)
     return -mean if mirrored else mean
 
 
 def tomographic_variance(grid: TomogramGrid, phase: float) -> float:
-    row, _ = grid.row_at(phase)  # variance is invariant under X -> -X
-    return row_variance(grid.xs, row)
+    # variance is invariant under X -> -X
+    mean, var, row, _ = _grid_moments(grid, phase)
+    _guard_window(grid.xs, row, mean, var)
+    return var
 
 
 def tomographic_moments(grid: TomogramGrid, phase: float) -> MomentSet:
-    return MomentSet(
-        tomographic_mean(grid, phase),
-        tomographic_variance(grid, phase),
-        float(phase),
-    )
+    mean, var, row, mirrored = _grid_moments(grid, phase)
+    _guard_window(grid.xs, row, mean, var)
+    return MomentSet(-mean if mirrored else mean, var, float(phase))
 
 
 def moments_from_state(state: State, phase: float) -> MomentSet:

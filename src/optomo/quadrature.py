@@ -1,4 +1,5 @@
-"""Composite Gauss-Legendre quadrature with node-doubling refinement.
+"""Quadrature rules: composite Gauss-Legendre with node-doubling refinement,
+and Simpson's rule over sampled rows.
 
 Fixed 256-node panels are chained across the window; refining doubles the
 panel count.  All supported integrands are smooth and rapidly decaying, so a
@@ -40,6 +41,49 @@ def nodes(n_total, a, b):
     ys = (half * x[None, :] + mids[:, None]).ravel()
     ws = np.tile(w * half, k)
     return ys, ws
+
+
+def simpson(y, xs):
+    """Simpson's rule along the last axis of y, sampled on the strictly
+    increasing grid xs; one call integrates every row of a 2-D y.
+
+    Reproduces ``scipy.integrate.simpson(y, x=xs, axis=-1)``: the composite
+    rule for irregular spacing over pairs of intervals; for an even point
+    count it covers the first N-3 intervals and adds Cartwright's correction
+    for the last one.  Each row's result is bitwise that of a 1-D call.
+    """
+    n = xs.size
+    h = np.diff(xs)
+    stop = n - 2 if n % 2 else n - 3
+    h0 = h[0:stop:2]
+    h1 = h[1:stop + 1:2]
+    hsum = h0 + h1
+    ratio = h0 / h1
+    total = np.sum(
+        hsum / 6.0 * (
+            y[..., 0:stop:2] * (2.0 - 1.0 / ratio)
+            + y[..., 1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+            + y[..., 2:stop + 2:2] * (2.0 - ratio)
+        ),
+        axis=-1,
+    )
+    if n % 2 == 0:
+        # one-element arrays, as in scipy: a scalar hb ** 3 can round differently
+        ha, hb = h[-2:-1], h[-1:]
+        alpha = (2 * hb ** 2 + 3 * ha * hb) / (6 * (hb + ha))
+        beta = (hb ** 2 + 3.0 * ha * hb) / (6 * ha)
+        eta = hb ** 3 / (6 * ha * (ha + hb))
+        last = alpha * y[..., -1:] + beta * y[..., -2:-1] - eta * y[..., -3:-2]
+        total = total + last[..., 0]
+    return total
+
+
+def simpson_moments(xs, rows):
+    """(mean, variance) of the densities in rows along the last axis, by
+    Simpson's rule; a variance that rounds below zero is clamped to 0."""
+    mean = simpson(rows * xs, xs)
+    var = simpson(rows * xs * xs, xs) - mean * mean
+    return mean, np.where(var < 0.0, 0.0, var)
 
 
 def pow2_at_least(x):

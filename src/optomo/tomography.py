@@ -22,13 +22,15 @@ shifted by pi/2, singular at theta = pi/2).
 
 Phases are reduced to [0, pi) by ``_wrap_phases`` (``wrap_phase`` is its
 scalar view); any other phase is reached through the parity rule
-w(X, theta + pi) = w(-X, theta).
+w(X, theta + pi) = w(-X, theta).  Phases of magnitude 2**52 (``MAX_PHASE``)
+or more are rejected.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from numbers import Real
 
 import numpy as np
@@ -69,6 +71,8 @@ MAX_N_X = 4096
 NEGATIVE_TOL = 1e-12
 NORM_TOL = 1e-6
 PHASE_TOL = 1e-9
+# past 2**52 neighbouring doubles are >= 1 rad apart: no phase is left mod pi
+MAX_PHASE = 2.0 ** 52
 TRANSFORM_TOL = 1e-11
 _ENDPOINT_EPS = 1e-12
 
@@ -89,6 +93,12 @@ def _wrap_phases(phases):
     phases = np.asarray(phases, dtype=float)
     if not np.all(np.isfinite(phases)):
         raise InputError("phase must be finite")
+    too_large = np.abs(phases) >= MAX_PHASE
+    if np.any(too_large):
+        raise InputError(
+            f"phase {phases[too_large].flat[0]:.17g} cannot be reduced mod pi: "
+            f"|phase| must be below 2**52 (MAX_PHASE = {MAX_PHASE:.0f})"
+        )
     k = np.floor(phases / math.pi)
     reduced = phases - k * math.pi
     # a remainder below 0 is folded back: phase / pi underflows to -0.0 for
@@ -133,7 +143,8 @@ class TomogramGrid:
     Rows are probability densities: non-negative (values below -1e-12 are
     rejected, small negatives clamped to zero) and trapezoid-normalized to 1
     within 1e-6.  ``source`` optionally carries the originating state spec,
-    enabling exact re-evaluation off the grid.
+    enabling exact re-evaluation off the grid.  The arrays are read-only, so
+    ``row_moments`` is computed once and kept.
     """
 
     phases: np.ndarray
@@ -202,6 +213,17 @@ class TomogramGrid:
                 f"nearest stored phase is {self.phases[idx]:.9g}"
             )
         return idx
+
+    @cached_property
+    def row_moments(self):
+        """(means, variances): every row's Simpson mean and variance, computed
+        in one pass on first use; variances are clamped at zero."""
+        if self.n_x < 3:
+            raise InputError(f"moments need >= 3 points per row, the grid has {self.n_x}")
+        means, variances = quadrature.simpson_moments(self.xs, self.values)
+        means.setflags(write=False)
+        variances.setflags(write=False)
+        return means, variances
 
     def row(self, phase: float) -> np.ndarray:
         return self.values[self.phase_index(phase)]
@@ -566,11 +588,12 @@ def tomogram_characteristic(source, phase, r):
 
 def save_tomogram_csv(grid: TomogramGrid, path):
     """Write "theta,x,w" rows, row-major by phase, full float precision."""
+    xs = [f"{x:.17g}," for x in grid.xs.tolist()]
     with open(path, "w") as fh:
         fh.write("theta,x,w\n")
-        for i, theta in enumerate(grid.phases):
-            for j, x in enumerate(grid.xs):
-                fh.write(f"{theta:.17g},{x:.17g},{grid.values[i, j]:.17g}\n")
+        for theta, row in zip(grid.phases.tolist(), grid.values):
+            prefix = f"{theta:.17g},"
+            fh.write("".join([f"{prefix}{x}{w:.17g}\n" for x, w in zip(xs, row.tolist())]))
 
 
 def load_tomogram_csv(path) -> TomogramGrid:

@@ -419,6 +419,23 @@ def test_bad_paths_seeds_and_tolerances_are_input_errors(workspace, capsys):
     ):
         assert main(argv) == 2, argv
         assert "input error" in capsys.readouterr().err
+    # the dataset check uses 3 standard errors and takes no --tolerance
+    d = str(workspace / "d.csv")
+    assert main(["simulate", "--state", vac, "--schedule", "0:40,1.5707963267948966:40",
+                 "--seed", "1", "--out", d]) == 0
+    data = ["check", "trifonov", "--data1", d, "--data2", d, "--theta", "0"]
+    assert main(data) == 0
+    config = workspace / "tolerance.json"
+    config.write_text('{"tolerance": 0.5}')
+    for argv, message in (
+        (["check", "trifonov", "--state1", vac, "--state2", vac, "--theta", "1e57"], "2**52"),
+        (data + ["--tolerance", "nan"], "3 standard errors"),
+        (data + ["--tolerance", "0.1"], "3 standard errors"),
+        (["--config", str(config)] + data, "3 standard errors"),
+    ):
+        capsys.readouterr()
+        assert main(argv) == 2, argv
+        assert message in capsys.readouterr().err, argv
 
 # every leaf subcommand with its flags, read from the parser itself
 _LEAVES = [

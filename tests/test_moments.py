@@ -1,11 +1,15 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hyp_st
 
 from optomo import (
     GaussianState,
     InputError,
+    MomentSet,
     NumericalError,
     TomogramGrid,
     TruncationWarning,
@@ -21,7 +25,7 @@ from optomo import (
     tomographic_variance,
     vacuum,
 )
-from optomo.moments import _simpson
+from optomo.quadrature import simpson
 from oracles import random_state
 
 
@@ -98,7 +102,7 @@ def test_unnormalized_row_rejected():
 
 @pytest.mark.parametrize("n", [3, 4, 5, 6, 7, 10, 33, 256, 257, 2048, 2049])
 def test_simpson_matches_scipy(n):
-    from scipy.integrate import simpson
+    from scipy.integrate import simpson as scipy_simpson
 
     rng = np.random.default_rng(n)
     for _ in range(10):
@@ -106,8 +110,46 @@ def test_simpson_matches_scipy(n):
         irregular = np.cumsum(rng.uniform(0.01, 1.0, n)) - 3.0
         for xs in (uniform, irregular):
             y = rng.uniform(0.1, 1.0, n)
-            want = simpson(y, x=xs)
-            assert abs(_simpson(y, xs) - want) <= 1e-15 * abs(want)
+            want = scipy_simpson(y, x=xs)
+            assert abs(simpson(y, xs) - want) <= 1e-15 * abs(want)
+            # several rows at once: each as scipy's axis=-1 result, and
+            # bitwise the 1-D call on that row
+            rows = rng.uniform(0.1, 1.0, (5, n))
+            got = simpson(rows, xs)
+            want_rows = scipy_simpson(rows, x=xs, axis=-1)
+            assert got.shape == (5,)
+            assert np.all(np.abs(got - want_rows) <= 1e-15 * np.abs(want_rows))
+            assert got.tolist() == [simpson(row, xs) for row in rows]
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and message of the error it raised."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        try:
+            return fn(*args)
+        except (InputError, NumericalError) as exc:
+            return type(exc), str(exc)
+
+
+@given(
+    seed=hyp_st.integers(0, 2**32 - 1),
+    n_phases=hyp_st.integers(1, 20),
+    n_x=hyp_st.one_of(hyp_st.none(), hyp_st.integers(200, 700)),
+)
+def test_grid_moments_equal_the_row_path_bitwise(seed, n_phases, n_x):
+    state = random_state(np.random.default_rng(seed))
+    grid = tomogram_grid(state, phases=n_phases, n_x=n_x)
+    for theta in grid.phases:
+        for phase in (float(theta), float(theta) + math.pi):
+            row, mirrored = grid.row_at(phase)
+            mean = _outcome(row_mean, grid.xs, row)
+            mean = -mean if mirrored else mean
+            var = _outcome(row_variance, grid.xs, row)
+            assert _outcome(tomographic_mean, grid, phase) == mean
+            assert _outcome(tomographic_variance, grid, phase) == var
+            moments = _outcome(tomographic_moments, grid, phase)
+            assert moments == (MomentSet(mean, var, phase) if isinstance(var, float) else var)
 
 
 def test_non_increasing_grid_rejected():
@@ -128,6 +170,26 @@ def test_narrow_window_warns_when_tails_are_small():
     with pytest.warns(TruncationWarning):
         var = row_variance(xs, row)
     assert var == pytest.approx(0.25, abs=1e-3)
+
+
+def test_narrow_window_grid_warns_on_every_variance_query():
+    xs = np.linspace(-10.0, 10.0, 501)
+    grid = TomogramGrid(np.array([0.0]), xs, gaussian_row(xs, 7.2, 0.25)[None, :])
+    for phase in (0.0, 0.0, math.pi):
+        with pytest.warns(TruncationWarning):
+            assert tomographic_variance(grid, phase) == pytest.approx(0.25, abs=1e-3)
+        with pytest.warns(TruncationWarning):
+            assert tomographic_moments(grid, phase).variance == pytest.approx(0.25, abs=1e-3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", TruncationWarning)
+            tomographic_mean(grid, phase)  # the mean has no window guard
+
+
+def test_grid_with_two_x_points_is_rejected_at_query_time():
+    grid = TomogramGrid(np.array([0.0]), np.array([0.0, 1.0]), np.array([[1.0, 1.0]]))
+    for query in (tomographic_mean, tomographic_variance, tomographic_moments):
+        with pytest.raises(InputError, match=">= 3 points"):
+            query(grid, 0.0)
 
 
 def test_narrow_window_with_heavy_boundary_density_is_an_error():

@@ -27,7 +27,7 @@ from optomo import (
     vacuum,
 )
 from optomo import kernels, quadrature
-from optomo.tomography import _state_row, _wrap_phases, wrap_phase
+from optomo.tomography import MAX_PHASE, _state_row, _wrap_phases, wrap_phase
 from oracles import fock_row, gaussian_tomogram_row, random_state, state_row
 
 SQRT_PI_INV = math.pi ** -0.5
@@ -258,6 +258,26 @@ def test_wrap_phase_is_consistent_under_full_turns(phase, turns):
     flipped, mirrored_flipped = wrap_phase(phase + math.pi)
     assert flipped == pytest.approx(reduced, abs=1e-9)
     assert mirrored_flipped is (not mirrored)
+
+
+@given(phase=hyp_st.floats(-MAX_PHASE, MAX_PHASE, exclude_min=True, exclude_max=True))
+@example(phase=math.nextafter(MAX_PHASE, 0.0))
+@example(phase=-math.nextafter(MAX_PHASE, 0.0))
+def test_every_phase_below_the_limit_reduces_into_range(phase):
+    reduced, _ = wrap_phase(phase)
+    assert 0.0 <= reduced < math.pi
+    arr_reduced, _ = _wrap_phases(np.array([phase]))
+    assert arr_reduced.tolist() == [reduced]
+
+
+@pytest.mark.parametrize(
+    "phase", [1.2647924331046307e57, MAX_PHASE, -MAX_PHASE, 1e300, -1e20]
+)
+def test_phases_at_or_past_the_limit_are_rejected(phase):
+    with pytest.raises(InputError, match=r"2\*\*52"):
+        wrap_phase(phase)
+    with pytest.raises(InputError, match=r"2\*\*52"):
+        _wrap_phases(np.array([0.5, phase]))
 
 
 def test_phase_lookup_uses_parity_and_rejects_off_grid():
