@@ -153,9 +153,11 @@ def estimate_moments(ds: HomodyneDataset, phase: float) -> MomentEstimate:
     """Sample mean and unbiased variance at one phase, with standard errors.
 
     SE(mean) = s/sqrt(N); SE(variance) from the fourth-moment formula
-    Var(s^2) ~= (m4 - s^4 (N-3)/(N-1)) / N.
+    Var(s^2) ~= (m4 - s^4 (N-3)/(N-1)) / N.  Any phase is read through the
+    parity rule: theta + pi holds the records of theta with the mean negated.
     """
-    values = ds.values_at(phase)
+    reduced, mirrored = wrap_phase(phase)
+    values = ds.values_at(reduced)
     n = values.size
     if n < MIN_SAMPLES:
         raise InputError(
@@ -167,7 +169,7 @@ def estimate_moments(ds: HomodyneDataset, phase: float) -> MomentEstimate:
     m4 = float(np.mean(squared * squared))
     var_of_var = max(0.0, (m4 - var * var * (n - 3) / (n - 1)) / n)
     return MomentEstimate(
-        mean=mean,
+        mean=-mean if mirrored else mean,
         variance=var,
         phase=float(phase),
         count=int(n),

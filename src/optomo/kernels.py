@@ -1,8 +1,10 @@
 """Hot numeric kernels, written in numpy only.
 
 ``hermite_functions`` builds the shared table of every closed-form row;
-``amplitude_rows`` and ``amplitude_rows_uniform`` evaluate the oscillatory
-sums of the transform cross-check and of grid characteristic functions.
+``amplitude_rows`` evaluates the oscillatory sums of the transform
+cross-check and of grid characteristic functions.  ``amplitude_rows_uniform``
+is the same sum on a uniform grid; the package no longer calls it, and it
+stays because ``perfbench/tracing.py`` looks it up by name.
 """
 
 from __future__ import annotations

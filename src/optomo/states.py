@@ -2,9 +2,10 @@
 
 hbar = 1 throughout.  Three immutable families cover the desk-scale zoo:
 Gaussian wavepackets (coherent/squeezed), Fock superpositions over the
-Hermite-function basis, and convex mixtures of the two.  Every family comes
-with closed-form moments of the rotated quadrature q cos(theta) + p sin(theta),
-which the tomographic pipeline is tested against.
+Hermite-function basis, and convex mixtures of the two.  Every state reduces
+to one mean vector (<q>, <p>) and symmetrised covariance matrix, from which the
+closed-form moments of the rotated quadrature q cos(theta) + p sin(theta)
+follow at every phase; the tomographic pipeline is tested against them.
 """
 
 from __future__ import annotations
@@ -173,9 +174,11 @@ def thermal_state(nbar: float, tail: float = 1e-10) -> MixedState:
 
     Truncated at the smallest cutoff whose discarded weight is below ``tail``.
     """
-    nbar = float(nbar)
+    nbar, tail = float(nbar), float(tail)
     if not math.isfinite(nbar) or nbar <= 0.0:
         raise InputError(f"nbar must be > 0, got {nbar}")
+    if not 0.0 < tail < 1.0:
+        raise InputError(f"tail must lie in (0, 1), got {tail}")
     ratio = nbar / (1.0 + nbar)
     cutoff = max(0, int(math.ceil(math.log(tail) / math.log(ratio))) - 1)
     while ratio ** (cutoff + 1) >= tail:
@@ -250,17 +253,37 @@ def eval_momentum_wavefunction(state: PureState, p):
 # closed-form moments of the rotated quadrature
 # --------------------------------------------------------------------------
 
-def _fock_ladder(c):
-    """(<a>, <a^2>, <n>) for coefficient vector c."""
-    n = np.arange(c.size)
-    a1 = complex(np.sum(np.conj(c[:-1]) * c[1:] * np.sqrt(n[1:]))) if c.size > 1 else 0j
-    a2 = (
-        complex(np.sum(np.conj(c[:-2]) * c[2:] * np.sqrt(n[2:] * (n[2:] - 1))))
-        if c.size > 2
-        else 0j
-    )
-    occ = float(np.sum(n * np.abs(c) ** 2))
-    return a1, a2, occ
+def _mean_and_covariance(state):
+    """(mean_q, mean_p, var_q, var_p, cov_qp) of ``state``: its mean vector and
+    symmetrised covariance matrix, which fix the moments at every phase.
+
+    A Fock superposition's come from the ladder sums <a>, <a^2> and <n>; a
+    mixture's from the law of total covariance over its components.
+    """
+    if isinstance(state, GaussianState):
+        return state.mean_q, state.mean_p, 0.5 * state.squeeze, 0.5 / state.squeeze, 0.0
+    if isinstance(state, FockSuperposition):
+        c = state.coeff_array()
+        n = np.arange(c.size)
+        a1 = complex(np.sum(np.conj(c[:-1]) * c[1:] * np.sqrt(n[1:])))
+        a2 = complex(np.sum(np.conj(c[:-2]) * c[2:] * np.sqrt(n[2:] * (n[2:] - 1))))
+        x2 = 0.5 + float(np.sum(n * np.abs(c) ** 2))
+        mq, mp = math.sqrt(2.0) * a1.real, math.sqrt(2.0) * a1.imag
+        return mq, mp, x2 + a2.real - mq * mq, x2 - a2.real - mp * mp, a2.imag - mq * mp
+    if isinstance(state, MixedState):
+        w = np.array([weight for weight, _ in state.components])
+        mq, mp, vq, vp, cqp = np.array([_mean_and_covariance(s) for _, s in state.components]).T
+        dq, dp = mq - w @ mq, mp - w @ mp
+        return w @ mq, w @ mp, w @ (vq + dq * dq), w @ (vp + dp * dp), w @ (cqp + dq * dp)
+    raise InputError(f"expected a state, got {type(state).__name__}")
+
+
+def _rotated_moments(moments, phases):
+    """(mean, variance) of q cos(theta) + p sin(theta) at ``phases`` (a number
+    or an array) from the five numbers of ``_mean_and_covariance``."""
+    mq, mp, vq, vp, cqp = moments
+    ct, st = np.cos(phases), np.sin(phases)
+    return mq * ct + mp * st, vq * ct * ct + vp * st * st + 2.0 * cqp * st * ct
 
 
 def analytic_moments(state: State, phase: float) -> MomentSet:
@@ -268,53 +291,16 @@ def analytic_moments(state: State, phase: float) -> MomentSet:
     theta = float(phase)
     if not math.isfinite(theta):
         raise InputError("phase must be finite")
-    if isinstance(state, GaussianState):
-        ct, st = math.cos(theta), math.sin(theta)
-        mean = state.mean_q * ct + state.mean_p * st
-        var = 0.5 * state.squeeze * ct * ct + 0.5 / state.squeeze * st * st
-    elif isinstance(state, FockSuperposition):
-        a1, a2, occ = _fock_ladder(state.coeff_array())
-        mean = math.sqrt(2.0) * (np.exp(-1j * theta) * a1).real
-        x2 = 0.5 + occ + (np.exp(-2j * theta) * a2).real
-        var = x2 - mean * mean
-    elif isinstance(state, MixedState):
-        means = []
-        second = []
-        for w, comp in state.components:
-            m = analytic_moments(comp, theta)
-            means.append(w * m.mean)
-            second.append(w * (m.variance + m.mean ** 2))
-        mean = math.fsum(means)
-        var = math.fsum(second) - mean * mean
-    else:
-        raise InputError(f"expected a state, got {type(state).__name__}")
+    mean, var = _rotated_moments(_mean_and_covariance(state), theta)
     return MomentSet(float(mean), float(var), theta)
 
 
-def rotated_mean_amplitude(state: State) -> float:
-    """max over theta of |<X(theta)>| (the mean traces a single harmonic)."""
-    m0 = analytic_moments(state, 0.0).mean
-    m1 = analytic_moments(state, math.pi / 2).mean
-    return math.hypot(m0, m1)
-
-
-def _variance_harmonics(state):
-    # Var(theta) = A + B cos 2theta + C sin 2theta for every supported family.
-    v0 = analytic_moments(state, 0.0).variance
-    v1 = analytic_moments(state, math.pi / 2).variance
-    vq = analytic_moments(state, math.pi / 4).variance
-    a = 0.5 * (v0 + v1)
-    return a, 0.5 * (v0 - v1), vq - a
-
-
-def max_rotated_variance(state: State) -> float:
-    a, b, c = _variance_harmonics(state)
-    return a + math.hypot(b, c)
-
-
-def min_rotated_variance(state: State) -> float:
-    a, b, c = _variance_harmonics(state)
-    return max(a - math.hypot(b, c), 1e-6)
+def _extremes(state: PureState):
+    """(largest |mean|, largest and smallest variance) over all phases: the
+    mean traces one harmonic and Var = A + B cos 2theta + C sin 2theta."""
+    mq, mp, vq, vp, cqp = _mean_and_covariance(state)
+    a, spread = 0.5 * (vq + vp), math.hypot(0.5 * (vq - vp), cqp)
+    return math.hypot(mq, mp), a + spread, max(a - spread, 1e-6)
 
 
 def grid_halfwidth(state: State) -> float:
@@ -322,7 +308,8 @@ def grid_halfwidth(state: State) -> float:
     the largest rotated mean plus ``GRID_SIGMAS`` (8) standard deviations."""
     if isinstance(state, MixedState):
         return max(grid_halfwidth(s) for _, s in state.components)
-    return rotated_mean_amplitude(state) + GRID_SIGMAS * math.sqrt(max_rotated_variance(state))
+    amplitude, top, _ = _extremes(state)
+    return amplitude + GRID_SIGMAS * math.sqrt(top)
 
 
 def quadrature_halfwidth(state: PureState) -> float:
@@ -333,10 +320,10 @@ def quadrature_halfwidth(state: PureState) -> float:
     turning point, and +8 clears the Airy tail to below 1e-20 (the variance
     window overshoots quadratically in the cutoff there).
     """
+    amplitude, top, _ = _extremes(state)
     if isinstance(state, FockSuperposition):
-        support = math.sqrt(2.0 * state.cutoff + 1.0) + 8.0
-        return rotated_mean_amplitude(state) + support
-    return rotated_mean_amplitude(state) + 8.0 * math.sqrt(2.0 * max_rotated_variance(state))
+        return amplitude + (math.sqrt(2.0 * state.cutoff + 1.0) + 8.0)
+    return amplitude + 8.0 * math.sqrt(2.0 * top)
 
 
 def density_bandwidth(state: State) -> float:
@@ -348,7 +335,7 @@ def density_bandwidth(state: State) -> float:
     """
     if isinstance(state, MixedState):
         return max(density_bandwidth(s) for _, s in state.components)
-    bw = math.sqrt(2.0 * math.log(1e10) / min_rotated_variance(state))
+    bw = math.sqrt(2.0 * math.log(1e10) / _extremes(state)[2])
     if isinstance(state, FockSuperposition):
         bw = max(bw, 2.0 * math.sqrt(2.0 * state.cutoff + 1.0) + 10.0)
     return bw

@@ -6,8 +6,9 @@ coefficients c_n by exp(-i n theta), so a Fock-superposition row is
     w(X, theta) = |sum_n c_n exp(-i n theta) psi_n(X)|^2
 
 over the Hermite functions psi_n; a Gaussian row is the normal density with
-the mean and variance of ``analytic_moments``; a mixture's row is the
-weighted sum of its components' rows.  A grid is one product C(theta) @ H per
+the mean and variance that the state's mean vector and covariance give at
+theta, for every phase in one expression; a mixture's row is the weighted sum
+of its components' rows.  A grid is one product C(theta) @ H per Fock
 component over a single Hermite table H shared by every phase and component.
 
 The oscillatory transform of the wavefunction,
@@ -42,7 +43,8 @@ from .states import (
     GaussianState,
     MixedState,
     State,
-    analytic_moments,
+    _mean_and_covariance,
+    _rotated_moments,
     density_bandwidth,
     eval_momentum_wavefunction,
     eval_position_wavefunction,
@@ -127,11 +129,12 @@ def wrap_phase(phase: float):
 
 def gaussian_row(xs, mean: float, variance: float) -> np.ndarray:
     """Normal density on a grid: a Gaussian state's row, or a test row not
-    derived from any state."""
+    derived from any state.  ``mean`` and ``variance`` broadcast against
+    ``xs``, so columns of them give one row per phase."""
     xs = np.asarray(xs, dtype=float)
-    if variance <= 0:
+    if np.any(np.asarray(variance) <= 0):
         raise InputError(f"variance must be > 0, got {variance}")
-    return np.exp(-((xs - mean) ** 2) / (2.0 * variance)) / math.sqrt(
+    return np.exp(-((xs - mean) ** 2) / (2.0 * variance)) / np.sqrt(
         2.0 * math.pi * variance
     )
 
@@ -250,14 +253,6 @@ def _fock_rows(coeffs, reduced, mirrored, herm):
     return amp.real ** 2 + amp.imag ** 2
 
 
-def _gaussian_rows(state, reduced, mirrored, xs):
-    rows = np.empty((reduced.size, xs.size))
-    for i, (theta, flip) in enumerate(zip(reduced, mirrored)):
-        m = analytic_moments(state, float(theta))
-        rows[i] = gaussian_row(xs, -m.mean if flip else m.mean, m.variance)
-    return rows
-
-
 def _state_rows(state, phases, xs) -> np.ndarray:
     """Closed-form rows w(X, phase), shape (len(phases), len(xs)), for a pure
     or mixed state; every Fock component shares one Hermite table."""
@@ -271,19 +266,13 @@ def _state_rows(state, phases, xs) -> np.ndarray:
         if isinstance(comp, FockSuperposition):
             total += weight * _fock_rows(comp.coeff_array(), reduced, mirrored, herm)
         else:
-            total += weight * _gaussian_rows(comp, reduced, mirrored, xs)
+            mean, var = _rotated_moments(_mean_and_covariance(comp), reduced[:, None])
+            total += weight * gaussian_row(xs, np.where(mirrored[:, None], -mean, mean), var)
     return total
 
 
 def _state_row(state, phase, xs):
     return _state_rows(state, [phase], xs)[0]
-
-
-def _is_uniform(xs):
-    if xs.size < 4:
-        return False
-    steps = np.diff(xs)
-    return bool(np.allclose(steps, steps[0], rtol=1e-12, atol=0.0))
 
 
 def _transform_row(state, theta, xs, branch):
@@ -330,16 +319,9 @@ def _transform_row(state, theta, xs, branch):
     )
     n0 = quadrature.pow2_at_least(max(128.0, total_phase / 2.0))
 
-    uniform = _is_uniform(xs)
-    x0 = float(xs[0])
-    dx = float(xs[1] - xs[0]) if xs.size > 1 else 1.0
-
     def estimate(y, wts):
         g = wavefunction(state, y) * np.exp(1j * chirp * y * y) * wts
-        if uniform:
-            amp = kernels.amplitude_rows_uniform(g, y, freq, x0, dx, xs.size)
-        else:
-            amp = kernels.amplitude_rows(g, y, freq, xs)
+        amp = kernels.amplitude_rows(g, y, freq, xs)
         return (amp.real ** 2 + amp.imag ** 2) * prefactor
 
     return quadrature.adaptive(
@@ -545,10 +527,8 @@ def _state_characteristic(state, reduced, r):
         total += _fock_characteristic(rho, reduced, r)
     for w, s in components:
         if isinstance(s, GaussianState):
-            moments = [analytic_moments(s, float(theta)) for theta in reduced]
-            mean = np.array([m.mean for m in moments])[:, None]
-            variance = np.array([m.variance for m in moments])[:, None]
-            total += w * np.exp(1j * r * mean - 0.5 * r * r * variance)
+            mean, var = _rotated_moments(_mean_and_covariance(s), reduced[:, None])
+            total += w * np.exp(1j * r * mean - 0.5 * r * r * var)
     return total
 
 

@@ -220,6 +220,27 @@ def test_simulate_estimate_and_empirical_check(workspace, capsys):
     assert abs(payload["lhs"] - 0.53125) <= 4 * payload["stderr"]
 
 
+def test_dataset_commands_accept_phases_outside_zero_to_pi(workspace, capsys):
+    data = workspace / "d.csv"
+    thetas = f"0.4,{0.4 + math.pi / 2!r}"
+    args = ["--state", str(workspace / "s2.json"), "--thetas", thetas, "--shots", "500"]
+    assert main(["simulate", *args, "--seed", "3", "--out", str(data)]) == 0
+    assert main(["estimate", "--data", str(data), "--theta", "0.4"]) == 0
+    base = _last_json(capsys)
+    query = 0.4 + math.pi
+    assert main(["estimate", "--data", str(data), "--theta", repr(query)]) == 0
+    payload = _last_json(capsys)
+    assert payload["phase"] == query
+    assert payload["mean"] == -base["mean"]
+    assert payload["variance"] == base["variance"]
+    query = 0.4 - math.pi
+    code = main(
+        ["check", "trifonov", "--data1", str(data), "--data2", str(data), f"--theta={query!r}"]
+    )
+    assert code == 0
+    assert _last_json(capsys)["phase"] == query
+
+
 def test_simulate_is_deterministic(workspace, capsys):
     out1 = workspace / "a.csv"
     out2 = workspace / "b.csv"

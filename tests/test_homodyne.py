@@ -139,6 +139,26 @@ def test_phase_wrap_reaches_the_partner_phase():
     assert rep.satisfied
 
 
+def test_any_phase_reads_the_records_of_its_parity_partner():
+    # records at 0.4 and 0.4 + pi/2 answer every phase congruent to them mod pi
+    theta = 0.4
+    ds = sample(GaussianState(0.8, -0.5, 2.0), [(theta, 500), (theta + HALF_PI, 500)], seed=4)
+    base = estimate_moments(ds, theta)
+    base_check = empirical_trifonov(ds, ds, theta)
+    for k in (-3, -1, 1, 2):
+        query = theta + k * math.pi
+        est = estimate_moments(ds, query)
+        assert est.phase == query
+        assert est.mean == (-base.mean if k % 2 else base.mean)
+        assert (est.variance, est.count) == (base.variance, base.count)
+        assert (est.mean_stderr, est.variance_stderr) == (
+            base.mean_stderr, base.variance_stderr
+        )
+        check = empirical_trifonov(ds, ds, query)
+        assert check.phase == query
+        assert (check.lhs, check.stderr) == (base_check.lhs, base_check.stderr)
+
+
 def test_missing_partner_phase_is_an_input_error():
     ds = sample(vacuum(), [(0.0, 1000)], seed=3)
     with pytest.raises(InputError, match="at phase"):

@@ -23,7 +23,14 @@ from optomo import (
     thermal_state,
     vacuum,
 )
-from oracles import fourier_transform_minus, hermite_psi, random_state, trapz_var
+from oracles import (
+    fourier_transform_minus,
+    hermite_psi,
+    random_state,
+    state_row,
+    trapz_mean,
+    trapz_var,
+)
 
 PI4TH = math.pi ** -0.25
 
@@ -193,6 +200,17 @@ def test_mixture_moments_follow_total_variance_law():
     assert mm.variance == pytest.approx(var, abs=1e-12)
 
 
+@given(seed=st.integers(0, 2**32 - 1), theta=st.floats(-10.0, 10.0))
+def test_moments_match_dense_trapezoid_moments_of_the_row(seed, theta):
+    # Gaussians, Fock superpositions up to cutoff 8 and two-component mixtures
+    state = random_state(np.random.default_rng(seed))
+    xs = np.linspace(-30.0, 30.0, 6001)
+    row = state_row(state, theta, xs)
+    m = analytic_moments(state, theta)
+    assert m.mean == pytest.approx(trapz_mean(xs, row), abs=1e-9)
+    assert m.variance == pytest.approx(trapz_var(xs, row), abs=1e-9)
+
+
 @given(
     theta=st.floats(-10.0, 10.0),
     mq=st.floats(-3.0, 3.0),
@@ -228,6 +246,12 @@ def test_thermal_state_truncation_and_moments():
         # truncated weight sits at large n, so the variance deficit is
         # roughly (cutoff + 1/2) * tail ~ 2e-9
         assert m.variance == pytest.approx(1.5, abs=1e-8)
+
+
+@pytest.mark.parametrize("tail", [0.0, -1.0, math.nan, math.inf, 1.0, 2.0])
+def test_thermal_state_rejects_a_tail_outside_zero_to_one(tail):
+    with pytest.raises(InputError, match="tail must lie in"):
+        thermal_state(1.0, tail=tail)
 
 
 # --------------------------------------------------------------------------

@@ -54,10 +54,16 @@ def test_vacuum_row_is_phase_invariant_gaussian(theta):
 )
 @pytest.mark.parametrize("theta", [0.15, 0.9, math.pi / 4, 2.0, 3.0])
 def test_gaussian_rows_match_closed_form(state, theta):
+    def oracle(phase, xs):
+        return gaussian_tomogram_row(state.mean_q, state.mean_p, state.squeeze, phase, xs)
+
     xs = np.linspace(-8, 8, 161)
-    row = optical_tomogram(state, theta, xs)
-    oracle = gaussian_tomogram_row(state.mean_q, state.mean_p, state.squeeze, theta, xs)
-    assert np.allclose(row, oracle, atol=1e-9)
+    for phase in (theta, theta + math.pi):  # the second reads theta mirrored
+        assert np.allclose(optical_tomogram(state, phase, xs), oracle(phase, xs), atol=1e-9)
+    # every row of a 16-phase grid through theta is one more input
+    grid = tomogram_grid(state, phases=np.sort(np.mod(theta + uniform_phases(16), math.pi)))
+    for phase, row in zip(grid.phases, grid.values):
+        assert np.allclose(row, oracle(phase, grid.xs), atol=1e-9)
 
 
 @pytest.mark.parametrize("theta", [0.0, 0.6, math.pi / 4, 1.4, math.pi / 2])
