@@ -2,9 +2,16 @@
 
 Samples are drawn per phase by inverse-CDF lookup on a finely tabulated
 tomogram row (4097 points over the 8-sigma window keeps the CDF interpolation
-error well under 1e-4 in probability).  The RNG is numpy's PCG64 seeded
-through SeedSequence, with one spawned child stream per schedule entry, so a
-(state, schedule, seed) triple reproduces the dataset bit for bit.
+error well under 1e-4 in probability).  The lookup is a guide table (Chen &
+Asau 1974; Devroye 1986, sec. III.2.4): the uniform draw's bin among
+2 * (CDF_POINTS - 1) equal bins of [0, 1) names the knot interval, so each
+shot costs a few array reads instead of a binary search, and the result is
+bitwise what ``np.interp`` gives.  A schedule phase outside [0, pi) is
+reduced through the parity rule w(X, theta + pi) = w(-X, theta): its records
+are stored at the reduced phase and drawn there, negated on a mirrored
+phase.  The RNG is numpy's PCG64 seeded through SeedSequence, with one
+spawned child stream per schedule entry, so a (state, schedule, seed) triple
+reproduces the dataset bit for bit.
 """
 
 from __future__ import annotations
@@ -12,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -34,9 +42,18 @@ __all__ = [
 
 GENERATOR_NAME = "numpy-PCG64(SeedSequence-spawn-per-phase)"
 MIN_SAMPLES = 30
-CDF_POINTS = 4097
+CDF_POINTS = 4097  # CDF_POINTS - 1 must be a power of two: see _inverse_cdf
 PHASE_MATCH_TOL = 1e-9
 CSV_BLOCK_LINES = 4096
+
+
+def _runs(thetas):
+    """(phases, bounds): the runs of equal phases in ``thetas``, run k being
+    thetas[bounds[k]:bounds[k + 1]] at phases[k]."""
+    first = np.ones(thetas.size, dtype=bool)
+    first[1:] = thetas[1:] != thetas[:-1]
+    bounds = np.append(np.flatnonzero(first), thetas.size)
+    return thetas[bounds[:-1]], bounds
 
 
 @dataclass(frozen=True, eq=False)
@@ -74,9 +91,31 @@ class HomodyneDataset:
     def phases(self) -> np.ndarray:
         return np.unique(self.thetas)
 
+    @cached_property
+    def _groups(self):
+        """(phases, bounds, values): the records of stored phase phases[k] are
+        values[bounds[k]:bounds[k + 1]], in record order; built on first use.
+        Records that already hold each phase in one run, as ``sample`` writes
+        them, are used in place; others are first sorted stably by phase."""
+        phases, bounds = _runs(self.thetas)
+        if np.unique(phases).size == phases.size:
+            return phases, bounds, self.xs
+        order = np.argsort(self.thetas, kind="stable")
+        values = self.xs[order]
+        values.setflags(write=False)
+        return (*_runs(self.thetas[order]), values)
+
     def values_at(self, phase: float) -> np.ndarray:
-        mask = np.abs(self.thetas - float(phase)) <= PHASE_MATCH_TOL
-        return self.xs[mask]
+        """The records whose phase lies within PHASE_MATCH_TOL of ``phase``,
+        in record order, as a read-only array."""
+        phases, bounds, values = self._groups
+        hit = np.flatnonzero(np.abs(phases - float(phase)) <= PHASE_MATCH_TOL)
+        if hit.size == 1:
+            return values[bounds[hit[0]]:bounds[hit[0] + 1]]
+        # no stored phase matches, or several distinct ones do
+        values = self.xs[np.abs(self.thetas - float(phase)) <= PHASE_MATCH_TOL]
+        values.setflags(write=False)
+        return values
 
 
 @dataclass(frozen=True)
@@ -101,18 +140,50 @@ def _tabulated_cdf(state: State, phase: float):
     if total <= 0.0:
         raise InputError("density row has no mass; cannot sample")
     cdf /= total
-    # strictly increasing knots keep the inverse lookup single-valued
+    # the tiny ramp lifts the flat left tail; near 1 its steps fall below
+    # ulp(1), so the right tail keeps plateaus of equal knots.  The lookup
+    # needs only cdf[0] = 0, cdf[-1] = 1 and a non-decreasing table: a draw
+    # u < 1 always lies in an interval cdf[j] <= u < cdf[j + 1]
     eps = np.arange(CDF_POINTS) * (1e-15 / CDF_POINTS)
     cdf = np.maximum.accumulate(cdf + eps)
     cdf /= cdf[-1]
     return cdf, xs
 
 
+def _inverse_cdf(u, cdf, xs):
+    """``np.interp(u, cdf, xs)`` for draws u in [0, 1), bit for bit, by
+    guide-table lookup.
+
+    Bin k of B equal bins of [0, 1) (B a power of two, so k / B <= u is exact
+    for k = floor(u * B)) starts in knot interval guide[k].  A bin that spans at
+    most one knot settles j with one comparison; draws in wider bins, all in
+    the tails, take a binary search.  The interval j then gives numpy's own
+    formula slope[j] * (u - cdf[j]) + xs[j].  Its slopes are finite, since
+    cdf[j] < cdf[j + 1], so a draw equal to a knot gives xs[j] exactly, as
+    np.interp's special case does.
+    """
+    bins = 2 * (CDF_POINTS - 1)
+    guide = np.searchsorted(cdf, np.arange(bins + 1) / bins, side="right") - 1
+    k = (u * bins).astype(np.intp)
+    j = guide[k]
+    j += u >= cdf[j + 1]
+    wide = (np.diff(guide) > 1)[k]
+    if wide.any():
+        j[wide] = np.searchsorted(cdf, u[wide], side="right") - 1
+    with np.errstate(divide="ignore"):  # plateau intervals are never used
+        slopes = np.diff(xs) / np.diff(cdf)
+    return slopes[j] * (u - cdf[j]) + xs[j]
+
+
 def sample(state: State, phase_schedule, seed: int) -> HomodyneDataset:
     """Draw quadrature samples for each (phase, count) entry of the schedule.
 
     Deterministic: the seed and schedule fully determine the dataset.  Each
-    entry tabulates its own CDF; nothing is kept between calls.
+    entry tabulates its own CDF and inverts its uniform draws by guide-table
+    lookup (``_inverse_cdf``, bitwise ``np.interp``); nothing is kept between
+    calls.  A phase outside [0, pi) (any finite phase below MAX_PHASE in
+    magnitude) is reduced mod pi: its records are stored at the reduced phase,
+    with the drawn values negated where the reduction mirrors the X axis.
     """
     if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
@@ -125,21 +196,19 @@ def sample(state: State, phase_schedule, seed: int) -> HomodyneDataset:
             phase, count = entry
         except (TypeError, ValueError) as exc:
             raise InputError("schedule entries must be (phase, count) pairs") from exc
-        phase = float(phase)
-        if not math.isfinite(phase) or not (0.0 <= phase < math.pi):
-            raise InputError(f"scheduled phase must lie in [0, pi), got {phase}")
+        reduced, mirrored = wrap_phase(phase)
         if isinstance(count, bool) or not isinstance(count, int) or count < 1:
             raise InputError(f"sample count must be a positive integer, got {count!r}")
-        parsed.append((phase, count))
+        parsed.append((reduced, mirrored, count))
 
     children = np.random.SeedSequence(seed).spawn(len(parsed))
     theta_parts = []
     x_parts = []
-    for (phase, count), child in zip(parsed, children):
+    for (phase, mirrored, count), child in zip(parsed, children):
         cdf, xs = _tabulated_cdf(state, phase)
         rng = np.random.Generator(np.random.PCG64(child))
-        u = rng.random(count)
-        x_parts.append(np.interp(u, cdf, xs))
+        values = _inverse_cdf(rng.random(count), cdf, xs)
+        x_parts.append(-values if mirrored else values)
         theta_parts.append(np.full(count, phase))
     return HomodyneDataset(
         thetas=np.concatenate(theta_parts),
@@ -190,8 +259,11 @@ def empirical_trifonov(
     other, _ = wrap_phase(phase + math.pi / 2.0)
     e1 = estimate_moments(ds1, phase)
     e1_rot = estimate_moments(ds1, other)
-    e2 = estimate_moments(ds2, phase)
-    e2_rot = estimate_moments(ds2, other)
+    if ds2 is ds1:
+        e2, e2_rot = e1, e1_rot
+    else:
+        e2 = estimate_moments(ds2, phase)
+        e2_rot = estimate_moments(ds2, other)
     lhs = 0.5 * (e1.variance * e2_rot.variance) + 0.5 * (e2.variance * e1_rot.variance)
     grad_sq = (
         (0.5 * e2_rot.variance * e1.variance_stderr) ** 2

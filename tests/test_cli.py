@@ -239,6 +239,12 @@ def test_dataset_commands_accept_phases_outside_zero_to_pi(workspace, capsys):
     )
     assert code == 0
     assert _last_json(capsys)["phase"] == query
+    # schedule phases reduce mod pi as well
+    out = workspace / "wrapped.csv"
+    args = ["--state", str(workspace / "vacuum.json"), "--thetas", "3.5,-0.2", "--shots", "100"]
+    assert main(["simulate", *args, "--seed", "1", "--out", str(out)]) == 0
+    thetas = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
+    assert np.all((thetas >= 0.0) & (thetas < math.pi))
 
 
 def test_simulate_is_deterministic(workspace, capsys):

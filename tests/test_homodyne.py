@@ -18,6 +18,8 @@ from optomo import (
     save_dataset_csv,
     vacuum,
 )
+from optomo.homodyne import PHASE_MATCH_TOL, _inverse_cdf, _tabulated_cdf
+from optomo.tomography import MAX_PHASE, wrap_phase
 from oracles import random_state
 
 S2 = GaussianState(0.0, 0.0, 2.0)
@@ -40,12 +42,50 @@ def test_schedule_validation():
         sample(vacuum(), [], seed=1)
     with pytest.raises(InputError):
         sample(vacuum(), [(0.0, 0)], seed=1)
-    with pytest.raises(InputError):
-        sample(vacuum(), [(math.pi, 10)], seed=1)  # phases live on [0, pi)
-    with pytest.raises(InputError):
-        sample(vacuum(), [(-0.1, 10)], seed=1)
+    with pytest.raises(InputError, match="finite"):
+        sample(vacuum(), [(math.nan, 10)], seed=1)
+    with pytest.raises(InputError, match="MAX_PHASE"):
+        sample(vacuum(), [(MAX_PHASE, 10)], seed=1)
     with pytest.raises(InputError):
         sample(vacuum(), [(0.0, 10)], seed=1.5)
+
+
+def test_a_phase_outside_zero_to_pi_draws_its_reduced_phase_mirrored():
+    state = GaussianState(0.8, -0.5, 2.0)
+    for query in (0.4 + math.pi, 0.4 - math.pi, 0.4 + 2 * math.pi, -2.0, 1e6):
+        reduced, mirrored = wrap_phase(query)
+        ds = sample(state, [(query, 300), (1.0, 200)], seed=6)
+        base = sample(state, [(reduced, 300), (1.0, 200)], seed=6)
+        assert np.array_equal(ds.thetas, base.thetas)
+        assert np.array_equal(ds.xs[:300], -base.xs[:300] if mirrored else base.xs[:300])
+        assert np.array_equal(ds.xs[300:], base.xs[300:])
+
+
+@given(seed=hyp_st.integers(0, 2**32 - 1), phase=hyp_st.floats(0.0, math.pi, exclude_max=True))
+def test_inverse_cdf_is_bitwise_np_interp(seed, phase):
+    rng = np.random.default_rng(seed)
+    cdf, xs = _tabulated_cdf(random_state(rng), phase)
+    # 0, every knot below 1 (tail plateaus, exact knot hits, bins spanning
+    # many knots), the largest draw below 1 and uniform draws
+    u = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], cdf[cdf < 1.0], rng.random(20_000)))
+    want = np.interp(u, cdf, xs)
+    assert np.array_equal(_inverse_cdf(u, cdf, xs).view(np.int64), want.view(np.int64))
+
+
+def test_values_at_is_the_phase_mask_in_record_order():
+    rng = np.random.default_rng(8)
+    close = 0.3 + 0.5 * PHASE_MATCH_TOL  # a second stored phase matching 0.3
+    for stored in ([0.1, 0.5, 1.2], [0.3, close, 2.0]):
+        # records interleaved at random, and one run per phase as sample writes them
+        for thetas in (rng.choice(stored, size=3000), np.repeat(stored[::-1], 1000)):
+            ds = HomodyneDataset(thetas, rng.normal(size=3000), seed=0, state_label="x")
+            for query in (*stored, 0.3 + 2 * PHASE_MATCH_TOL, 0.7):
+                want = ds.xs[np.abs(ds.thetas - query) <= PHASE_MATCH_TOL]
+                got = ds.values_at(query)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+                assert not got.flags.writeable
+    empty = HomodyneDataset(np.empty(0), np.empty(0), seed=0, state_label="x")
+    assert empty.values_at(0.0).size == 0
 
 
 def test_dataset_invariants():
@@ -128,6 +168,13 @@ def test_classical_dataset_violates_the_bound():
     rep = empirical_trifonov(ds, ds, 0.0)
     assert rep.lhs == pytest.approx(0.01, abs=2e-3)
     assert not rep.satisfied
+
+
+def test_one_dataset_on_both_sides_matches_a_separate_copy():
+    ds = sample(GaussianState(0.2, 0.1, 1.5), [(0.3, 400), (0.3 + HALF_PI, 400)], seed=5)
+    copy = HomodyneDataset(ds.thetas, ds.xs, seed=ds.seed, state_label=ds.state_label)
+    for phase in (0.3, 0.3 + math.pi):
+        assert empirical_trifonov(ds, ds, phase) == empirical_trifonov(ds, copy, phase)
 
 
 def test_phase_wrap_reaches_the_partner_phase():
