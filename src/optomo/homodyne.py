@@ -47,15 +47,6 @@ PHASE_MATCH_TOL = 1e-9
 CSV_BLOCK_LINES = 4096
 
 
-def _runs(thetas):
-    """(phases, bounds): the runs of equal phases in ``thetas``, run k being
-    thetas[bounds[k]:bounds[k + 1]] at phases[k]."""
-    first = np.ones(thetas.size, dtype=bool)
-    first[1:] = thetas[1:] != thetas[:-1]
-    bounds = np.append(np.flatnonzero(first), thetas.size)
-    return thetas[bounds[:-1]], bounds
-
-
 @dataclass(frozen=True, eq=False)
 class HomodyneDataset:
     """Quadrature records (theta_i, x_i) plus provenance metadata."""
@@ -92,27 +83,25 @@ class HomodyneDataset:
         return np.unique(self.thetas)
 
     @cached_property
-    def _groups(self):
-        """(phases, bounds, values): the records of stored phase phases[k] are
-        values[bounds[k]:bounds[k + 1]], in record order; built on first use.
-        Records that already hold each phase in one run, as ``sample`` writes
-        them, are used in place; others are first sorted stably by phase."""
-        phases, bounds = _runs(self.thetas)
-        if np.unique(phases).size == phases.size:
-            return phases, bounds, self.xs
-        order = np.argsort(self.thetas, kind="stable")
-        values = self.xs[order]
-        values.setflags(write=False)
-        return (*_runs(self.thetas[order]), values)
+    def _runs(self):
+        """(phases, bounds): the runs of equal consecutive phases, run k being
+        records bounds[k]:bounds[k + 1] at phases[k]; built on first use."""
+        thetas = self.thetas
+        first = np.ones(thetas.size, dtype=bool)
+        first[1:] = thetas[1:] != thetas[:-1]
+        bounds = np.append(np.flatnonzero(first), thetas.size)
+        return thetas[bounds[:-1]], bounds
 
     def values_at(self, phase: float) -> np.ndarray:
         """The records whose phase lies within PHASE_MATCH_TOL of ``phase``,
-        in record order, as a read-only array."""
-        phases, bounds, values = self._groups
+        in record order, as a read-only array.  When they form one run, as
+        ``sample`` writes them, that run is returned as a slice."""
+        phases, bounds = self._runs
         hit = np.flatnonzero(np.abs(phases - float(phase)) <= PHASE_MATCH_TOL)
         if hit.size == 1:
-            return values[bounds[hit[0]]:bounds[hit[0] + 1]]
-        # no stored phase matches, or several distinct ones do
+            return self.xs[bounds[hit[0]]:bounds[hit[0] + 1]]
+        # no run matches, or several do: a phase stored in several runs, or
+        # distinct stored phases within the tolerance
         values = self.xs[np.abs(self.thetas - float(phase)) <= PHASE_MATCH_TOL]
         values.setflags(write=False)
         return values

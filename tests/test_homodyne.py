@@ -76,14 +76,18 @@ def test_values_at_is_the_phase_mask_in_record_order():
     rng = np.random.default_rng(8)
     close = 0.3 + 0.5 * PHASE_MATCH_TOL  # a second stored phase matching 0.3
     for stored in ([0.1, 0.5, 1.2], [0.3, close, 2.0]):
-        # records interleaved at random, and one run per phase as sample writes them
-        for thetas in (rng.choice(stored, size=3000), np.repeat(stored[::-1], 1000)):
+        one_run = np.repeat(stored[::-1], 1000)  # as sample writes them
+        two_runs = np.tile(np.repeat(stored, 500), 2)
+        for thetas in (rng.choice(stored, size=3000), one_run, two_runs):
             ds = HomodyneDataset(thetas, rng.normal(size=3000), seed=0, state_label="x")
             for query in (*stored, 0.3 + 2 * PHASE_MATCH_TOL, 0.7):
                 want = ds.xs[np.abs(ds.thetas - query) <= PHASE_MATCH_TOL]
                 got = ds.values_at(query)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
                 assert not got.flags.writeable
+                # a phase held in one run is read in place
+                single = thetas is one_run and want.size and query not in (0.3, close)
+                assert (got.base is ds.xs) == bool(single)
     empty = HomodyneDataset(np.empty(0), np.empty(0), seed=0, state_label="x")
     assert empty.values_at(0.0).size == 0
 
