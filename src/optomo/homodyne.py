@@ -58,8 +58,20 @@ class HomodyneDataset:
     generator: str = GENERATOR_NAME
 
     def __post_init__(self):
-        thetas = np.array(self.thetas, dtype=float)
-        xs = np.array(self.xs, dtype=float)
+        self._freeze(np.array(self.thetas, dtype=float), np.array(self.xs, dtype=float))
+
+    @classmethod
+    def _adopt(cls, thetas, xs, seed, state_label):
+        """A dataset over float arrays that no one else holds, as ``sample``
+        fills them: validated and frozen in place instead of copied."""
+        ds = object.__new__(cls)
+        object.__setattr__(ds, "seed", seed)
+        object.__setattr__(ds, "state_label", state_label)
+        object.__setattr__(ds, "generator", GENERATOR_NAME)
+        ds._freeze(thetas, xs)
+        return ds
+
+    def _freeze(self, thetas, xs):
         if thetas.ndim != 1 or thetas.shape != xs.shape:
             raise InputError("thetas and xs must be matching 1-D arrays")
         if not np.all(np.isfinite(xs)):
@@ -139,6 +151,18 @@ def _tabulated_cdf(state: State, phase: float):
     return cdf, xs
 
 
+def _guide_table(cdf, bins):
+    """guide[k] = the last knot i with cdf[i] <= k / bins, for k = 0..bins,
+    i.e. ``searchsorted(cdf, arange(bins + 1) / bins, side="right") - 1``,
+    from one counting pass over the knots.
+
+    bins is a power of two, so cdf[i] * bins is exact and cdf[i] <= k / bins
+    exactly when ceil(cdf[i] * bins) <= k; cdf lies in [0, 1], so the counts
+    have bins + 1 entries.
+    """
+    return np.cumsum(np.bincount(np.ceil(cdf * bins).astype(np.intp), minlength=bins + 1)) - 1
+
+
 def _inverse_cdf(u, cdf, xs):
     """``np.interp(u, cdf, xs)`` for draws u in [0, 1), bit for bit, by
     guide-table lookup.
@@ -152,7 +176,7 @@ def _inverse_cdf(u, cdf, xs):
     np.interp's special case does.
     """
     bins = 2 * (CDF_POINTS - 1)
-    guide = np.searchsorted(cdf, np.arange(bins + 1) / bins, side="right") - 1
+    guide = _guide_table(cdf, bins)
     k = (u * bins).astype(np.intp)
     j = guide[k]
     j += u >= cdf[j + 1]
@@ -191,20 +215,18 @@ def sample(state: State, phase_schedule, seed: int) -> HomodyneDataset:
         parsed.append((reduced, mirrored, count))
 
     children = np.random.SeedSequence(seed).spawn(len(parsed))
-    theta_parts = []
-    x_parts = []
+    total = sum(count for _, _, count in parsed)
+    thetas = np.empty(total)
+    values = np.empty(total)
+    lo = 0
     for (phase, mirrored, count), child in zip(parsed, children):
         cdf, xs = _tabulated_cdf(state, phase)
         rng = np.random.Generator(np.random.PCG64(child))
-        values = _inverse_cdf(rng.random(count), cdf, xs)
-        x_parts.append(-values if mirrored else values)
-        theta_parts.append(np.full(count, phase))
-    return HomodyneDataset(
-        thetas=np.concatenate(theta_parts),
-        xs=np.concatenate(x_parts),
-        seed=seed,
-        state_label=state_label(state),
-    )
+        drawn = _inverse_cdf(rng.random(count), cdf, xs)
+        values[lo:lo + count] = -drawn if mirrored else drawn
+        thetas[lo:lo + count] = phase
+        lo += count
+    return HomodyneDataset._adopt(thetas, values, seed, state_label(state))
 
 
 def estimate_moments(ds: HomodyneDataset, phase: float) -> MomentEstimate:

@@ -242,6 +242,10 @@ class TomogramGrid:
 # row evaluation: closed forms by default, the oscillatory transform on request
 # --------------------------------------------------------------------------
 
+def _components(state):
+    return state.components if isinstance(state, MixedState) else ((1.0, state),)
+
+
 def _fock_rows(coeffs, reduced, mirrored, herm):
     """|C(theta) @ H|^2 for every phase at once; row i of C holds the rotated
     coefficients c_n exp(-i n theta_i), with the odd ones negated on mirrored
@@ -258,7 +262,7 @@ def _state_rows(state, phases, xs) -> np.ndarray:
     or mixed state; every Fock component shares one Hermite table."""
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
     reduced, mirrored = _wrap_phases(phases)
-    components = state.components if isinstance(state, MixedState) else ((1.0, state),)
+    components = _components(state)
     cutoffs = [s.cutoff for _, s in components if isinstance(s, FockSuperposition)]
     herm = kernels.hermite_functions(max(cutoffs), xs) if cutoffs else None
     total = np.zeros((reduced.size, xs.size))
@@ -466,9 +470,23 @@ def symplectic_tomogram(
 # characteristic functions of tomogram rows
 # --------------------------------------------------------------------------
 
-def _fock_characteristic(rho, reduced, r):
-    """Tr[rho exp(i r X(theta))] for a Fock-basis density matrix rho, shape
-    (len(reduced), len(r)).
+def _fock_density(state):
+    """rho = sum_i w_i conj(c_i) c_i^T over the Fock components of a state, at
+    the largest cutoff; None when the state has no Fock component."""
+    fock = [(w, s.coeff_array()) for w, s in _components(state) if isinstance(s, FockSuperposition)]
+    if not fock:
+        return None
+    n = max(c.size for _, c in fock)
+    rho = np.zeros((n, n), dtype=complex)
+    for w, c in fock:
+        rho[: c.size, : c.size] += w * np.outer(np.conj(c), c)
+    return rho
+
+
+def _fock_coefficients(rho, r):
+    """(freqs, coeffs): Tr[rho exp(i r X(theta))] = sum_j exp(-i freqs[j]
+    theta) coeffs[j], with freqs = (0, 1, ..., n-1, -1, ..., -(n-1)) and
+    coeffs of shape (2n - 1, len(r)), for a Fock-basis density matrix rho.
 
     With x = r^2/2 the unrotated matrix elements are <m| exp(i r X(0)) |m+k> =
     v_k h_m^(k): v_k = <k|D(i r/sqrt(2))|0> and h_m^(k) = sqrt(k! m!/(m+k)!)
@@ -495,8 +513,7 @@ def _fock_characteristic(rho, reduced, r):
         down[: n - m] += rho[m:, m, None] * h[: n - m]
     # v_0 = exp(-x/2), v_k = v_(k-1) i r / sqrt(2k)
     v = np.cumprod(np.vstack([np.exp(-0.5 * x), 1j * r / np.sqrt(2.0 * k[1:, None])]), axis=0)
-    rotation = np.exp(-1j * np.outer(reduced, np.concatenate([k, -k[1:]])))
-    return rotation @ np.concatenate([v * up, (v * down)[1:]])
+    return np.concatenate([k, -k[1:]]), np.concatenate([v * up, (v * down)[1:]])
 
 
 def _grid_characteristic(grid, reduced, r):
@@ -516,16 +533,12 @@ def _grid_characteristic(grid, reduced, r):
 def _state_characteristic(state, reduced, r):
     """phi(r, theta) of a state at phases in [0, pi), shape (len(reduced),
     len(r)); all Fock components are summed into one density matrix."""
-    components = state.components if isinstance(state, MixedState) else ((1.0, state),)
-    fock_coeffs = [(w, s.coeff_array()) for w, s in components if isinstance(s, FockSuperposition)]
     total = np.zeros((reduced.size, r.size), dtype=complex)
-    if fock_coeffs:
-        n = max(c.size for _, c in fock_coeffs)
-        rho = np.zeros((n, n), dtype=complex)
-        for w, c in fock_coeffs:
-            rho[: c.size, : c.size] += w * np.outer(np.conj(c), c)
-        total += _fock_characteristic(rho, reduced, r)
-    for w, s in components:
+    rho = _fock_density(state)
+    if rho is not None:
+        freqs, coeffs = _fock_coefficients(rho, r)
+        total += np.exp(-1j * np.outer(reduced, freqs)) @ coeffs
+    for w, s in _components(state):
         if isinstance(s, GaussianState):
             mean, var = _rotated_moments(_mean_and_covariance(s), reduced[:, None])
             total += w * np.exp(1j * r * mean - 0.5 * r * r * var)

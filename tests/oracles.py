@@ -106,3 +106,22 @@ def random_state(rng, max_cutoff=8):
             (1.0 - w, random_pure_state(rng, max_cutoff)),
         )
     )
+
+
+def fock_trace_product(a, b):
+    """Tr rho_a rho_b for states whose components are all Fock superpositions:
+    sum over component pairs of w_i v_j |<psi_i|phi_j>|^2, with the inner
+    products taken directly over the (re-normalised) coefficient vectors."""
+
+    def parts(state):
+        components = state.components if isinstance(state, MixedState) else ((1.0, state),)
+        out = []
+        for w, s in components:
+            c = np.zeros(65, dtype=complex)
+            c[: len(s.coeffs)] = s.coeffs
+            out.append((w, c / np.linalg.norm(c)))
+        return out
+
+    return float(
+        sum(wi * wj * abs(np.vdot(ci, cj)) ** 2 for wi, ci in parts(a) for wj, cj in parts(b))
+    )

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as hyp_st
 
 from optomo import (
+    FockSuperposition,
     GaussianState,
     HomodyneDataset,
     InputError,
@@ -18,7 +19,13 @@ from optomo import (
     save_dataset_csv,
     vacuum,
 )
-from optomo.homodyne import PHASE_MATCH_TOL, _inverse_cdf, _tabulated_cdf
+from optomo.homodyne import (
+    CDF_POINTS,
+    PHASE_MATCH_TOL,
+    _guide_table,
+    _inverse_cdf,
+    _tabulated_cdf,
+)
 from optomo.tomography import MAX_PHASE, wrap_phase
 from oracles import random_state
 
@@ -70,6 +77,57 @@ def test_inverse_cdf_is_bitwise_np_interp(seed, phase):
     u = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], cdf[cdf < 1.0], rng.random(20_000)))
     want = np.interp(u, cdf, xs)
     assert np.array_equal(_inverse_cdf(u, cdf, xs).view(np.int64), want.view(np.int64))
+
+
+@given(
+    seed=hyp_st.integers(0, 2**32 - 1),
+    phase=hyp_st.floats(0.0, math.pi, exclude_max=True),
+    n_knots=hyp_st.integers(2, 200),
+)
+def test_guide_table_is_bitwise_searchsorted(seed, phase, n_knots):
+    bins = 2 * (CDF_POINTS - 1)
+    rng = np.random.default_rng(seed)
+    cdf, _ = _tabulated_cdf(random_state(rng), phase)
+    # a short table with knots on bin edges k / bins, one ulp off them, inside
+    # bins, and in plateaus
+    edges = rng.integers(0, bins + 1, size=n_knots) / bins
+    knots = np.choose(
+        rng.integers(0, 4, size=n_knots),
+        [edges, np.nextafter(edges, 0.0), np.nextafter(edges, 1.0), rng.random(n_knots)],
+    )
+    short = np.concatenate(([0.0], np.sort(knots), [1.0]))
+    short = np.maximum.accumulate(np.repeat(short, rng.integers(1, 3, size=short.size)))
+    for table in (cdf, short):
+        want = np.searchsorted(table, np.arange(bins + 1) / bins, side="right") - 1
+        assert np.array_equal(_guide_table(table, bins), want)
+
+
+def test_sampled_records_are_the_per_entry_draws_in_schedule_order():
+    state = FockSuperposition((0.5, 0.3j, -0.4, 0.2))
+    schedule = [(0.3, 700), (2.0 + math.pi, 500), (-0.0, 300)]
+    ds = sample(state, schedule, seed=11)
+    children = np.random.SeedSequence(11).spawn(len(schedule))
+    thetas, xs = [], []
+    for (phase, count), child in zip(schedule, children):
+        reduced, mirrored = wrap_phase(phase)
+        cdf, grid = _tabulated_cdf(state, reduced)
+        drawn = np.interp(np.random.Generator(np.random.PCG64(child)).random(count), cdf, grid)
+        thetas.append(np.full(count, reduced))
+        xs.append(-drawn if mirrored else drawn)
+    assert np.array_equal(ds.thetas.view(np.int64), np.concatenate(thetas).view(np.int64))
+    assert np.array_equal(ds.xs.view(np.int64), np.concatenate(xs).view(np.int64))
+    assert not ds.thetas.flags.writeable and not ds.xs.flags.writeable
+
+
+def test_caller_arrays_are_copied_and_stay_writable():
+    thetas = np.array([0.1, 0.1, 0.5])
+    xs = np.array([1.0, -2.0, 0.5])
+    ds = HomodyneDataset(thetas, xs, seed=0, state_label="x")
+    assert thetas.flags.writeable and xs.flags.writeable
+    assert not np.shares_memory(ds.thetas, thetas) and not np.shares_memory(ds.xs, xs)
+    thetas[0], xs[0] = 0.2, 9.0
+    assert ds.thetas[0] == 0.1 and ds.xs[0] == 1.0
+    assert not ds.thetas.flags.writeable and not ds.xs.flags.writeable
 
 
 def test_values_at_is_the_phase_mask_in_record_order():

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as hyp_st
 
 from optomo import (
     FockSuperposition,
@@ -19,7 +21,11 @@ from optomo import (
     uniform_phases,
     vacuum,
 )
-from oracles import random_state
+import optomo.purity as purity_module
+from optomo import quadrature
+from optomo.purity import DEFAULT_STATE_PHASES
+from optomo.tomography import tomogram_characteristic
+from oracles import fock_trace_product, random_state
 
 
 def test_every_pure_family_has_unit_self_overlap():
@@ -125,3 +131,88 @@ def test_mismatched_grid_phases_rejected():
     b2 = TomogramGrid(g2.phases, g2.xs, g2.values)
     with pytest.raises(InputError, match="share"):
         purity_overlap(b1, b2)
+
+
+def _fock_only_state(rng, max_cutoff):
+    """An oracles.random_state draw with no Gaussian component."""
+    while True:
+        state = random_state(rng, max_cutoff=max_cutoff)
+        parts = state.components if isinstance(state, MixedState) else ((1.0, state),)
+        if all(isinstance(s, FockSuperposition) for _, s in parts):
+            return state
+
+
+def _overlap_and_final_nodes(a, b):
+    """purity_overlap(a, b) and the radial nodes and weights of the estimate
+    it returned (the last refinement of its adaptive quadrature)."""
+    adaptive = quadrature.adaptive
+    seen = []
+
+    def recording(f, lo, hi, **kw):
+        def g(r, wts):
+            seen.append((r, wts))
+            return f(r, wts)
+
+        return adaptive(g, lo, hi, **kw)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "adaptive", recording)
+        value = purity_overlap(a, b)
+    return value, seen[-1]
+
+
+def _phase_sum(a, b, phases, r, wts):
+    """The overlap as a sum over phases on [0, pi) and their parity partners,
+    with the radial nodes given: the phase integral done numerically."""
+    phi_a = tomogram_characteristic(a, phases, r)
+    phi_b = tomogram_characteristic(b, phases, r)
+    half_sum = complex(np.sum(np.sum(wts * r * phi_a * np.conj(phi_b), axis=1)))
+    total = half_sum + np.conj(half_sum)
+    return float((total * (math.pi / phases.size) / (2.0 * math.pi)).real)
+
+
+@given(seed=hyp_st.integers(0, 2**32 - 1), same=hyp_st.booleans())
+def test_fock_overlap_phase_integral_is_exact(seed, same):
+    rng = np.random.default_rng(seed)
+    a = _fock_only_state(rng, 64)
+    b = a if same else _fock_only_state(rng, 64)
+    value, (r, wts) = _overlap_and_final_nodes(a, b)
+    phases = uniform_phases(DEFAULT_STATE_PHASES)
+    assert abs(value - _phase_sum(a, b, phases, r, wts)) <= 1e-13
+    assert value == pytest.approx(fock_trace_product(a, b), abs=1e-11)
+
+
+def test_sources_with_gaussian_parts_or_no_state_take_the_phase_path():
+    mixture = MixedState(
+        ((0.4, FockSuperposition((0.6, 0.0, 0.8j))), (0.6, GaussianState(0.3, -0.5, 1.7)))
+    )
+    grid = tomogram_grid(FockSuperposition((0.8, 0.0, 0.6)), phases=64)
+    bare = TomogramGrid(grid.phases, grid.xs, grid.values)
+    default = uniform_phases(DEFAULT_STATE_PHASES)
+    for a, b, phases in (
+        (mixture, mixture, default),
+        (mixture, fock(2), default),
+        (GaussianState(0.2, 0.1, 2.0), fock(1), default),
+        (bare, bare, bare.phases),
+        (bare, grid, bare.phases),
+    ):
+        value, (r, wts) = _overlap_and_final_nodes(a, b)
+        assert value == _phase_sum(a, b, phases, r, wts)
+    # a grid that carries a Fock-only state integrates over phase exactly
+    value, (r, wts) = _overlap_and_final_nodes(grid, fock(2))
+    assert abs(value - _phase_sum(grid, fock(2), default, r, wts)) <= 1e-13
+
+
+def test_fock_only_sources_evaluate_phases_only_in_the_radius_probe():
+    radii = []
+
+    def recording(src, phase, r):
+        radii.append(np.size(r))
+        return tomogram_characteristic(src, phase, r)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(purity_module, "tomogram_characteristic", recording)
+        purity_overlap(thermal_state(1.0), fock(2))
+        assert radii and set(radii) == {1}
+        purity_overlap(GaussianState(0.2, 0.1, 2.0), fock(2))
+        assert max(radii) > 1
