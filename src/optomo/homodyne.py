@@ -25,9 +25,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .inequalities import BOUND, InequalityReport
+from .inequalities import InequalityReport, _report
 from .states import State, grid_halfwidth, state_label
-from .tomography import _state_row, wrap_phase
+from .tomography import PHASE_TOL, _nearest_phase, _state_row, wrap_phase
 
 __all__ = [
     "GENERATOR_NAME",
@@ -43,7 +43,6 @@ __all__ = [
 GENERATOR_NAME = "numpy-PCG64(SeedSequence-spawn-per-phase)"
 MIN_SAMPLES = 30
 CDF_POINTS = 4097  # CDF_POINTS - 1 must be a power of two: see _inverse_cdf
-PHASE_MATCH_TOL = 1e-9
 CSV_BLOCK_LINES = 4096
 
 
@@ -91,9 +90,6 @@ class HomodyneDataset:
     def n_records(self) -> int:
         return self.xs.size
 
-    def phases(self) -> np.ndarray:
-        return np.unique(self.thetas)
-
     @cached_property
     def _runs(self):
         """(phases, bounds): the runs of equal consecutive phases, run k being
@@ -105,16 +101,23 @@ class HomodyneDataset:
         return thetas[bounds[:-1]], bounds
 
     def values_at(self, phase: float) -> np.ndarray:
-        """The records whose phase lies within PHASE_MATCH_TOL of ``phase``,
-        in record order, as a read-only array.  When they form one run, as
-        ``sample`` writes them, that run is returned as a slice."""
+        """The records that answer any real phase: those within PHASE_TOL of
+        it on the pi-circle (``tomography._nearest_phase``), in record order
+        and negated where X is mirrored, as a read-only array.  An unmirrored
+        phase held in one run, as ``sample`` writes them, is read in place."""
         phases, bounds = self._runs
-        hit = np.flatnonzero(np.abs(phases - float(phase)) <= PHASE_MATCH_TOL)
+        if not phases.size:
+            return self.xs
+        _, mirrored, gaps = _nearest_phase(phases, phase)
+        hit = (gaps <= PHASE_TOL).nonzero()[0]
         if hit.size == 1:
-            return self.xs[bounds[hit[0]]:bounds[hit[0] + 1]]
-        # no run matches, or several do: a phase stored in several runs, or
-        # distinct stored phases within the tolerance
-        values = self.xs[np.abs(self.thetas - float(phase)) <= PHASE_MATCH_TOL]
+            values = self.xs[bounds[hit[0]]:bounds[hit[0] + 1]]
+        else:
+            # no run matches, or several do: a phase stored in several runs,
+            # or distinct stored phases within the tolerance
+            values = self.xs[np.isin(self.thetas, phases[hit])]
+        if mirrored:
+            values = -values
         values.setflags(write=False)
         return values
 
@@ -236,8 +239,7 @@ def estimate_moments(ds: HomodyneDataset, phase: float) -> MomentEstimate:
     Var(s^2) ~= (m4 - s^4 (N-3)/(N-1)) / N.  Any phase is read through the
     parity rule: theta + pi holds the records of theta with the mean negated.
     """
-    reduced, mirrored = wrap_phase(phase)
-    values = ds.values_at(reduced)
+    values = ds.values_at(phase)
     n = values.size
     if n < MIN_SAMPLES:
         raise InputError(
@@ -249,7 +251,7 @@ def estimate_moments(ds: HomodyneDataset, phase: float) -> MomentEstimate:
     m4 = float(np.mean(squared * squared))
     var_of_var = max(0.0, (m4 - var * var * (n - 3) / (n - 1)) / n)
     return MomentEstimate(
-        mean=-mean if mirrored else mean,
+        mean=mean,
         variance=var,
         phase=float(phase),
         count=int(n),
@@ -267,7 +269,7 @@ def empirical_trifonov(
     estimates; satisfied means lhs >= 1/4 - 3*stderr.
     """
     phase = float(phase)
-    other, _ = wrap_phase(phase + math.pi / 2.0)
+    other = phase + math.pi / 2.0
     e1 = estimate_moments(ds1, phase)
     e1_rot = estimate_moments(ds1, other)
     if ds2 is ds1:
@@ -283,18 +285,7 @@ def empirical_trifonov(
         + (0.5 * e2.variance * e1_rot.variance_stderr) ** 2
     )
     stderr = math.sqrt(grad_sq)
-    tolerance = 3.0 * stderr
-    margin = lhs - BOUND
-    return InequalityReport(
-        kind="trifonov",
-        phase=phase,
-        lhs=float(lhs),
-        bound=BOUND,
-        margin=float(margin),
-        satisfied=bool(margin >= -tolerance),
-        stderr=stderr,
-        tolerance=tolerance,
-    )
+    return _report("trifonov", phase, lhs, 3.0 * stderr, stderr)
 
 
 # --------------------------------------------------------------------------

@@ -89,7 +89,7 @@ class InequalityReport:
             raise InputError(f"report is missing field {exc}") from exc
 
 
-def _report(kind, phase, lhs, tolerance):
+def _report(kind, phase, lhs, tolerance, stderr=None):
     if not (math.isfinite(tolerance) and tolerance >= 0.0):
         raise InputError(f"tolerance must be finite and >= 0, got {tolerance}")
     margin = lhs - BOUND
@@ -100,6 +100,7 @@ def _report(kind, phase, lhs, tolerance):
         bound=BOUND,
         margin=float(margin),
         satisfied=bool(margin >= -tolerance),
+        stderr=stderr,
         tolerance=float(tolerance),
     )
 

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InputError, NumericalError, TruncationWarning
 from .quadrature import simpson, simpson_moments
 from .states import MomentSet, State, grid_halfwidth
-from .tomography import TomogramGrid, _state_row, wrap_phase
+from .tomography import NORM_TOL, TomogramGrid, _state_row
 
 __all__ = [
     "row_mean",
@@ -30,7 +30,6 @@ __all__ = [
     "moments_from_state",
 ]
 
-NORM_TOL = 1e-6
 TAIL_TOL = 1e-6
 STATE_ROW_POINTS = 2049
 
@@ -89,8 +88,7 @@ def row_variance(xs, row) -> float:
 def _grid_moments(grid, phase):
     """(mean, variance, row, mirrored): the stored row at a grid phase and its
     kept moments; the mean is that of the unmirrored row."""
-    reduced, mirrored = wrap_phase(phase)
-    i = grid.phase_index(reduced)
+    i, mirrored = grid.lookup(phase)
     means, variances = grid.row_moments
     return float(means[i]), float(variances[i]), grid.values[i], mirrored
 

@@ -26,6 +26,7 @@ from . import quadrature
 from .errors import InputError, NumericalError, ResolutionError
 from .states import FockSuperposition, GaussianState, MixedState
 from .tomography import (
+    PHASE_TOL,
     TomogramGrid,
     _components,
     _fock_coefficients,
@@ -72,13 +73,13 @@ def _phase_grid(a, b):
         phases = grids[0].phases
         if len(grids) == 2 and (
             grids[1].n_phases != phases.size
-            or not np.allclose(grids[1].phases, phases, atol=1e-9, rtol=0)
+            or not np.allclose(grids[1].phases, phases, atol=PHASE_TOL, rtol=0)
         ):
             raise InputError("the two tomograms must share one phase grid")
     else:
         phases = uniform_phases(DEFAULT_STATE_PHASES)
     n = phases.size
-    if not np.allclose(phases, uniform_phases(n), atol=1e-9, rtol=0):
+    if not np.allclose(phases, uniform_phases(n), atol=PHASE_TOL, rtol=0):
         raise InputError(
             "overlap integration needs phases uniform on [0, pi) starting at 0"
         )

@@ -24,7 +24,8 @@ shifted by pi/2, singular at theta = pi/2).
 Phases are reduced to [0, pi) by ``_wrap_phases`` (``wrap_phase`` is its
 scalar view); any other phase is reached through the parity rule
 w(X, theta + pi) = w(-X, theta).  Phases of magnitude 2**52 (``MAX_PHASE``)
-or more are rejected.
+or more are rejected.  ``_nearest_phase`` matches a query to stored phases,
+so a query just below pi (or 0) reads the stored phase 0, mirrored.
 """
 
 from __future__ import annotations
@@ -127,6 +128,23 @@ def wrap_phase(phase: float):
     return float(reduced), bool(mirrored)
 
 
+def _nearest_phase(stored, phase):
+    """(index, mirrored, gaps): the entry of ``stored`` (phases in [0, pi))
+    nearest to ``phase`` on the pi-circle, whether X is mirrored there, and
+    every entry's gap to the query.  The query is reduced once; the gaps are
+    direct when the nearest is within PHASE_TOL, else taken across the seam
+    at 0 = pi if that is nearer, which mirrors X once more."""
+    reduced, mirrored = wrap_phase(phase)
+    gaps = np.abs(stored - reduced)
+    i = int(gaps.argmin())  # the method form skips np.argmin's Python dispatch
+    if gaps[i] > PHASE_TOL:
+        seam = math.pi - gaps
+        j = int(seam.argmin())
+        if seam[j] < gaps[i]:
+            return j, not mirrored, seam
+    return i, mirrored, gaps
+
+
 def gaussian_row(xs, mean: float, variance: float) -> np.ndarray:
     """Normal density on a grid: a Gaussian state's row, or a test row not
     derived from any state.  ``mean`` and ``variance`` broadcast against
@@ -206,16 +224,18 @@ class TomogramGrid:
     def dx(self) -> float:
         return float(self.xs[1] - self.xs[0])
 
-    def phase_index(self, phase: float) -> int:
-        """Index of a grid phase, after parity reduction into [0, pi)."""
-        reduced, _ = wrap_phase(phase)
-        idx = int(np.argmin(np.abs(self.phases - reduced)))
-        if abs(self.phases[idx] - reduced) > PHASE_TOL:
+    def lookup(self, phase: float):
+        """(index, mirrored): the stored phase that answers any real phase on
+        the pi-circle (``_nearest_phase``), and whether the density there is
+        the stored row at -X; a phase farther than PHASE_TOL from every
+        stored phase is rejected."""
+        i, mirrored, gaps = _nearest_phase(self.phases, phase)
+        if gaps[i] > PHASE_TOL:
             raise InputError(
-                f"phase {phase:.9g} (reduced {reduced:.9g}) is not on the grid; "
-                f"nearest stored phase is {self.phases[idx]:.9g}"
+                f"phase {phase:.9g} (reduced {wrap_phase(phase)[0]:.9g}) is not on "
+                f"the grid; nearest stored phase is {self.phases[i]:.9g}"
             )
-        return idx
+        return i, mirrored
 
     @cached_property
     def row_moments(self):
@@ -228,14 +248,11 @@ class TomogramGrid:
         variances.setflags(write=False)
         return means, variances
 
-    def row(self, phase: float) -> np.ndarray:
-        return self.values[self.phase_index(phase)]
-
     def row_at(self, phase: float):
         """(row, mirrored) for any real phase; mirrored means the density at
         the query phase is row evaluated at -X."""
-        reduced, mirrored = wrap_phase(phase)
-        return self.values[self.phase_index(reduced)], mirrored
+        i, mirrored = self.lookup(phase)
+        return self.values[i], mirrored
 
 
 # --------------------------------------------------------------------------
@@ -426,7 +443,8 @@ def symplectic_tomogram(
 
     The angle is mapped into [0, pi) through the parity rule.  With a source
     state attached the row value is re-evaluated exactly; otherwise the stored
-    grid is linearly interpolated in X using the nearest stored phase.
+    grid is linearly interpolated in X using the stored phase nearest on the
+    pi-circle (``_nearest_phase``, with no tolerance).
     """
     for name, v in (("x", x), ("mu", mu), ("nu", nu)):
         if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
@@ -434,29 +452,15 @@ def symplectic_tomogram(
     if mu == 0.0 and nu == 0.0:
         raise InputError("(mu, nu) = (0, 0) is not a valid quadrature direction")
     r = math.hypot(mu, nu)
-    angle, mirrored = wrap_phase(math.atan2(nu, mu))
-    u = x / r
-    if mirrored:
-        u = -u
-
     if exact is None:
         exact = grid.source is not None
     if exact:
         if grid.source is None:
             raise InputError("exact evaluation requires a grid with a source state")
-        val = float(_state_row(grid.source, angle, np.array([u]))[0])
-        return val / r
+        return float(_state_row(grid.source, math.atan2(nu, mu), np.array([x / r]))[0]) / r
 
-    # nearest stored phase on the pi-circle; crossing pi mirrors once more
-    direct = np.abs(grid.phases - angle)
-    wrapped = math.pi - direct
-    j_direct = int(np.argmin(direct))
-    j_wrapped = int(np.argmin(wrapped))
-    if direct[j_direct] <= wrapped[j_wrapped]:
-        j = j_direct
-    else:
-        j = j_wrapped
-        u = -u
+    j, mirrored, _ = _nearest_phase(grid.phases, math.atan2(nu, mu))
+    u = -(x / r) if mirrored else x / r
     xs = grid.xs
     if u < xs[0] or u > xs[-1]:
         raise ExtrapolationError(
@@ -516,8 +520,9 @@ def _fock_coefficients(rho, r):
     return np.concatenate([k, -k[1:]]), np.concatenate([v * up, (v * down)[1:]])
 
 
-def _grid_characteristic(grid, reduced, r):
-    rows = grid.values[[grid.phase_index(theta) for theta in reduced]]
+def _grid_characteristic(grid, phases, r):
+    hits = [grid.lookup(theta) for theta in phases]
+    rows = grid.values[[i for i, _ in hits]]
     r_top = float(r.max()) if r.size else 0.0
     if r_top * grid.dx > math.pi / 2.0:
         raise ResolutionError(
@@ -527,7 +532,8 @@ def _grid_characteristic(grid, reduced, r):
     wts = np.full(grid.n_x, grid.dx)
     wts[0] *= 0.5
     wts[-1] *= 0.5
-    return kernels.amplitude_rows((rows * wts).T, grid.xs, -1.0, r).T
+    amp = kernels.amplitude_rows((rows * wts).T, grid.xs, -1.0, r).T
+    return amp, np.array([m for _, m in hits], dtype=bool)
 
 
 def _state_characteristic(state, reduced, r):
@@ -560,16 +566,15 @@ def tomogram_characteristic(source, phase, r):
         raise InputError("r must be finite")
     if np.any(r_arr < 0.0):
         raise InputError("r must be >= 0")
-    reduced, mirrored = _wrap_phases(np.ravel(phase))
-    if isinstance(source, TomogramGrid):
-        if source.source is None:
-            out = _grid_characteristic(source, reduced, r_arr)
-        else:
-            out = _state_characteristic(source.source, reduced, r_arr)
-    elif isinstance(source, (GaussianState, FockSuperposition, MixedState)):
-        out = _state_characteristic(source, reduced, r_arr)
+    phases = np.ravel(phase)
+    if isinstance(source, TomogramGrid) and source.source is None:
+        out, mirrored = _grid_characteristic(source, phases, r_arr)
     else:
-        raise InputError(f"expected a TomogramGrid or state, got {type(source).__name__}")
+        state = source.source if isinstance(source, TomogramGrid) else source
+        if not isinstance(state, (GaussianState, FockSuperposition, MixedState)):
+            raise InputError(f"expected a TomogramGrid or state, got {type(source).__name__}")
+        reduced, mirrored = _wrap_phases(phases)
+        out = _state_characteristic(state, reduced, r_arr)
     out = np.where(mirrored[:, None], np.conj(out), out)
     shape = np.shape(phase) + np.shape(r)
     return out.reshape(shape) if shape else complex(out[0, 0])

@@ -111,6 +111,33 @@ def test_check_trifonov_accepts_a_phase_just_below_zero(workspace, capsys):
     assert abs(near_zero["lhs"] - at_zero["lhs"]) <= 1e-12
 
 
+def test_seam_phases_read_the_stored_phase(workspace, capsys):
+    w = str(workspace / "w.csv")
+    assert main(["tomogram", "--state", str(workspace / "s2.json"), "--phases", "16", "--out", w]) == 0
+    check = ["check", "trifonov", "--tomogram1", w, "--tomogram2", w, "--theta"]
+    lhs = {}
+    for theta in ("1.5707963267", "1.5707963267948966", "-1e-12", "3.1415926535", "0"):
+        assert main(check + [theta]) == 0
+        lhs[theta] = _last_json(capsys)["lhs"]
+    assert lhs["1.5707963267"] == lhs["1.5707963267948966"]
+    assert lhs["-1e-12"] == lhs["3.1415926535"] == lhs["0"]
+    assert main(check + ["0.1"]) == 2
+    assert "not on the grid" in capsys.readouterr().err
+    data = str(workspace / "d.csv")
+    args = ["--state", str(workspace / "s2.json"), "--thetas", "0,1.5707963267948966"]
+    assert main(["simulate", *args, "--shots", "200", "--seed", "4", "--out", data]) == 0
+    capsys.readouterr()
+    assert main(["check", "trifonov", "--data1", data, "--data2", data, "--theta", "1.5707963267"]) == 0
+    estimates = []
+    for theta in ("-1e-12", "0"):
+        assert main(["estimate", "--data", data, "--theta", theta]) == 0
+        payload = _last_json(capsys)
+        estimates.append((payload["mean"], payload["variance"]))
+    assert estimates[0] == estimates[1]
+    assert main(["estimate", "--data", data, "--theta", "0.1"]) == 2
+    assert "got 0" in capsys.readouterr().err
+
+
 def test_check_trifonov_violation_exit_code(workspace, capsys):
     code = main(
         [

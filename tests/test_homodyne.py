@@ -1,9 +1,10 @@
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as hyp_st
 
 from optomo import (
@@ -17,16 +18,16 @@ from optomo import (
     load_dataset_csv,
     sample,
     save_dataset_csv,
+    uniform_phases,
     vacuum,
 )
 from optomo.homodyne import (
     CDF_POINTS,
-    PHASE_MATCH_TOL,
     _guide_table,
     _inverse_cdf,
     _tabulated_cdf,
 )
-from optomo.tomography import MAX_PHASE, wrap_phase
+from optomo.tomography import MAX_PHASE, PHASE_TOL, wrap_phase
 from oracles import random_state
 
 S2 = GaussianState(0.0, 0.0, 2.0)
@@ -132,14 +133,14 @@ def test_caller_arrays_are_copied_and_stay_writable():
 
 def test_values_at_is_the_phase_mask_in_record_order():
     rng = np.random.default_rng(8)
-    close = 0.3 + 0.5 * PHASE_MATCH_TOL  # a second stored phase matching 0.3
+    close = 0.3 + 0.5 * PHASE_TOL  # a second stored phase matching 0.3
     for stored in ([0.1, 0.5, 1.2], [0.3, close, 2.0]):
         one_run = np.repeat(stored[::-1], 1000)  # as sample writes them
         two_runs = np.tile(np.repeat(stored, 500), 2)
         for thetas in (rng.choice(stored, size=3000), one_run, two_runs):
             ds = HomodyneDataset(thetas, rng.normal(size=3000), seed=0, state_label="x")
-            for query in (*stored, 0.3 + 2 * PHASE_MATCH_TOL, 0.7):
-                want = ds.xs[np.abs(ds.thetas - query) <= PHASE_MATCH_TOL]
+            for query in (*stored, 0.3 + 2 * PHASE_TOL, 0.7):
+                want = ds.xs[np.abs(ds.thetas - query) <= PHASE_TOL]
                 got = ds.values_at(query)
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
                 assert not got.flags.writeable
@@ -148,6 +149,35 @@ def test_values_at_is_the_phase_mask_in_record_order():
                 assert (got.base is ds.xs) == bool(single)
     empty = HomodyneDataset(np.empty(0), np.empty(0), seed=0, state_label="x")
     assert empty.values_at(0.0).size == 0
+
+
+@given(
+    n=hyp_st.integers(1, 6),
+    shift=hyp_st.one_of(hyp_st.just(0.0), hyp_st.floats(0.0, 1.0, exclude_max=True)),
+    pick=hyp_st.integers(0, 5),
+    k=hyp_st.integers(-3, 3),
+    delta=hyp_st.floats(-PHASE_TOL / 2, PHASE_TOL / 2),
+)
+def test_values_at_reads_the_stored_phase_across_half_turns(n, shift, pick, k, delta):
+    # shift = 0 puts a stored phase at 0, so delta < 0 crosses the seam
+    phases = uniform_phases(n) + shift * (math.pi / n)
+    assume(phases[-1] < math.pi)
+    ds = sample(GaussianState(0.8, -0.5, 2.0), [(p, 40) for p in phases], seed=3)
+    s = pick % n
+    stored = ds.xs[ds.thetas == phases[s]]
+    want = -stored if k % 2 else stored
+    got = ds.values_at(phases[s] + k * math.pi + delta)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    assert not got.flags.writeable
+    assert ds.values_at(phases[s] + math.pi / (2 * n) + k * math.pi).size == 0
+
+
+def test_dataset_phases_just_below_a_stored_phase_read_it():
+    ds = sample(GaussianState(0.8, -0.5, 2.0), [(0.0, 400), (HALF_PI, 400)], seed=5)
+    for phase, stored in ((-1e-12, 0.0), (1.5707963267, HALF_PI)):
+        assert estimate_moments(ds, phase) == replace(estimate_moments(ds, stored), phase=phase)
+        report = empirical_trifonov(ds, ds, phase)
+        assert report == replace(empirical_trifonov(ds, ds, stored), phase=phase)
 
 
 def test_dataset_invariants():

@@ -15,6 +15,7 @@ from optomo import (
     heisenberg_lhs,
     operator_trifonov_lhs,
     tomogram_grid,
+    tomographic_variance,
     trifonov_lhs,
     trifonov_sweep,
     uniform_phases,
@@ -120,6 +121,16 @@ def test_bound_holds_for_random_quantum_pairs(seed):
     w2 = tomogram_grid(s2, phases)
     for theta in phases:
         assert trifonov_lhs(w1, w2, float(theta)).margin >= -1e-9
+
+
+@pytest.mark.parametrize(
+    "phase, stored", [(math.pi / 2 - 1e-12, math.pi / 2), (-1e-12, 0.0), (math.pi - 1e-12, 0.0)]
+)
+def test_phases_just_below_a_stored_phase_read_it(phase, stored):
+    w1 = tomogram_grid(GaussianState(0.8, -0.5, 2.0), phases=8)
+    w2 = tomogram_grid(fock(1), phases=8)
+    assert tomographic_variance(w1, phase) == tomographic_variance(w1, stored)
+    assert trifonov_lhs(w1, w2, phase).lhs == trifonov_lhs(w1, w2, stored).lhs
 
 
 def test_classical_rows_violate_the_bound():

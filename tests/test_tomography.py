@@ -27,7 +27,8 @@ from optomo import (
     vacuum,
 )
 from optomo import kernels, quadrature
-from optomo.tomography import MAX_PHASE, _state_row, _wrap_phases, wrap_phase
+from optomo.moments import tomographic_mean
+from optomo.tomography import MAX_PHASE, PHASE_TOL, _state_row, _wrap_phases, wrap_phase
 from oracles import fock_row, gaussian_tomogram_row, random_state, state_row
 
 SQRT_PI_INV = math.pi ** -0.5
@@ -292,7 +293,30 @@ def test_phase_lookup_uses_parity_and_rejects_off_grid():
     assert mirrored
     assert np.array_equal(row, grid.values[3])
     with pytest.raises(InputError, match="not on the grid"):
-        grid.row(0.123456)
+        grid.lookup(0.123456)
+
+
+@given(
+    n=hyp_st.integers(1, 12),
+    shift=hyp_st.one_of(hyp_st.just(0.0), hyp_st.floats(0.0, 1.0, exclude_max=True)),
+    pick=hyp_st.integers(0, 11),
+    k=hyp_st.integers(-3, 3),
+    delta=hyp_st.floats(-PHASE_TOL / 2, PHASE_TOL / 2),
+)
+def test_lookup_reads_the_stored_phase_across_half_turns(n, shift, pick, k, delta):
+    # shift = 0 puts a stored phase at 0, so delta < 0 crosses the seam
+    phases = uniform_phases(n) + shift * (math.pi / n)
+    assume(phases[-1] < math.pi)
+    grid = tomogram_grid(GaussianState(0.8, -0.5, 2.0), phases, n_x=64)
+    s = pick % n
+    query = phases[s] + k * math.pi + delta
+    assert grid.lookup(query) == (s, k % 2 == 1)
+    row, mirrored = grid.row_at(query)
+    assert np.array_equal(row, grid.values[s]) and mirrored == (k % 2 == 1)
+    mean = tomographic_mean(grid, phases[s])
+    assert tomographic_mean(grid, query) == (-mean if k % 2 else mean)
+    with pytest.raises(InputError, match="not on the grid"):
+        grid.lookup(phases[s] + math.pi / (2 * n) + k * math.pi)
 
 
 def test_mixture_of_one_component_equals_the_pure_tomogram():
@@ -463,6 +487,17 @@ def test_phase_arrays_match_scalar_calls():
         single = tomogram_characteristic(source, phases, 2.5)
         assert single.shape == (phases.size,)
         assert np.allclose(single, batch[:, 5], rtol=0.0, atol=1e-14)
+
+
+def test_bare_grid_characteristic_reads_phase_zero_across_the_seam():
+    grid = tomogram_grid(GaussianState(0.8, -0.5, 2.0), phases=8)
+    bare = TomogramGrid(grid.phases, grid.xs, grid.values)
+    rs = np.linspace(0.0, 3.0, 7)
+    at_zero = tomogram_characteristic(bare, 0.0, rs)
+    below_pi = tomogram_characteristic(bare, math.pi - 1e-12, rs)
+    assert np.array_equal(below_pi.view(np.int64), np.conj(at_zero).view(np.int64))
+    below_zero = tomogram_characteristic(bare, -1e-12, rs)
+    assert np.array_equal(below_zero.view(np.int64), at_zero.view(np.int64))
 
 
 def test_nyquist_guard_on_coarse_grids():
