@@ -30,6 +30,7 @@ from .tomography import (
     DEFAULT_N_PHASES,
     PHASE_TOL,
     TomogramGrid,
+    _nearest_phase,
     load_tomogram_csv,
     save_tomogram_csv,
     tomogram_grid,
@@ -194,8 +195,8 @@ def _sweep_sources(args):
         thetas = uniform_phases(args.phases)
     elif grids:
         thetas = grids[0].phases
-        held = np.isclose(thetas[:, None], grids[-1].phases, rtol=0.0, atol=PHASE_TOL)
-        thetas = thetas[held.any(axis=1)]
+        # a phase is held when its gap on the pi-circle, seam included, is within PHASE_TOL
+        thetas = thetas[[_nearest_phase(grids[-1].phases, t)[2].min() <= PHASE_TOL for t in thetas]]
         if not thetas.size:
             raise InputError(f"{args.tomogram1} and {args.tomogram2} hold no phase in common")
     else:

@@ -272,7 +272,10 @@ def empirical_trifonov(
     other = phase + math.pi / 2.0
     e1 = estimate_moments(ds1, phase)
     e1_rot = estimate_moments(ds1, other)
-    if ds2 is ds1:
+    same = ds2 is ds1 or (
+        np.array_equal(ds1.thetas, ds2.thetas) and np.array_equal(ds1.xs, ds2.xs)
+    )
+    if same:
         e2, e2_rot = e1, e1_rot
     else:
         e2 = estimate_moments(ds2, phase)
@@ -284,7 +287,8 @@ def empirical_trifonov(
         + (0.5 * e1_rot.variance * e2.variance_stderr) ** 2
         + (0.5 * e2.variance * e1_rot.variance_stderr) ** 2
     )
-    stderr = math.sqrt(grad_sq)
+    # on equal records each estimate's two equal gradient terms add before squaring
+    stderr = math.sqrt(2.0 * grad_sq if same else grad_sq)
     return _report("trifonov", phase, lhs, 3.0 * stderr, stderr)
 
 

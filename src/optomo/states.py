@@ -10,6 +10,7 @@ follow at every phase; the tomographic pipeline is tested against them.
 
 from __future__ import annotations
 
+import cmath
 import json
 import math
 from dataclasses import dataclass
@@ -276,6 +277,29 @@ def _mean_and_covariance(state):
         dq, dp = mq - w @ mq, mp - w @ mp
         return w @ mq, w @ mp, w @ (vq + dq * dq), w @ (vp + dp * dp), w @ (cqp + dq * dp)
     raise InputError(f"expected a state, got {type(state).__name__}")
+
+
+def _gaussian_overlap(a, b):
+    """Tr rho_a rho_b of two Gaussian states: exp(-D^T S^-1 D / 2) / sqrt(det S),
+    D the difference of their means, S the sum of their covariances."""
+    ma, mb = np.array(_mean_and_covariance(a)), np.array(_mean_and_covariance(b))
+    dq, dp = ma[:2] - mb[:2]
+    sq, sp, sc = ma[2:] + mb[2:]
+    det = sq * sp - sc * sc
+    return math.exp(-0.5 * (sp * dq * dq - 2.0 * sc * dq * dp + sq * dp * dp) / det) / math.sqrt(det)
+
+
+def _fock_amplitudes(state, n):
+    """<k|psi> for k < n of a Gaussian state: c_0 is a Gaussian integral, and
+    the eigen-equation (y + s d/dy) psi = (q + i s p) psi in ladder form gives
+    sqrt(k+1) (1+s) c_(k+1) = sqrt(2) (q + i s p) c_k - (1-s) sqrt(k) c_(k-1)."""
+    q, p, s = state.mean_q, state.mean_p, state.squeeze
+    z = math.sqrt(2.0) * complex(q, s * p)
+    c0 = math.sqrt(2.0 / (1.0 + s)) * s ** 0.25
+    c = [c0 * cmath.exp(-complex(q * q + s * p * p, -2.0 * q * p) / (2.0 * (1.0 + s)))]
+    for k in range(n - 1):  # at k = 0, c[k - 1] is c[0] with weight sqrt(0)
+        c.append((z * c[k] - (1.0 - s) * math.sqrt(k) * c[k - 1]) / (math.sqrt(k + 1.0) * (1.0 + s)))
+    return np.array(c)
 
 
 def _rotated_moments(moments, phases):

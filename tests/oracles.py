@@ -125,3 +125,35 @@ def fock_trace_product(a, b):
     return float(
         sum(wi * wj * abs(np.vdot(ci, cj)) ** 2 for wi, ci in parts(a) for wj, cj in parts(b))
     )
+
+
+def gaussian_wavefunction(state, y):
+    """(pi s)^(-1/4) exp(-(y - mean_q)^2 / (2 s) + i mean_p y), explicit form."""
+    s = state.squeeze
+    return (math.pi * s) ** -0.25 * np.exp(
+        -((y - state.mean_q) ** 2) / (2.0 * s) + 1j * state.mean_p * y
+    )
+
+
+def trace_product(a, b):
+    """Tr rho_a rho_b for any two states: sum over component pairs of
+    w_i v_j |<psi_i|phi_j>|^2, each inner product a dense trapezoid over
+    explicit position wavefunctions (Gaussian formula, explicit Hermite
+    functions), so neither density matrices nor ladder recurrences enter."""
+    y = np.linspace(-30.0, 30.0, 12001)
+
+    def parts(state):
+        components = state.components if isinstance(state, MixedState) else ((1.0, state),)
+        return [
+            (w, gaussian_wavefunction(s, y) if isinstance(s, GaussianState)
+             else fock_position_amplitude(s.coeffs, y))
+            for w, s in components
+        ]
+
+    return float(
+        sum(
+            wi * wj * abs(np.trapezoid(np.conj(psi) * phi, y)) ** 2
+            for wi, psi in parts(a)
+            for wj, phi in parts(b)
+        )
+    )

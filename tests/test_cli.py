@@ -15,9 +15,11 @@ from optomo import (
     gaussian_row,
     save_state,
     save_tomogram_csv,
+    tomogram_grid,
     uniform_phases,
     vacuum,
 )
+from optomo import cli
 from optomo.cli import _parsers, build_parser, main
 
 
@@ -452,6 +454,26 @@ def test_sweep_over_two_tomograms_uses_their_common_phases(workspace, capsys):
     assert main(["sweep", "trifonov", "--tomogram1", b, "--tomogram2", c]) == 2
     err = capsys.readouterr().err
     assert "b.csv" in err and "c.csv" in err
+
+
+def test_sweep_over_two_tomograms_keeps_a_phase_shared_across_the_seam(workspace, capsys):
+    # one grid stores 0, the other pi - 1e-10: the same phase on the pi-circle
+    grid = tomogram_grid(vacuum(), phases=8)
+    phases = np.append(grid.phases[1:], math.pi - 1e-10)
+    seam = TomogramGrid(phases, grid.xs, np.roll(grid.values, -1, axis=0))
+    a, b = str(workspace / "a.csv"), str(workspace / "b.csv")
+    save_tomogram_csv(grid, a)
+    save_tomogram_csv(seam, b)
+    for first, second in ((a, b), (b, a)):
+        pair = ["--tomogram1", first, "--tomogram2", second]
+        assert main(["check", "trifonov", *pair, "--theta", "0"]) == 0
+        thetas, _, _ = cli._sweep_sources(build_parser().parse_args(["sweep", "trifonov", *pair]))
+        assert thetas.size == 8
+        assert main(["sweep", "trifonov", *pair]) == 0
+        out = workspace / "sweep.csv"
+        assert main(["plotdata", "sweep", *pair, "--out", str(out)]) == 0
+        assert _last_json(capsys)["points"] == 8
+        assert len(out.read_text().strip().splitlines()) == 1 + 8
 
 
 def test_bad_paths_seeds_and_tolerances_are_input_errors(workspace, capsys):

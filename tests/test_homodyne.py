@@ -16,6 +16,7 @@ from optomo import (
     estimate_moments,
     fock,
     load_dataset_csv,
+    operator_trifonov_lhs,
     sample,
     save_dataset_csv,
     uniform_phases,
@@ -249,6 +250,25 @@ def test_empirical_two_state_check_matches_the_closed_form():
     assert abs(rep.lhs - 0.53125) <= 3.0 * rep.stderr
     assert rep.satisfied
     assert rep.tolerance == pytest.approx(3.0 * rep.stderr)
+
+
+@pytest.mark.parametrize("two_datasets", [False, True])
+def test_empirical_stderr_covers_the_closed_form(two_datasets):
+    # over a fixed seed list, |lhs - closed form| <= 2 stderr must hold about
+    # as often as for a normal estimate (95.45 %), within 3 binomial sd
+    other = GaussianState(0.3, -0.2, 0.7) if two_datasets else S2
+    schedule = [(0.3, 2000), (0.3 + HALF_PI, 2000)]
+    truth = operator_trifonov_lhs(S2, other, 0.3)
+    seeds = range(200)
+    hits = 0
+    for seed in seeds:
+        ds1 = sample(S2, schedule, seed)
+        ds2 = sample(other, schedule, 10_000 + seed) if two_datasets else ds1
+        rep = empirical_trifonov(ds1, ds2, 0.3)
+        hits += abs(rep.lhs - truth) <= 2.0 * rep.stderr
+    p = math.erf(2.0 / math.sqrt(2.0))
+    band = 3.0 * math.sqrt(p * (1.0 - p) / len(seeds))
+    assert abs(hits / len(seeds) - p) <= band
 
 
 def test_classical_dataset_violates_the_bound():

@@ -23,9 +23,15 @@ from optomo import (
 )
 import optomo.purity as purity_module
 from optomo import quadrature
-from optomo.purity import DEFAULT_STATE_PHASES
+from optomo.states import MAX_FOCK_CUTOFF, _fock_amplitudes
 from optomo.tomography import tomogram_characteristic
-from oracles import fock_trace_product, random_state
+from oracles import (
+    fock_trace_product,
+    gaussian_wavefunction,
+    hermite_psi,
+    random_state,
+    trace_product,
+)
 
 
 def test_every_pure_family_has_unit_self_overlap():
@@ -172,47 +178,70 @@ def _phase_sum(a, b, phases, r, wts):
 
 
 @given(seed=hyp_st.integers(0, 2**32 - 1), same=hyp_st.booleans())
-def test_fock_overlap_phase_integral_is_exact(seed, same):
+def test_fock_only_overlap_is_the_fock_trace_product(seed, same):
     rng = np.random.default_rng(seed)
     a = _fock_only_state(rng, 64)
     b = a if same else _fock_only_state(rng, 64)
-    value, (r, wts) = _overlap_and_final_nodes(a, b)
-    phases = uniform_phases(DEFAULT_STATE_PHASES)
-    assert abs(value - _phase_sum(a, b, phases, r, wts)) <= 1e-13
-    assert value == pytest.approx(fock_trace_product(a, b), abs=1e-11)
+    assert purity_overlap(a, b) == pytest.approx(fock_trace_product(a, b), abs=1e-11)
 
 
-def test_sources_with_gaussian_parts_or_no_state_take_the_phase_path():
+@given(seed=hyp_st.integers(0, 2**32 - 1), same=hyp_st.booleans())
+def test_state_pairs_match_the_dense_wavefunction_oracle(seed, same):
+    rng = np.random.default_rng(seed)
+    a = random_state(rng, max_cutoff=16)
+    b = a if same else random_state(rng, max_cutoff=16)
+    assert abs(purity_overlap(a, b) - trace_product(a, b)) <= 1e-12
+    # a grid that carries a state counts as that state
+    assert purity_overlap(tomogram_grid(a, phases=2), b) == purity_overlap(a, b)
+
+
+def test_gaussian_fock_amplitudes_match_a_dense_hermite_projection():
+    y = np.linspace(-30.0, 30.0, 24001)
+    herm = np.array([hermite_psi(n, y) for n in range(MAX_FOCK_CUTOFF + 1)])
+    rng = np.random.default_rng(17)
+    for squeeze in np.geomspace(1e-2, 1e2, 9):
+        g = GaussianState(*rng.uniform(-2.0, 2.0, size=2), squeeze)
+        dense = np.trapezoid(herm * gaussian_wavefunction(g, y), y, axis=1)
+        assert np.max(np.abs(_fock_amplitudes(g, MAX_FOCK_CUTOFF + 1) - dense)) <= 1e-12
+
+
+def test_state_pairs_take_neither_the_quadrature_nor_the_characteristic_function():
+    def forbidden(*args, **kwargs):
+        raise AssertionError("state pairs are summed in closed form")
+
     mixture = MixedState(
         ((0.4, FockSuperposition((0.6, 0.0, 0.8j))), (0.6, GaussianState(0.3, -0.5, 1.7)))
     )
+    grid = tomogram_grid(fock(2), phases=8)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(quadrature, "adaptive", forbidden)
+        mp.setattr(purity_module, "tomogram_characteristic", forbidden)
+        for a, b in (
+            (mixture, mixture),
+            (mixture, fock(2)),
+            (thermal_state(1.0), vacuum()),
+            (grid, mixture),
+            (grid, grid),
+        ):
+            purity_overlap(a, b)
+
+
+def test_state_against_bare_grid_matches_the_closed_form():
+    mixture = MixedState(((0.5, fock(1)), (0.5, GaussianState(0.4, 0.2, 1.5))))
+    for state, other in (
+        (FockSuperposition((0.8, 0.0, 0.6)), GaussianState(0.3, -0.2, 1.4)),
+        (GaussianState(0.5, 0.1, 2.0), mixture),
+        (thermal_state(0.5), fock(1)),
+    ):
+        grid = tomogram_grid(state, phases=64)
+        bare = TomogramGrid(grid.phases, grid.xs, grid.values)
+        assert purity_overlap(bare, other) == pytest.approx(trace_product(state, other), abs=1e-4)
+        assert purity_overlap(other, bare) == pytest.approx(trace_product(other, state), abs=1e-4)
+
+
+def test_bare_grid_pairs_average_the_stored_phases():
     grid = tomogram_grid(FockSuperposition((0.8, 0.0, 0.6)), phases=64)
     bare = TomogramGrid(grid.phases, grid.xs, grid.values)
-    default = uniform_phases(DEFAULT_STATE_PHASES)
-    for a, b, phases in (
-        (mixture, mixture, default),
-        (mixture, fock(2), default),
-        (GaussianState(0.2, 0.1, 2.0), fock(1), default),
-        (bare, bare, bare.phases),
-        (bare, grid, bare.phases),
-    ):
+    for a, b in ((bare, bare), (bare, grid)):
         value, (r, wts) = _overlap_and_final_nodes(a, b)
-        assert value == _phase_sum(a, b, phases, r, wts)
-    # a grid that carries a Fock-only state integrates over phase exactly
-    value, (r, wts) = _overlap_and_final_nodes(grid, fock(2))
-    assert abs(value - _phase_sum(grid, fock(2), default, r, wts)) <= 1e-13
-
-
-def test_fock_only_sources_evaluate_phases_only_in_the_radius_probe():
-    radii = []
-
-    def recording(src, phase, r):
-        radii.append(np.size(r))
-        return tomogram_characteristic(src, phase, r)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(purity_module, "tomogram_characteristic", recording)
-        purity_overlap(thermal_state(1.0), fock(2))
-        assert radii and set(radii) == {1}
-        purity_overlap(GaussianState(0.2, 0.1, 2.0), fock(2))
-        assert max(radii) > 1
+        assert value == _phase_sum(a, b, bare.phases, r, wts)
