@@ -2,7 +2,9 @@
 
 Samples are drawn per phase by inverse-CDF lookup on a finely tabulated
 tomogram row (4097 points over the 8-sigma window keeps the CDF interpolation
-error well under 1e-4 in probability).  The lookup is a guide table (Chen &
+error well under 1e-4 in probability).  Each ``sample`` call tabulates the
+rows of its schedule's distinct reduced phases in one batched row evaluation,
+and builds each row's lookup once.  The lookup is a guide table (Chen &
 Asau 1974; Devroye 1986, sec. III.2.4): the uniform draw's bin among
 2 * (CDF_POINTS - 1) equal bins of [0, 1) names the knot interval, so each
 shot costs a few array reads instead of a binary search, and the result is
@@ -11,13 +13,15 @@ reduced through the parity rule w(X, theta + pi) = w(-X, theta): its records
 are stored at the reduced phase and drawn there, negated on a mirrored
 phase.  The RNG is numpy's PCG64 seeded through SeedSequence, with one
 spawned child stream per schedule entry, so a (state, schedule, seed) triple
-reproduces the dataset bit for bit.
+reproduces the dataset bit for bit.  A dataset computes the moments of each
+set of matching runs once and keeps them.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -27,7 +31,7 @@ import numpy as np
 from .errors import InputError
 from .inequalities import InequalityReport, _report
 from .states import State, grid_halfwidth, state_label
-from .tomography import PHASE_TOL, _nearest_phase, _state_row, wrap_phase
+from .tomography import PHASE_TOL, _nearest_phase, _state_rows, wrap_phase
 
 __all__ = [
     "GENERATOR_NAME",
@@ -100,26 +104,74 @@ class HomodyneDataset:
         bounds = np.append(np.flatnonzero(first), thetas.size)
         return thetas[bounds[:-1]], bounds
 
-    def values_at(self, phase: float) -> np.ndarray:
-        """The records that answer any real phase: those within PHASE_TOL of
-        it on the pi-circle (``tomography._nearest_phase``), in record order
-        and negated where X is mirrored, as a read-only array.  An unmirrored
-        phase held in one run, as ``sample`` writes them, is read in place."""
-        phases, bounds = self._runs
+    def _match(self, phase):
+        """(hit, mirrored): the runs whose phase lies within PHASE_TOL of any
+        real phase on the pi-circle (``tomography._nearest_phase``), and
+        whether X is mirrored there."""
+        phases, _ = self._runs
         if not phases.size:
-            return self.xs
+            return np.empty(0, dtype=np.intp), False
         _, mirrored, gaps = _nearest_phase(phases, phase)
-        hit = (gaps <= PHASE_TOL).nonzero()[0]
+        return (gaps <= PHASE_TOL).nonzero()[0], mirrored
+
+    def _stored_values(self, hit):
+        """The records of the runs ``hit``, in record order; one run, as
+        ``sample`` writes a phase, is a slice of ``xs``."""
+        phases, bounds = self._runs
         if hit.size == 1:
-            values = self.xs[bounds[hit[0]]:bounds[hit[0] + 1]]
-        else:
-            # no run matches, or several do: a phase stored in several runs,
-            # or distinct stored phases within the tolerance
-            values = self.xs[np.isin(self.thetas, phases[hit])]
+            return self.xs[bounds[hit[0]]:bounds[hit[0] + 1]]
+        # no run matches, or several do: a phase stored in several runs, or
+        # distinct stored phases within the tolerance
+        return self.xs[np.isin(self.thetas, phases[hit])]
+
+    def values_at(self, phase: float) -> np.ndarray:
+        """The records that answer any real phase, in record order and
+        negated where X is mirrored, as a read-only array.  An unmirrored
+        phase held in one run, as ``sample`` writes them, is read in place."""
+        hit, mirrored = self._match(phase)
+        values = self._stored_values(hit)
         if mirrored:
             values = -values
         values.setflags(write=False)
         return values
+
+    @cached_property
+    def _run_moments(self):
+        """(mean, var, m4, n) of the unmirrored records of each matched run
+        set, keyed by its run indices; filled by ``_moments_at``."""
+        return {}
+
+    def _moments_at(self, phase):
+        """(mean, var, m4, n) of the records that answer ``phase``: the mean
+        and unbiased variance, the fourth central moment and the count.
+
+        Each run set's moments are computed once.  A mirrored phase negates
+        the mean only, which is bitwise the moments of the negated records:
+        mean(-v) = -mean(v), and the centred squares are unchanged.  Fewer
+        than MIN_SAMPLES records raise InputError on every call.
+        """
+        hit, mirrored = self._match(phase)
+        _, bounds = self._runs
+        n = int((bounds[hit + 1] - bounds[hit]).sum())
+        if n < MIN_SAMPLES:
+            raise InputError(
+                f"need at least {MIN_SAMPLES} records at phase {float(phase):.6g}, got {n}"
+            )
+        key = tuple(hit.tolist())
+        moments = self._run_moments.get(key)
+        if moments is None:
+            values = self._stored_values(hit)
+            mean = float(values.mean())
+            squared = values - mean
+            squared *= squared
+            # bitwise values.var(ddof=1): numpy sums the same squares
+            var = float(squared.sum() / (n - 1))
+            squared *= squared
+            moments = self._run_moments[key] = (mean, var, float(squared.mean()), n)
+        if mirrored:
+            mean, var, m4, n = moments
+            return -mean, var, m4, n
+        return moments
 
 
 @dataclass(frozen=True)
@@ -134,23 +186,27 @@ class MomentEstimate:
     variance_stderr: float
 
 
-def _tabulated_cdf(state: State, phase: float):
+def _tabulated_cdf(state: State, phases):
+    """(cdf, xs): the normalised CDF of each phase's row, shape
+    (len(phases), CDF_POINTS), over one grid xs of CDF_POINTS knots spanning
+    the state's window; the rows come from one ``_state_rows`` call."""
     half = grid_halfwidth(state)
     xs = np.linspace(-half, half, CDF_POINTS)
-    row = _state_row(state, float(phase), xs)
+    rows = _state_rows(state, phases, xs)
     dx = xs[1] - xs[0]
-    cdf = np.concatenate(([0.0], np.cumsum(0.5 * (row[1:] + row[:-1]) * dx)))
-    total = cdf[-1]
-    if total <= 0.0:
+    cdf = np.zeros(rows.shape)
+    np.cumsum(0.5 * (rows[:, 1:] + rows[:, :-1]) * dx, axis=1, out=cdf[:, 1:])
+    total = cdf[:, -1:].copy()
+    if np.any(total <= 0.0):
         raise InputError("density row has no mass; cannot sample")
     cdf /= total
     # the tiny ramp lifts the flat left tail; near 1 its steps fall below
     # ulp(1), so the right tail keeps plateaus of equal knots.  The lookup
     # needs only cdf[0] = 0, cdf[-1] = 1 and a non-decreasing table: a draw
     # u < 1 always lies in an interval cdf[j] <= u < cdf[j + 1]
-    eps = np.arange(CDF_POINTS) * (1e-15 / CDF_POINTS)
-    cdf = np.maximum.accumulate(cdf + eps)
-    cdf /= cdf[-1]
+    cdf += np.arange(CDF_POINTS) * (1e-15 / CDF_POINTS)
+    np.maximum.accumulate(cdf, axis=1, out=cdf)
+    cdf /= cdf[:, -1:].copy()
     return cdf, xs
 
 
@@ -166,42 +222,64 @@ def _guide_table(cdf, bins):
     return np.cumsum(np.bincount(np.ceil(cdf * bins).astype(np.intp), minlength=bins + 1)) - 1
 
 
-def _inverse_cdf(u, cdf, xs):
-    """``np.interp(u, cdf, xs)`` for draws u in [0, 1), bit for bit, by
-    guide-table lookup.
+def _inverse_cdf(cdf, xs):
+    """The inverse of one CDF row by guide-table lookup: a function that
+    overwrites draws u in [0, 1) with ``np.interp(u, cdf, xs)``, bit for bit.
 
     Bin k of B equal bins of [0, 1) (B a power of two, so k / B <= u is exact
     for k = floor(u * B)) starts in knot interval guide[k].  A bin that spans at
-    most one knot settles j with one comparison; draws in wider bins, all in
-    the tails, take a binary search.  The interval j then gives numpy's own
-    formula slope[j] * (u - cdf[j]) + xs[j].  Its slopes are finite, since
-    cdf[j] < cdf[j + 1], so a draw equal to a knot gives xs[j] exactly, as
-    np.interp's special case does.
+    most one knot settles j with one comparison against cdf[guide[k] + 1];
+    draws in wider bins, all in the tails, take a binary search.  The
+    interval j then gives numpy's own formula slope[j] * (u - cdf[j]) + xs[j].
+    Its slopes are finite, since cdf[j] < cdf[j + 1], so a draw equal to a
+    knot gives xs[j] exactly, as np.interp's special case does.  The tables
+    are built once per row, however many draws it inverts.
     """
     bins = 2 * (CDF_POINTS - 1)
     guide = _guide_table(cdf, bins)
-    k = (u * bins).astype(np.intp)
-    j = guide[k]
-    j += u >= cdf[j + 1]
-    wide = (np.diff(guide) > 1)[k]
-    if wide.any():
-        j[wide] = np.searchsorted(cdf, u[wide], side="right") - 1
+    # for k < bins, k / bins < cdf[-1] = 1, so guide[k] + 1 is a knot
+    upper = cdf[guide[:-1] + 1]
+    wide_bins = np.diff(guide) > 1
     with np.errstate(divide="ignore"):  # plateau intervals are never used
         slopes = np.diff(xs) / np.diff(cdf)
-    return slopes[j] * (u - cdf[j]) + xs[j]
+
+    def invert(u):
+        k = (u * bins).astype(np.intp)
+        j = guide.take(k)
+        j += u >= upper.take(k)
+        wide = wide_bins.take(k)
+        if wide.any():
+            j[wide] = np.searchsorted(cdf, u[wide], side="right") - 1
+        u -= cdf.take(j)
+        u *= slopes.take(j)
+        u += xs.take(j)
+
+    return invert
+
+
+def _integer(value):
+    """``value`` as an int if it is an integer, numpy's included, and not a
+    bool; else None."""
+    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
+        return int(value)
+    return None
 
 
 def sample(state: State, phase_schedule, seed: int) -> HomodyneDataset:
     """Draw quadrature samples for each (phase, count) entry of the schedule.
 
-    Deterministic: the seed and schedule fully determine the dataset.  Each
-    entry tabulates its own CDF and inverts its uniform draws by guide-table
-    lookup (``_inverse_cdf``, bitwise ``np.interp``); nothing is kept between
-    calls.  A phase outside [0, pi) (any finite phase below MAX_PHASE in
-    magnitude) is reduced mod pi: its records are stored at the reduced phase,
-    with the drawn values negated where the reduction mirrors the X axis.
+    Deterministic: the seed and schedule fully determine the dataset.  The
+    CDFs of the schedule's distinct reduced phases are tabulated in one pass
+    and each is inverted by guide-table lookup (``_inverse_cdf``, bitwise
+    ``np.interp``), straight into the dataset's records; entries at one
+    reduced phase share its table, and nothing is kept between calls.  A
+    phase outside [0, pi) (any finite phase below MAX_PHASE in magnitude) is
+    reduced mod pi: its records are stored at the reduced phase, with the
+    drawn values negated where the reduction mirrors the X axis.  Counts and
+    the seed may be any integers (numpy's included) but bools.
     """
-    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+    seed_value = _integer(seed)
+    if seed_value is None or seed_value < 0:
         raise InputError(f"seed must be a non-negative integer, got {seed!r}")
     schedule = list(phase_schedule)
     if not schedule:
@@ -213,23 +291,29 @@ def sample(state: State, phase_schedule, seed: int) -> HomodyneDataset:
         except (TypeError, ValueError) as exc:
             raise InputError("schedule entries must be (phase, count) pairs") from exc
         reduced, mirrored = wrap_phase(phase)
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+        n = _integer(count)
+        if n is None or n < 1:
             raise InputError(f"sample count must be a positive integer, got {count!r}")
-        parsed.append((reduced, mirrored, count))
+        parsed.append((reduced, mirrored, n))
 
-    children = np.random.SeedSequence(seed).spawn(len(parsed))
+    # entries at one reduced phase share a row (0.0 and -0.0 count as one)
+    distinct, row_of = np.unique([phase for phase, _, _ in parsed], return_inverse=True)
+    cdf, xs = _tabulated_cdf(state, distinct)
+    inverses = [_inverse_cdf(row, xs) for row in cdf]
+    children = np.random.SeedSequence(seed_value).spawn(len(parsed))
     total = sum(count for _, _, count in parsed)
     thetas = np.empty(total)
     values = np.empty(total)
     lo = 0
-    for (phase, mirrored, count), child in zip(parsed, children):
-        cdf, xs = _tabulated_cdf(state, phase)
-        rng = np.random.Generator(np.random.PCG64(child))
-        drawn = _inverse_cdf(rng.random(count), cdf, xs)
-        values[lo:lo + count] = -drawn if mirrored else drawn
+    for (phase, mirrored, count), row, child in zip(parsed, row_of.tolist(), children):
+        drawn = values[lo:lo + count]
+        np.random.Generator(np.random.PCG64(child)).random(out=drawn)
+        inverses[row](drawn)
+        if mirrored:
+            np.negative(drawn, out=drawn)
         thetas[lo:lo + count] = phase
         lo += count
-    return HomodyneDataset._adopt(thetas, values, seed, state_label(state))
+    return HomodyneDataset._adopt(thetas, values, seed_value, state_label(state))
 
 
 def estimate_moments(ds: HomodyneDataset, phase: float) -> MomentEstimate:
@@ -238,23 +322,15 @@ def estimate_moments(ds: HomodyneDataset, phase: float) -> MomentEstimate:
     SE(mean) = s/sqrt(N); SE(variance) from the fourth-moment formula
     Var(s^2) ~= (m4 - s^4 (N-3)/(N-1)) / N.  Any phase is read through the
     parity rule: theta + pi holds the records of theta with the mean negated.
+    The dataset computes each set of matching runs' moments once.
     """
-    values = ds.values_at(phase)
-    n = values.size
-    if n < MIN_SAMPLES:
-        raise InputError(
-            f"need at least {MIN_SAMPLES} records at phase {float(phase):.6g}, got {n}"
-        )
-    mean = float(values.mean())
-    var = float(values.var(ddof=1))
-    squared = (values - mean) ** 2
-    m4 = float(np.mean(squared * squared))
+    mean, var, m4, n = ds._moments_at(phase)
     var_of_var = max(0.0, (m4 - var * var * (n - 3) / (n - 1)) / n)
     return MomentEstimate(
         mean=mean,
         variance=var,
         phase=float(phase),
-        count=int(n),
+        count=n,
         mean_stderr=math.sqrt(var / n),
         variance_stderr=math.sqrt(var_of_var),
     )

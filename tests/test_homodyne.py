@@ -1,6 +1,6 @@
 import json
 import math
-from dataclasses import replace
+from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
@@ -22,13 +22,16 @@ from optomo import (
     uniform_phases,
     vacuum,
 )
+from optomo import homodyne
 from optomo.homodyne import (
     CDF_POINTS,
+    MIN_SAMPLES,
+    MomentEstimate,
     _guide_table,
     _inverse_cdf,
     _tabulated_cdf,
 )
-from optomo.tomography import MAX_PHASE, PHASE_TOL, wrap_phase
+from optomo.tomography import MAX_PHASE, PHASE_TOL, _state_rows, wrap_phase
 from oracles import random_state
 
 S2 = GaussianState(0.0, 0.0, 2.0)
@@ -73,12 +76,13 @@ def test_a_phase_outside_zero_to_pi_draws_its_reduced_phase_mirrored():
 @given(seed=hyp_st.integers(0, 2**32 - 1), phase=hyp_st.floats(0.0, math.pi, exclude_max=True))
 def test_inverse_cdf_is_bitwise_np_interp(seed, phase):
     rng = np.random.default_rng(seed)
-    cdf, xs = _tabulated_cdf(random_state(rng), phase)
+    (cdf,), xs = _tabulated_cdf(random_state(rng), [phase])
     # 0, every knot below 1 (tail plateaus, exact knot hits, bins spanning
     # many knots), the largest draw below 1 and uniform draws
     u = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], cdf[cdf < 1.0], rng.random(20_000)))
     want = np.interp(u, cdf, xs)
-    assert np.array_equal(_inverse_cdf(u, cdf, xs).view(np.int64), want.view(np.int64))
+    _inverse_cdf(cdf, xs)(u)  # in place
+    assert np.array_equal(u.view(np.int64), want.view(np.int64))
 
 
 @given(
@@ -89,7 +93,7 @@ def test_inverse_cdf_is_bitwise_np_interp(seed, phase):
 def test_guide_table_is_bitwise_searchsorted(seed, phase, n_knots):
     bins = 2 * (CDF_POINTS - 1)
     rng = np.random.default_rng(seed)
-    cdf, _ = _tabulated_cdf(random_state(rng), phase)
+    (cdf,), _ = _tabulated_cdf(random_state(rng), [phase])
     # a short table with knots on bin edges k / bins, one ulp off them, inside
     # bins, and in plateaus
     edges = rng.integers(0, bins + 1, size=n_knots) / bins
@@ -104,21 +108,67 @@ def test_guide_table_is_bitwise_searchsorted(seed, phase, n_knots):
         assert np.array_equal(_guide_table(table, bins), want)
 
 
-def test_sampled_records_are_the_per_entry_draws_in_schedule_order():
+def test_sampled_records_are_the_per_entry_draws_in_schedule_order(monkeypatch):
     state = FockSuperposition((0.5, 0.3j, -0.4, 0.2))
-    schedule = [(0.3, 700), (2.0 + math.pi, 500), (-0.0, 300)]
+    # 0.5 + pi and 2.0 + pi reduce to 0.5 and 2.0 exactly, and -0.0 == 0.0
+    schedule = [(0.5, 700), (2.0 + math.pi, 500), (-0.0, 300), (0.5 + math.pi, 200), (2.0, 100), (0.0, 60)]
+    calls = []
+
+    def recording_rows(st, phases, xs):
+        calls.append(np.array(phases))
+        return _state_rows(st, phases, xs)
+
+    monkeypatch.setattr(homodyne, "_state_rows", recording_rows)
     ds = sample(state, schedule, seed=11)
+    # one row per distinct reduced phase: theta and theta + pi share one
+    assert len(calls) == 1 and np.array_equal(calls[0], [0.0, 0.5, 2.0])
+    cdf, grid = _tabulated_cdf(state, calls[0])
     children = np.random.SeedSequence(11).spawn(len(schedule))
     thetas, xs = [], []
     for (phase, count), child in zip(schedule, children):
         reduced, mirrored = wrap_phase(phase)
-        cdf, grid = _tabulated_cdf(state, reduced)
-        drawn = np.interp(np.random.Generator(np.random.PCG64(child)).random(count), cdf, grid)
+        row = cdf[np.flatnonzero(calls[0] == reduced)[0]]
+        drawn = np.interp(np.random.Generator(np.random.PCG64(child)).random(count), row, grid)
         thetas.append(np.full(count, reduced))
         xs.append(-drawn if mirrored else drawn)
     assert np.array_equal(ds.thetas.view(np.int64), np.concatenate(thetas).view(np.int64))
     assert np.array_equal(ds.xs.view(np.int64), np.concatenate(xs).view(np.int64))
     assert not ds.thetas.flags.writeable and not ds.xs.flags.writeable
+
+
+@given(
+    seed=hyp_st.integers(0, 2**32 - 1),
+    phases=hyp_st.lists(hyp_st.floats(0.0, math.pi, exclude_max=True), min_size=1, max_size=5),
+)
+def test_batched_cdf_rows_match_the_single_phase_tables(seed, phases):
+    state = random_state(np.random.default_rng(seed))
+    cdf, xs = _tabulated_cdf(state, phases)
+    assert cdf.shape == (len(phases), CDF_POINTS)
+    for phase, row in zip(phases, cdf):
+        (want,), want_xs = _tabulated_cdf(state, [phase])
+        assert np.array_equal(xs, want_xs)
+        assert row[0] == 0.0 and row[-1] == 1.0 and np.all(np.diff(row) >= 0.0)
+        if isinstance(state, GaussianState):
+            assert np.array_equal(row.view(np.int64), want.view(np.int64))
+        else:
+            # the batched matrix product may round differently in the last bit
+            assert np.max(np.abs(row - want)) <= 1e-15
+
+
+@pytest.mark.parametrize("to_numpy", [np.int64, np.int32])
+def test_numpy_integer_counts_and_seeds_are_accepted(to_numpy):
+    state = FockSuperposition((0.6, 0.0, 0.8))
+    want = sample(state, [(0.3, 100), (1.2, 50)], seed=7)
+    got = sample(state, [(0.3, to_numpy(100)), (1.2, to_numpy(50))], seed=to_numpy(7))
+    assert np.array_equal(got.thetas.view(np.int64), want.thetas.view(np.int64))
+    assert np.array_equal(got.xs.view(np.int64), want.xs.view(np.int64))
+    assert type(got.seed) is int and got.seed == 7
+    with pytest.raises(InputError, match="sample count"):
+        sample(state, [(0.3, True)], seed=7)
+    with pytest.raises(InputError, match="seed"):
+        sample(state, [(0.3, 100)], seed=True)
+    with pytest.raises(InputError, match="seed"):
+        sample(state, [(0.3, 100)], seed=to_numpy(-1))
 
 
 def test_caller_arrays_are_copied_and_stay_writable():
@@ -179,6 +229,103 @@ def test_dataset_phases_just_below_a_stored_phase_read_it():
         assert estimate_moments(ds, phase) == replace(estimate_moments(ds, stored), phase=phase)
         report = empirical_trifonov(ds, ds, phase)
         assert report == replace(empirical_trifonov(ds, ds, stored), phase=phase)
+
+
+def _record_estimate(values, phase):
+    """estimate_moments computed from explicit records with numpy's own
+    mean and var, one pass per call."""
+    n = values.size
+    mean = float(values.mean())
+    var = float(values.var(ddof=1))
+    squared = (values - mean) ** 2
+    m4 = float(np.mean(squared * squared))
+    var_of_var = max(0.0, (m4 - var * var * (n - 3) / (n - 1)) / n)
+    return MomentEstimate(mean, var, float(phase), n, math.sqrt(var / n), math.sqrt(var_of_var))
+
+
+def _bits(estimate):
+    return [float(v).hex() for v in astuple(estimate)]
+
+
+# a phase held in one run (as sample writes it), a phase stored in two runs,
+# and a phase near two stored phases (0.3 and 0.3 + PHASE_TOL / 2)
+_CLOSE = 0.3 + 0.5 * PHASE_TOL
+_RUN_DATASETS = (
+    (np.repeat([1.2, 0.3, 2.0], 200), (1.2, 0.3, 2.0)),
+    (np.tile(np.repeat([0.3, 1.2], 100), 2), (0.3, 1.2)),
+    (np.repeat([0.3, _CLOSE, 2.0], 200), (0.3, _CLOSE, 2.0)),
+)
+
+
+def _queries(stored):
+    # every stored phase, mirrored (+ pi, - pi), 1e-13 off it, and 0.6
+    # PHASE_TOL below it: 0.3 - 0.6 PHASE_TOL matches 0.3 but not _CLOSE
+    return [
+        q
+        for p in stored
+        for q in (p, p + math.pi, p - math.pi, p + 1e-13 * (-1) ** int(p), p - 0.6 * PHASE_TOL)
+    ]
+
+
+def test_estimates_are_the_record_formulas_on_every_path():
+    rng = np.random.default_rng(17)
+    for thetas, stored in _RUN_DATASETS:
+        ds = HomodyneDataset(thetas, rng.normal(0.4, 1.3, size=thetas.size), seed=0, state_label="x")
+        for query in _queries(stored) * 2:  # the second pass reads kept moments
+            want = _record_estimate(ds.values_at(query), query)
+            assert _bits(estimate_moments(ds, query)) == _bits(want)
+        # the mask path runs once per matched run set, not once per query
+        assert len(ds._run_moments) == len(stored)
+
+
+@given(order=hyp_st.permutations(range(15)), pick=hyp_st.integers(0, 2))
+def test_estimates_do_not_depend_on_the_call_order(order, pick):
+    thetas, stored = _RUN_DATASETS[pick]
+    xs = np.random.default_rng(pick).normal(-0.2, 0.8, size=thetas.size)
+    ds = HomodyneDataset(thetas, xs, seed=0, state_label="x")
+    queries = _queries(stored)
+    for i in order:
+        query = queries[i % len(queries)]
+        fresh = HomodyneDataset(thetas, xs, seed=0, state_label="x")
+        assert _bits(estimate_moments(ds, query)) == _bits(estimate_moments(fresh, query))
+
+
+def test_a_mirrored_phase_negates_only_the_mean():
+    ds = sample(FockSuperposition((0.5, 0.3j, -0.4, 0.2)), [(0.7, 500)], seed=2)
+    base = estimate_moments(ds, 0.7)
+    for query in (0.7 + math.pi, 0.7 - 3 * math.pi):
+        est = estimate_moments(ds, query)
+        assert est.mean == -base.mean and est.mean != 0.0
+        assert _bits(replace(est, mean=base.mean, phase=0.7)) == _bits(base)
+        assert _bits(est) == _bits(_record_estimate(-ds.values_at(0.7), query))
+
+
+def test_too_few_records_raise_on_every_call():
+    ds = HomodyneDataset(np.repeat([0.0, 1.0], [MIN_SAMPLES - 1, 100]), np.arange(129.0), 0, "x")
+    for _ in range(2):
+        with pytest.raises(InputError, match=f"got {MIN_SAMPLES - 1}"):
+            estimate_moments(ds, 0.0)
+        with pytest.raises(InputError, match="got 0"):
+            estimate_moments(ds, 0.5)
+        estimate_moments(ds, 1.0)
+        with pytest.raises(InputError, match=f"got {MIN_SAMPLES - 1}"):
+            estimate_moments(ds, math.pi)
+    assert list(ds._run_moments) == [(1,)]
+
+
+def test_one_dataset_trifonov_check_is_the_record_formula():
+    ds = sample(GaussianState(0.2, 0.1, 1.5), [(0.3, 400), (0.3 + HALF_PI, 400)], seed=5)
+    for phase in (0.3, 0.3 + math.pi, 0.3 - HALF_PI):
+        e = _record_estimate(ds.values_at(phase), phase)
+        e_rot = _record_estimate(ds.values_at(phase + HALF_PI), phase + HALF_PI)
+        lhs = 0.5 * (e.variance * e_rot.variance) + 0.5 * (e.variance * e_rot.variance)
+        grad_sq = 2 * (0.5 * e_rot.variance * e.variance_stderr) ** 2 + 2 * (
+            0.5 * e.variance * e_rot.variance_stderr
+        ) ** 2
+        rep = empirical_trifonov(ds, ds, phase)
+        assert rep.lhs == lhs
+        assert rep.stderr == pytest.approx(math.sqrt(2.0 * grad_sq), rel=1e-15)
+        assert rep.tolerance == pytest.approx(3.0 * rep.stderr, rel=1e-15)
 
 
 def test_dataset_invariants():
