@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -30,7 +29,7 @@ import numpy as np
 
 from .errors import InputError
 from .inequalities import InequalityReport, _report
-from .states import State, grid_halfwidth, state_label
+from .states import State, _integer, grid_halfwidth, state_label
 from .tomography import PHASE_TOL, _nearest_phase, _state_rows, wrap_phase
 
 __all__ = [
@@ -255,14 +254,6 @@ def _inverse_cdf(cdf, xs):
         u += xs.take(j)
 
     return invert
-
-
-def _integer(value):
-    """``value`` as an int if it is an integer, numpy's included, and not a
-    bool; else None."""
-    if isinstance(value, numbers.Integral) and not isinstance(value, bool):
-        return int(value)
-    return None
 
 
 def sample(state: State, phase_schedule, seed: int) -> HomodyneDataset:

@@ -9,6 +9,8 @@ stays because ``perfbench/tracing.py`` looks it up by name.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = [
@@ -52,9 +54,17 @@ def hermite_functions(nmax, y):
     y = np.ascontiguousarray(y, dtype=np.float64)
     nmax = int(nmax)
     out = np.empty((nmax + 1, y.size))
-    out[0] = np.pi ** -0.25 * np.exp(-0.5 * y * y)
+    # each row is built in place, operation for operation as in the formulas
+    np.multiply(-0.5 * y, y, out=out[0])
+    np.exp(out[0], out=out[0])
+    out[0] *= np.pi ** -0.25
     if nmax >= 1:
-        out[1] = np.sqrt(2.0) * y * out[0]
+        np.multiply(math.sqrt(2.0) * y, out[0], out=out[1])
+    scratch = np.empty(y.size)
     for n in range(2, nmax + 1):
-        out[n] = np.sqrt(2.0 / n) * y * out[n - 1] - np.sqrt((n - 1.0) / n) * out[n - 2]
+        row = out[n]
+        np.multiply(y, math.sqrt(2.0 / n), out=row)
+        row *= out[n - 1]
+        np.multiply(out[n - 2], math.sqrt((n - 1.0) / n), out=scratch)
+        row -= scratch
     return out

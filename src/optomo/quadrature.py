@@ -59,30 +59,37 @@ def simpson(y, xs):
     h1 = h[1:stop + 1:2]
     hsum = h0 + h1
     ratio = h0 / h1
-    total = np.sum(
-        hsum / 6.0 * (
-            y[..., 0:stop:2] * (2.0 - 1.0 / ratio)
-            + y[..., 1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
-            + y[..., 2:stop + 2:2] * (2.0 - ratio)
-        ),
-        axis=-1,
-    )
+    # hsum / 6 * (y0 (2 - 1/ratio) + y1 hsum^2 / (h0 h1) + y2 (2 - ratio)),
+    # evaluated in place in that order
+    terms = y[..., 0:stop:2] * (2.0 - 1.0 / ratio)
+    scratch = y[..., 1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+    terms += scratch
+    np.multiply(y[..., 2:stop + 2:2], 2.0 - ratio, out=scratch)
+    terms += scratch
+    terms *= hsum / 6.0
+    total = np.sum(terms, axis=-1)
     if n % 2 == 0:
-        # one-element arrays, as in scipy: a scalar hb ** 3 can round differently
-        ha, hb = h[-2:-1], h[-1:]
-        alpha = (2 * hb ** 2 + 3 * ha * hb) / (6 * (hb + ha))
-        beta = (hb ** 2 + 3.0 * ha * hb) / (6 * ha)
-        eta = hb ** 3 / (6 * ha * (ha + hb))
-        last = alpha * y[..., -1:] + beta * y[..., -2:-1] - eta * y[..., -3:-2]
-        total = total + last[..., 0]
+        # scipy's one-element array arithmetic on floats, which rounds the
+        # same; hb ** 3 stays an array power, as a scalar one can round differently
+        ha, hb = float(h[-2]), float(h[-1])
+        alpha = (2 * (hb * hb) + 3 * ha * hb) / (6 * (hb + ha))
+        beta = (hb * hb + 3.0 * ha * hb) / (6 * ha)
+        eta = float((h[-1:] ** 3)[0]) / (6 * ha * (ha + hb))
+        total = total + (alpha * y[..., -1] + beta * y[..., -2] - eta * y[..., -3])
     return total
 
 
 def simpson_moments(xs, rows):
     """(mean, variance) of the densities in rows along the last axis, by
-    Simpson's rule; a variance that rounds below zero is clamped to 0."""
-    mean = simpson(rows * xs, xs)
-    var = simpson(rows * xs * xs, xs) - mean * mean
+    Simpson's rule; a variance that rounds below zero is clamped to 0.
+
+    rows * xs and rows * xs * xs are stacked and integrated in one ``simpson``
+    call, which gives each bitwise what a call of its own would."""
+    products = np.empty((2,) + np.shape(rows))
+    np.multiply(rows, xs, out=products[0])
+    np.multiply(products[0], xs, out=products[1])
+    mean, second = simpson(products, xs)
+    var = second - mean * mean
     return mean, np.where(var < 0.0, 0.0, var)
 
 

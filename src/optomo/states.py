@@ -14,7 +14,8 @@ import cmath
 import json
 import math
 from dataclasses import dataclass
-from numbers import Real
+from functools import cached_property
+from numbers import Integral, Real
 from typing import Union
 
 import numpy as np
@@ -70,6 +71,10 @@ class GaussianState:
         if self.squeeze <= 0.0:
             raise InputError(f"squeeze must be > 0, got {self.squeeze}")
 
+    @cached_property
+    def _moments(self):
+        return _compute_moments(self)
+
 
 @dataclass(frozen=True)
 class FockSuperposition:
@@ -104,6 +109,10 @@ class FockSuperposition:
 
     def coeff_array(self) -> np.ndarray:
         return np.asarray(self.coeffs, dtype=complex)
+
+    @cached_property
+    def _moments(self):
+        return _compute_moments(self)
 
 
 PureState = Union[GaussianState, FockSuperposition]
@@ -140,6 +149,10 @@ class MixedState:
             raise InputError(f"weights must sum to 1 within {WEIGHT_TOL}, got {total!r}")
         object.__setattr__(self, "components", tuple(comps))
 
+    @cached_property
+    def _moments(self):
+        return _compute_moments(self)
+
 
 State = Union[PureState, MixedState]
 
@@ -163,11 +176,20 @@ def vacuum() -> GaussianState:
     return GaussianState(0.0, 0.0, 1.0)
 
 
+def _integer(value):
+    """``value`` as an int if it is an integer, numpy's included, and not a
+    bool; else None.  Every count and seed the package takes goes through it."""
+    if isinstance(value, Integral) and not isinstance(value, bool):
+        return int(value)
+    return None
+
+
 def fock(n: int) -> FockSuperposition:
     """The number state |n>."""
-    if not isinstance(n, int) or isinstance(n, bool) or n < 0:
+    count = _integer(n)
+    if count is None or count < 0:
         raise InputError(f"n must be a non-negative integer, got {n!r}")
-    return FockSuperposition((0.0,) * n + (1.0,))
+    return FockSuperposition((0.0,) * count + (1.0,))
 
 
 def thermal_state(nbar: float, tail: float = 1e-10) -> MixedState:
@@ -258,9 +280,20 @@ def _mean_and_covariance(state):
     """(mean_q, mean_p, var_q, var_p, cov_qp) of ``state``: its mean vector and
     symmetrised covariance matrix, which fix the moments at every phase.
 
-    A Fock superposition's come from the ladder sums <a>, <a^2> and <n>; a
-    mixture's from the law of total covariance over its components.
+    Computed on first use and kept on the state (its ``_moments``), so the
+    grid window, the bandwidth and the Gaussian rows of one state share one
+    computation.  The kept value is not a field: equality, hashing and the
+    JSON spec ignore it.
     """
+    if not isinstance(state, (GaussianState, FockSuperposition, MixedState)):
+        raise InputError(f"expected a state, got {type(state).__name__}")
+    return state._moments
+
+
+def _compute_moments(state):
+    """``_mean_and_covariance`` from scratch.  A Fock superposition's come
+    from the ladder sums <a>, <a^2> and <n>; a mixture's from the law of total
+    covariance over its components."""
     if isinstance(state, GaussianState):
         return state.mean_q, state.mean_p, 0.5 * state.squeeze, 0.5 / state.squeeze, 0.0
     if isinstance(state, FockSuperposition):
@@ -271,12 +304,10 @@ def _mean_and_covariance(state):
         x2 = 0.5 + float(np.sum(n * np.abs(c) ** 2))
         mq, mp = math.sqrt(2.0) * a1.real, math.sqrt(2.0) * a1.imag
         return mq, mp, x2 + a2.real - mq * mq, x2 - a2.real - mp * mp, a2.imag - mq * mp
-    if isinstance(state, MixedState):
-        w = np.array([weight for weight, _ in state.components])
-        mq, mp, vq, vp, cqp = np.array([_mean_and_covariance(s) for _, s in state.components]).T
-        dq, dp = mq - w @ mq, mp - w @ mp
-        return w @ mq, w @ mp, w @ (vq + dq * dq), w @ (vp + dp * dp), w @ (cqp + dq * dp)
-    raise InputError(f"expected a state, got {type(state).__name__}")
+    w = np.array([weight for weight, _ in state.components])
+    mq, mp, vq, vp, cqp = np.array([_mean_and_covariance(s) for _, s in state.components]).T
+    dq, dp = mq - w @ mq, mp - w @ mp
+    return w @ mq, w @ mp, w @ (vq + dq * dq), w @ (vp + dp * dp), w @ (cqp + dq * dp)
 
 
 def _gaussian_overlap(a, b):

@@ -44,6 +44,7 @@ from .states import (
     GaussianState,
     MixedState,
     State,
+    _integer,
     _mean_and_covariance,
     _rotated_moments,
     density_bandwidth,
@@ -82,18 +83,25 @@ _ENDPOINT_EPS = 1e-12
 
 def uniform_phases(n: int) -> np.ndarray:
     """n phases uniformly spaced on [0, pi)."""
-    if n < 1:
+    count = _integer(n)
+    if count is None:
+        raise InputError(f"phase count must be an integer, got {n!r}")
+    if count < 1:
         raise InputError(f"need at least one phase, got {n}")
-    return np.arange(n) * (math.pi / n)
+    return np.arange(count) * (math.pi / count)
 
 
 def _wrap_phases(phases):
     """(reduced, mirrored) arrays: every phase mapped into [0, pi), with the
     flag saying the X axis is mirrored there.
 
-    Implements w(X, theta + pi) = w(-X, theta).
+    Implements w(X, theta + pi) = w(-X, theta).  An array (not 0-d) that
+    already lies in [0, pi), as grid phases do, returns at once.
     """
     phases = np.asarray(phases, dtype=float)
+    if phases.ndim and phases.size and 0.0 <= phases.min() and phases.max() < math.pi:
+        # + 0.0 turns -0.0 into 0.0, as the reduction below does
+        return phases + 0.0, np.zeros(phases.shape, dtype=bool)
     if not np.all(np.isfinite(phases)):
         raise InputError("phase must be finite")
     too_large = np.abs(phases) >= MAX_PHASE
@@ -176,31 +184,38 @@ class TomogramGrid:
     def __post_init__(self):
         phases = np.array(self.phases, dtype=float)
         xs = np.array(self.xs, dtype=float)
-        values = np.array(self.values, dtype=float)
+        # not copied: the clamp below makes the array the grid keeps
+        values = np.asarray(self.values, dtype=float)
         if phases.ndim != 1 or phases.size < 1:
             raise InputError("phases must be a non-empty 1-D array")
-        if np.any(~np.isfinite(phases)) or phases[0] < 0 or phases[-1] >= math.pi:
+        if not np.isfinite(phases).all() or phases[0] < 0 or phases[-1] >= math.pi:
             raise InputError("phases must be finite and lie in [0, pi)")
-        if np.any(np.diff(phases) <= 0):
+        if (phases[1:] <= phases[:-1]).any():
             raise InputError("phases must be strictly increasing")
         if xs.ndim != 1 or xs.size < 2:
             raise InputError("x grid needs at least two points")
-        steps = np.diff(xs)
-        if steps[0] <= 0 or not np.allclose(steps, steps[0], rtol=1e-9, atol=0):
+        steps = xs[1:] - xs[:-1]
+        step = steps[0]
+        # a NaN or infinite x leaves a NaN or infinite step, which fails this
+        if not 0.0 < step < math.inf or not (np.abs(steps - step) <= 1e-9 * step).all():
             raise InputError("x grid must be uniform and increasing")
         if values.shape != (phases.size, xs.size):
             raise InputError(
                 f"values shape {values.shape} does not match "
                 f"({phases.size}, {xs.size})"
             )
-        if not np.all(np.isfinite(values)):
+        if not np.isfinite(values).all():
             raise InputError("tomogram values must be finite")
         vmin = float(values.min())
         if vmin < -NEGATIVE_TOL:
             raise InputError(f"tomogram values must be >= -{NEGATIVE_TOL}, got {vmin}")
         values = np.maximum(values, 0.0)
-        masses = np.trapezoid(values, xs, axis=1)
-        bad = np.argmax(np.abs(masses - 1.0))
+        # np.trapezoid(values, xs, axis=1), operation for operation, in place
+        masses = values[:, 1:] + values[:, :-1]
+        masses *= steps
+        masses /= 2.0
+        masses = masses.sum(1)
+        bad = np.abs(masses - 1.0).argmax()
         if abs(masses[bad] - 1.0) > NORM_TOL:
             raise InputError(
                 f"row at phase {phases[bad]:.6g} integrates to {masses[bad]:.8f}, "
@@ -224,17 +239,27 @@ class TomogramGrid:
     def dx(self) -> float:
         return float(self.xs[1] - self.xs[0])
 
+    @cached_property
+    def _row_of(self):
+        """Stored phase -> row index."""
+        return {theta: i for i, theta in enumerate(self.phases.tolist())}
+
     def lookup(self, phase: float):
         """(index, mirrored): the stored phase that answers any real phase on
         the pi-circle (``_nearest_phase``), and whether the density there is
         the stored row at -X; a phase farther than PHASE_TOL from every
-        stored phase is rejected."""
-        i, mirrored, gaps = _nearest_phase(self.phases, phase)
-        if gaps[i] > PHASE_TOL:
-            raise InputError(
-                f"phase {phase:.9g} (reduced {wrap_phase(phase)[0]:.9g}) is not on "
-                f"the grid; nearest stored phase is {self.phases[i]:.9g}"
-            )
+        stored phase is rejected.  A phase that reduces to a stored phase
+        exactly is a dictionary hit."""
+        reduced, mirrored = wrap_phase(phase)
+        i = self._row_of.get(reduced)
+        if i is None:
+            i, seam, gaps = _nearest_phase(self.phases, reduced)
+            if gaps[i] > PHASE_TOL:
+                raise InputError(
+                    f"phase {phase:.9g} (reduced {reduced:.9g}) is not on "
+                    f"the grid; nearest stored phase is {self.phases[i]:.9g}"
+                )
+            mirrored = mirrored != seam
         return i, mirrored
 
     @cached_property
@@ -268,10 +293,13 @@ def _fock_rows(coeffs, reduced, mirrored, herm):
     coefficients c_n exp(-i n theta_i), with the odd ones negated on mirrored
     phases since psi_n(-X) = (-1)^n psi_n(X)."""
     n = np.arange(coeffs.size)
-    parity = np.where(mirrored[:, None], (-1.0) ** n, 1.0)
-    rotated = coeffs * np.exp(-1j * np.outer(reduced, n)) * parity
+    rotated = coeffs * np.exp(-1j * np.outer(reduced, n))
+    if mirrored.any():
+        rotated *= np.where(mirrored[:, None], (-1.0) ** n, 1.0)
     amp = rotated @ herm[: coeffs.size]
-    return amp.real ** 2 + amp.imag ** 2
+    rows = amp.real ** 2
+    rows += amp.imag ** 2
+    return rows
 
 
 def _state_rows(state, phases, xs) -> np.ndarray:
@@ -387,7 +415,7 @@ def optical_tomogram(
 
 
 def _resolve_phases(phases):
-    if isinstance(phases, int):
+    if _integer(phases) is not None:
         return uniform_phases(phases)
     arr = np.asarray(phases, dtype=float)
     if arr.ndim != 1 or arr.size < 1:
@@ -399,9 +427,12 @@ def default_n_x(state, window, requested=None):
     """X-point count: the 256-point default, raised when the state's densities
     oscillate too fast for it (trapezoid sums on rows stay spectrally exact)."""
     if requested is not None:
-        if requested < 2:
+        count = _integer(requested)
+        if count is None:
+            raise InputError(f"n_x must be an integer, got {requested!r}")
+        if count < 2:
             raise InputError(f"n_x must be >= 2, got {requested}")
-        return int(requested)
+        return count
     width = window[1] - window[0]
     needed = width * density_bandwidth(state) / math.pi * 1.25
     return min(MAX_N_X, max(DEFAULT_N_X, quadrature.pow2_at_least(needed)))

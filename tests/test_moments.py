@@ -3,8 +3,9 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as hyp_st
+from hypothesis.extra.numpy import arrays
 
 from optomo import (
     GaussianState,
@@ -25,7 +26,7 @@ from optomo import (
     tomographic_variance,
     vacuum,
 )
-from optomo.quadrature import simpson
+from optomo.quadrature import simpson, simpson_moments
 from oracles import random_state
 
 
@@ -120,6 +121,37 @@ def test_simpson_matches_scipy(n):
             assert got.shape == (5,)
             assert np.all(np.abs(got - want_rows) <= 1e-15 * np.abs(want_rows))
             assert got.tolist() == [simpson(row, xs) for row in rows]
+
+
+def _two_call_moments(xs, rows):
+    mean = simpson(rows * xs, xs)
+    var = simpson(rows * xs * xs, xs) - mean * mean
+    return mean, np.where(var < 0.0, 0.0, var)
+
+
+@given(
+    data=hyp_st.data(),
+    n=hyp_st.integers(3, 40),
+    n_rows=hyp_st.integers(0, 4),
+    uniform=hyp_st.booleans(),
+)
+@example(data=None, n=256, n_rows=16, uniform=True)
+@example(data=None, n=257, n_rows=0, uniform=True)
+def test_simpson_moments_are_the_two_call_form_bitwise(data, n, n_rows, uniform):
+    shape = (n_rows, n) if n_rows else (n,)
+    if data is None:
+        rng = np.random.default_rng(n)
+        rows, steps, x0 = rng.uniform(0.0, 1.0, shape), rng.uniform(0.01, 1.0, n - 1), -3.0
+    else:
+        rows = data.draw(arrays(np.float64, shape, elements=hyp_st.floats(0.0, 1e3)))
+        steps = data.draw(arrays(np.float64, n - 1, elements=hyp_st.floats(1e-3, 2.0)))
+        x0 = data.draw(hyp_st.floats(-50.0, 50.0))
+    xs = np.linspace(x0, x0 + steps.sum(), n) if uniform else x0 + np.cumsum(np.r_[0.0, steps])
+    got = simpson_moments(xs, rows)
+    want = _two_call_moments(xs, rows)
+    for g, w in zip(got, want):
+        assert type(g) is type(w) and np.shape(g) == np.shape(w)
+        assert np.asarray(g).tobytes() == np.asarray(w).tobytes()
 
 
 def _outcome(fn, *args):

@@ -21,8 +21,10 @@ from optomo import (
     state_from_dict,
     state_to_dict,
     thermal_state,
+    tomogram_grid,
     vacuum,
 )
+from optomo import states
 from oracles import (
     fourier_transform_minus,
     hermite_psi,
@@ -61,6 +63,14 @@ def test_fock_rejects_zero_norm_and_oversized_cutoff():
     with pytest.raises(InputError):
         FockSuperposition((1.0,) + (0.0,) * 65)
     FockSuperposition((1.0,) + (0.0,) * 64)  # cutoff 64 is allowed
+
+
+def test_number_states_take_numpy_integers_and_refuse_other_counts():
+    assert fock(np.int64(2)) == fock(2)
+    assert fock(np.int32(0)) == FockSuperposition((1.0,))
+    for bad in (2.0, True, np.float64(2.0), "2", -1, np.int64(-1)):
+        with pytest.raises(InputError, match="non-negative integer"):
+            fock(bad)
 
 
 def test_mixed_state_weight_validation():
@@ -327,3 +337,50 @@ def test_nested_mixture_rejected():
     inner = {"type": "mixed", "components": [{"weight": 1.0, "state": {"type": "gaussian", "mean_q": 0, "mean_p": 0, "squeeze": 1}}]}
     with pytest.raises(InputError, match="pure"):
         state_from_dict({"type": "mixed", "components": [{"weight": 1.0, "state": inner}]})
+
+
+# --------------------------------------------------------------------------
+# the mean vector and covariance, kept on the state
+# --------------------------------------------------------------------------
+
+def _specimens():
+    return [
+        GaussianState(0.3, -0.2, 1.5),
+        FockSuperposition((0.5, 0.3j, -0.4, 0.2)),
+        MixedState(((0.3, FockSuperposition((0.6, 0.0, 0.8j))), (0.7, GaussianState(0.3, -0.2, 1.5)))),
+    ]
+
+
+def test_a_grid_computes_each_pure_components_mean_and_covariance_once(monkeypatch):
+    compute = states._compute_moments
+    calls = []
+
+    def counting(state):
+        calls.append(state)
+        return compute(state)
+
+    monkeypatch.setattr(states, "_compute_moments", counting)
+    for state in _specimens():
+        calls.clear()
+        grid = tomogram_grid(state, phases=16)
+        pure = [s for _, s in state.components] if isinstance(state, MixedState) else [state]
+        # window, bandwidth and Gaussian rows share one computation per component
+        assert sorted(map(id, calls)) == sorted(map(id, pure))
+        for s in pure:
+            assert s._moments == compute(s)
+        # moment queries and further grids reuse the kept values
+        grid.row_moments
+        tomogram_grid(state, phases=4)
+        assert sorted(map(id, calls)) == sorted(map(id, pure))
+
+
+def test_a_state_keeping_its_mean_and_covariance_equals_and_hashes_like_a_fresh_copy():
+    for kept, fresh in zip(_specimens(), _specimens()):
+        analytic_moments(kept, 0.4)
+        tomogram_grid(kept, phases=4)
+        assert "_moments" in vars(kept) and "_moments" not in vars(fresh)
+        assert kept == fresh and hash(kept) == hash(fresh)
+        assert {fresh: "found"}[kept] == "found"
+        assert repr(kept) == repr(fresh)
+        assert state_to_dict(kept) == state_to_dict(fresh)
+        assert json.dumps(state_to_dict(kept)) == json.dumps(state_to_dict(fresh))

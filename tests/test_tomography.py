@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given
 from hypothesis import strategies as hyp_st
+from hypothesis.extra.numpy import arrays
 
 from optomo import (
     ExtrapolationError,
@@ -210,21 +211,60 @@ def test_grid_rows_are_normalized_and_non_negative():
     assert grid.values.min() >= 0.0
 
 
+_XS = np.linspace(-5.0, 5.0, 64)
+_ROW = gaussian_row(_XS, 0.0, 0.5)
+
+
+def _with(xs, index, value):
+    out = np.array(xs, dtype=float)
+    out[index] = value
+    return out
+
+
+# (phases, xs, values, the InputError message), one case per check
+_GRID_ERRORS = [
+    ([], _XS, np.empty((0, 64)), "phases must be a non-empty 1-D array"),
+    ([[0.0]], _XS, [_ROW], "phases must be a non-empty 1-D array"),
+    ([math.nan], _XS, [_ROW], "phases must be finite and lie in [0, pi)"),
+    ([-0.1], _XS, [_ROW], "phases must be finite and lie in [0, pi)"),
+    ([math.pi], _XS, [_ROW], "phases must be finite and lie in [0, pi)"),
+    ([0.3, 0.3], _XS, [_ROW, _ROW], "phases must be strictly increasing"),
+    ([0.0], [0.0], [[1.0]], "x grid needs at least two points"),
+    ([0.0], _with(_XS, 40, _XS[40] + 1e-3), [_ROW], "x grid must be uniform and increasing"),
+    ([0.0], _XS[::-1], [_ROW], "x grid must be uniform and increasing"),
+    ([0.0], _with(_XS, 0, math.nan), [_ROW], "x grid must be uniform and increasing"),
+    ([0.0], _with(_XS, 30, math.nan), [_ROW], "x grid must be uniform and increasing"),
+    ([0.0], _with(_XS, 0, -math.inf), [_ROW], "x grid must be uniform and increasing"),
+    ([0.0], _with(_XS, -1, math.inf), [_ROW], "x grid must be uniform and increasing"),
+    ([0.0], [-math.inf, math.inf], [[0.0, 0.0]], "x grid must be uniform and increasing"),
+    ([0.0], _XS, [_ROW[:-1]], "values shape (1, 63) does not match (1, 64)"),
+    ([0.0, 1.0], _XS, [_ROW], "values shape (1, 64) does not match (2, 64)"),
+    ([0.0], _XS, [_with(_ROW, 5, math.inf)], "tomogram values must be finite"),
+    ([0.0], _XS, [_with(_ROW, 5, -1e-6)], "tomogram values must be >= -1e-12, got -1e-06"),
+    (
+        [0.0, 1.0],
+        _XS,
+        [_ROW, _ROW * 1.01],
+        "row at phase 1 integrates to 1.01000000, outside 1 +/- 1e-06",
+    ),
+]
+
+
 def test_grid_validation_rejects_bad_input():
-    xs = np.linspace(-5, 5, 64)
-    good = gaussian_row(xs, 0.0, 0.5)
-    with pytest.raises(InputError, match="increasing"):
-        TomogramGrid(np.array([0.3, 0.1]), xs, np.array([good, good]))
-    with pytest.raises(InputError, match=r"\[0, pi\)"):
-        TomogramGrid(np.array([3.5]), xs, np.array([good]))
-    with pytest.raises(InputError, match="uniform"):
-        TomogramGrid(np.array([0.0]), np.array([0.0, 0.1, 0.3]), np.array([[1, 2, 3.0]]))
-    with pytest.raises(InputError, match="integrates"):
-        TomogramGrid(np.array([0.0]), xs, np.array([good * 1.01]))
-    with pytest.raises(InputError, match=">= -"):
-        bad = good.copy()
-        bad[0] = -1e-6
-        TomogramGrid(np.array([0.0]), xs, np.array([bad]))
+    for phases, xs, values, message in _GRID_ERRORS:
+        with pytest.raises(InputError) as caught:
+            TomogramGrid(np.array(phases, dtype=float), np.array(xs, dtype=float), values)
+        assert str(caught.value) == message
+
+
+def test_grid_copies_what_it_keeps_and_leaves_the_callers_arrays_alone():
+    phases, xs, values = np.array([0.0, 1.0]), _XS.copy(), np.array([_ROW, _ROW])
+    values[0, 0] = -1e-13
+    grid = TomogramGrid(phases, xs, values)
+    for kept, given_ in ((grid.phases, phases), (grid.xs, xs), (grid.values, values)):
+        assert not np.shares_memory(kept, given_)
+        assert not kept.flags.writeable and given_.flags.writeable
+    assert values[0, 0] == -1e-13 and grid.values[0, 0] == 0.0
 
 
 def test_grid_clamps_tiny_negative_values():
@@ -287,6 +327,29 @@ def test_phases_at_or_past_the_limit_are_rejected(phase):
         _wrap_phases(np.array([0.5, phase]))
 
 
+@given(
+    phases=arrays(
+        np.float64,
+        hyp_st.integers(1, 20),
+        elements=hyp_st.floats(0.0, math.pi, exclude_max=True),
+    )
+)
+@example(phases=np.array([-0.0]))
+@example(phases=np.array([-0.0, 0.0, math.nextafter(math.pi, 0.0)]))
+@example(phases=uniform_phases(16))
+def test_in_range_phases_take_the_fast_path_bitwise(phases):
+    fast, fast_mirrored = _wrap_phases(phases)
+    # a phase past pi sends the whole array through the general reduction
+    general, general_mirrored = _wrap_phases(np.append(phases, 4.0))
+    assert fast.tobytes() == general[:-1].tobytes()
+    assert not np.signbit(fast).any()  # -0.0 comes back as 0.0
+    assert fast.dtype == general.dtype and fast_mirrored.dtype == general_mirrored.dtype
+    assert fast_mirrored.tolist() == general_mirrored[:-1].tolist() == [False] * phases.size
+    assert not np.shares_memory(fast, phases)
+    grid_phases, _ = _wrap_phases(phases.reshape(1, -1))
+    assert grid_phases.shape == (1, phases.size)
+
+
 def test_phase_lookup_uses_parity_and_rejects_off_grid():
     grid = tomogram_grid(vacuum(), phases=8)
     row, mirrored = grid.row_at(grid.phases[3] + math.pi)
@@ -317,6 +380,30 @@ def test_lookup_reads_the_stored_phase_across_half_turns(n, shift, pick, k, delt
     assert tomographic_mean(grid, query) == (-mean if k % 2 else mean)
     with pytest.raises(InputError, match="not on the grid"):
         grid.lookup(phases[s] + math.pi / (2 * n) + k * math.pi)
+
+
+def test_counts_are_integers_numpy_included_and_never_bools():
+    state = FockSuperposition((0.6, 0.3j, 0.8))
+    want = tomogram_grid(state, phases=8)
+    got = tomogram_grid(state, phases=np.int64(8))
+    assert got.phases.tobytes() == want.phases.tobytes()
+    assert got.values.tobytes() == want.values.tobytes()
+    with pytest.raises(InputError, match="phases must be an integer count or a 1-D list"):
+        tomogram_grid(state, phases=True)
+    assert uniform_phases(np.int32(4)).tobytes() == uniform_phases(4).tobytes()
+    for bad in (3.5, 4.0, True, "4"):
+        with pytest.raises(InputError, match="phase count must be an integer"):
+            uniform_phases(bad)
+    with pytest.raises(InputError, match="need at least one phase"):
+        uniform_phases(np.int64(0))
+    want = tomogram_grid(state, phases=4, n_x=300)
+    got = tomogram_grid(state, phases=4, n_x=np.int64(300))
+    assert got.n_x == 300 and got.values.tobytes() == want.values.tobytes()
+    for bad in (300.7, 300.0, True):
+        with pytest.raises(InputError, match="n_x must be an integer"):
+            tomogram_grid(state, phases=4, n_x=bad)
+    with pytest.raises(InputError, match="n_x must be >= 2"):
+        tomogram_grid(state, phases=4, n_x=np.int64(1))
 
 
 def test_mixture_of_one_component_equals_the_pure_tomogram():
