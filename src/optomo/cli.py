@@ -52,6 +52,13 @@ def _emit(payload: dict, out_path):
             fh.write(text + "\n")
 
 
+def _emit_report(report, out_path):
+    """Emit a check's report; exit 1 when it records a violated inequality
+    (a purity report records none)."""
+    _emit(report.to_dict(), out_path)
+    return EXIT_OK if getattr(report, "satisfied", True) else EXIT_VIOLATION
+
+
 def _grid_for_phases(source, thetas):
     """A loaded tomogram as it is; a state as a small grid holding exactly the
     phases a check needs (plus partners)."""
@@ -150,9 +157,7 @@ def _cmd_tomogram(args):
 
 def _cmd_check_heisenberg(args):
     grid = _grid_for_phases(_read_source(args, ""), [0.0])
-    report = heisenberg_lhs(grid, tolerance=args.tolerance)
-    _emit(report.to_dict(), args.out)
-    return EXIT_OK if report.satisfied else EXIT_VIOLATION
+    return _emit_report(heisenberg_lhs(grid, tolerance=args.tolerance), args.out)
 
 
 def _cmd_check_trifonov(args):
@@ -176,14 +181,11 @@ def _cmd_check_trifonov(args):
         w2 = _grid_for_phases(_read_source(args, "2"), [args.theta])
         tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
         report = trifonov_lhs(w1, w2, args.theta, tolerance=tolerance)
-    _emit(report.to_dict(), args.out)
-    return EXIT_OK if report.satisfied else EXIT_VIOLATION
+    return _emit_report(report, args.out)
 
 
 def _cmd_check_purity(args):
-    report = purity_classify(_read_source(args, ""), tol=args.tol)
-    _emit(report.to_dict(), args.out)
-    return EXIT_OK
+    return _emit_report(purity_classify(_read_source(args, ""), tol=args.tol), args.out)
 
 
 def _sweep_sources(args):
@@ -206,9 +208,7 @@ def _sweep_sources(args):
 
 def _cmd_sweep_trifonov(args):
     thetas, w1, w2 = _sweep_sources(args)
-    report = trifonov_sweep(w1, w2, thetas, tolerance=args.tolerance)
-    _emit(report.to_dict(), args.out)
-    return EXIT_OK if report.satisfied else EXIT_VIOLATION
+    return _emit_report(trifonov_sweep(w1, w2, thetas, tolerance=args.tolerance), args.out)
 
 
 def _cmd_simulate(args):

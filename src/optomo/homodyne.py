@@ -30,7 +30,7 @@ import numpy as np
 from .errors import InputError
 from .inequalities import InequalityReport, _report
 from .states import State, _integer, grid_halfwidth, state_label
-from .tomography import PHASE_TOL, _nearest_phase, _state_rows, wrap_phase
+from .tomography import PHASE_TOL, _nearest_phase, _read_csv, _state_rows, wrap_phase
 
 __all__ = [
     "GENERATOR_NAME",
@@ -95,11 +95,14 @@ class HomodyneDataset:
 
     @cached_property
     def _runs(self):
-        """(phases, bounds): the runs of equal consecutive phases, run k being
-        records bounds[k]:bounds[k + 1] at phases[k]; built on first use."""
+        """(phases, bounds): the runs of consecutive phases with equal bits,
+        run k being records bounds[k]:bounds[k + 1] at phases[k]; built on
+        first use.  0.0 and -0.0 start separate runs (they print differently)
+        that every query matches alike."""
         thetas = self.thetas
+        bits = thetas.view(np.int64)
         first = np.ones(thetas.size, dtype=bool)
-        first[1:] = thetas[1:] != thetas[:-1]
+        first[1:] = bits[1:] != bits[:-1]
         bounds = np.append(np.flatnonzero(first), thetas.size)
         return thetas[bounds[:-1]], bounds
 
@@ -368,18 +371,15 @@ def _sidecar_path(path) -> Path:
 
 
 def save_dataset_csv(ds: HomodyneDataset, path):
-    """Write "theta,x" records and the JSON metadata sidecar.  Lines are
-    formatted in blocks of ``CSV_BLOCK_LINES``; a run of equal phases shares
-    one formatted prefix (runs split on the bits, since 0.0 and -0.0 print
-    differently)."""
-    n = ds.n_records
-    bits = ds.thetas.view(np.int64)
-    edges = (np.flatnonzero(bits[1:] != bits[:-1]) + 1).tolist()
-    starts = [0, *edges] if n else []
+    """Write "theta,x" records and the JSON metadata sidecar.  Each run of
+    the dataset (``HomodyneDataset._runs``, split on the bits) shares one
+    formatted "theta," prefix, so every record keeps its own phase, -0.0
+    included; lines are formatted in blocks of ``CSV_BLOCK_LINES``."""
+    phases, bounds = ds._runs
     with open(path, "w") as fh:
         fh.write("theta,x\n")
-        for lo, hi in zip(starts, [*edges, n]):
-            prefix = f"{float(ds.thetas[lo]):.17g},"
+        for theta, lo, hi in zip(phases.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
+            prefix = f"{theta:.17g},"
             for a in range(lo, hi, CSV_BLOCK_LINES):
                 block = ds.xs[a:min(a + CSV_BLOCK_LINES, hi)].tolist()
                 fh.write("".join([f"{prefix}{x:.17g}\n" for x in block]))
@@ -390,17 +390,7 @@ def save_dataset_csv(ds: HomodyneDataset, path):
 
 
 def load_dataset_csv(path) -> HomodyneDataset:
-    try:
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "theta,x":
-                raise InputError(f"{path}: expected header 'theta,x', got {header!r}")
-            try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise InputError(f"{path}: malformed CSV: {exc}") from exc
-    except OSError as exc:
-        raise InputError(f"cannot read dataset file {path}: {exc}") from exc
+    data = _read_csv(path, "theta,x", "dataset")
     if data.size == 0:
         thetas = np.empty(0)
         xs = np.empty(0)

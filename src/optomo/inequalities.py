@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,16 +58,7 @@ class InequalityReport:
             raise InputError(f"bound is fixed at {BOUND}, got {self.bound}")
 
     def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "phase": self.phase,
-            "lhs": self.lhs,
-            "bound": self.bound,
-            "margin": self.margin,
-            "satisfied": self.satisfied,
-            "stderr": self.stderr,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
@@ -144,14 +135,9 @@ def trifonov_sweep(
     phase_arr = np.asarray(phases, dtype=float)
     if phase_arr.ndim != 1 or phase_arr.size == 0:
         raise InputError("phase list must be non-empty")
-    best_lhs = math.inf
-    best_phase = math.inf
-    for theta in phase_arr:
-        rep = trifonov_lhs(w1, w2, float(theta), tolerance=tolerance)
-        if rep.lhs < best_lhs or (rep.lhs == best_lhs and rep.phase < best_phase):
-            best_lhs = rep.lhs
-            best_phase = rep.phase
-    return _report("trifonov_sweep", best_phase, best_lhs, tolerance)
+    reports = [trifonov_lhs(w1, w2, theta, tolerance=tolerance) for theta in phase_arr.tolist()]
+    best = min(reports, key=lambda r: (r.lhs, r.phase))
+    return _report("trifonov_sweep", best.phase, best.lhs, tolerance)
 
 
 def operator_trifonov_lhs(s1: State, s2: State, phase: float = 0.0) -> float:

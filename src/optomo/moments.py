@@ -116,5 +116,8 @@ def moments_from_state(state: State, phase: float) -> MomentSet:
     state's window), independent of any grid."""
     half = grid_halfwidth(state)
     xs = np.linspace(-half, half, STATE_ROW_POINTS)
-    row = _state_row(state, phase, xs)
-    return MomentSet(row_mean(xs, row), row_variance(xs, row), float(phase))
+    xs, row = _checked(xs, _state_row(state, phase, xs))
+    mean, var = simpson_moments(xs, row)
+    mean, var = float(mean), float(var)
+    _guard_window(xs, row, mean, var)
+    return MomentSet(mean, var, float(phase))

@@ -17,19 +17,18 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import quadrature
 from .errors import InputError, ResolutionError
-from .states import FockSuperposition, GaussianState, MixedState
-from .states import _fock_amplitudes, _gaussian_overlap
+from .states import GaussianState, _fock_amplitudes, _gaussian_overlap
 from .tomography import (
     PHASE_TOL,
-    TomogramGrid,
     _components,
     _fock_density,
+    _state_of,
     tomogram_characteristic,
     uniform_phases,
 )
@@ -50,18 +49,13 @@ class PurityReport:
     tolerance: float
 
     def to_dict(self) -> dict:
-        return {
-            "overlap": self.overlap,
-            "classification": self.classification,
-            "tolerance": self.tolerance,
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict())
 
 
-def _phase_grid(a, b):
-    grids = [s for s in (a, b) if isinstance(s, TomogramGrid) and s.source is None]
+def _phase_grid(grids):
     phases = grids[0].phases
     if len(grids) == 2 and (
         grids[1].n_phases != phases.size
@@ -73,18 +67,6 @@ def _phase_grid(a, b):
             "overlap integration needs phases uniform on [0, pi) starting at 0"
         )
     return phases
-
-
-def _check_source(obj, name):
-    if isinstance(obj, (TomogramGrid, GaussianState, FockSuperposition, MixedState)):
-        return obj
-    raise InputError(f"{name} must be a TomogramGrid or a state spec")
-
-
-def _nyquist_limit(src):
-    if isinstance(src, TomogramGrid) and src.source is None:
-        return math.pi / (2.0 * src.dx)
-    return math.inf
 
 
 def _trace_product(a, b):
@@ -119,18 +101,18 @@ def purity_overlap(a, b) -> float:
     decayed below 1e-10, up to r = 64 or the Nyquist limit, and the radial
     integral is refined until it changes by at most 1e-12 (``RADIAL_TOL``).
     """
-    a = _check_source(a, "first source")
-    b = _check_source(b, "second source")
-    states = [s.source if isinstance(s, TomogramGrid) else s for s in (a, b)]
+    states = [_state_of(a), _state_of(b)]
     if None not in states:
         return _trace_product(*states)
-    phases = _phase_grid(a, b)
+    grids = [src for src, state in zip((a, b), states) if state is None]
+    phases = _phase_grid(grids)
 
     def phis(r):
         phi_a = tomogram_characteristic(a, phases, r)
         return phi_a, phi_a if b is a else tomogram_characteristic(b, phases, r)
 
-    r_limit = min(_nyquist_limit(a), _nyquist_limit(b), R_CAP)
+    # the Nyquist limit of each bare grid
+    r_limit = min([math.pi / (2.0 * g.dx) for g in grids] + [R_CAP])
     r_max = min(R_START, r_limit)
     phi_a, phi_b = phis(r_max)
     while r_max < r_limit and max(np.max(np.abs(phi_a)), np.max(np.abs(phi_b))) > PHI_TAIL:

@@ -81,6 +81,10 @@ class FockSuperposition:
     """Superposition sum_n c_n |n> over number states, n = 0..cutoff.
 
     Coefficients are normalized at construction; sum |c_n|^2 = 1 afterwards.
+    Coefficients whose norm is already within 1e-14 of 1 are kept as given:
+    one normalization leaves the norm a few ulp from 1, and dividing by it
+    again would move them, so a state rebuilt from its own coefficients (a
+    JSON round trip) is equal to it.
     """
 
     coeffs: tuple
@@ -101,7 +105,9 @@ class FockSuperposition:
         norm = math.sqrt(sum(abs(v) ** 2 for v in cs))
         if norm < 1e-12:
             raise InputError("coeffs have (numerically) zero norm")
-        object.__setattr__(self, "coeffs", tuple(v / norm for v in cs))
+        if abs(norm - 1.0) > 1e-14:
+            cs = tuple(v / norm for v in cs)
+        object.__setattr__(self, "coeffs", cs)
 
     @property
     def cutoff(self) -> int:
@@ -155,6 +161,7 @@ class MixedState:
 
 
 State = Union[PureState, MixedState]
+_STATE_TYPES = (GaussianState, FockSuperposition, MixedState)
 
 
 @dataclass(frozen=True)
@@ -285,7 +292,7 @@ def _mean_and_covariance(state):
     computation.  The kept value is not a field: equality, hashing and the
     JSON spec ignore it.
     """
-    if not isinstance(state, (GaussianState, FockSuperposition, MixedState)):
+    if not isinstance(state, _STATE_TYPES):
         raise InputError(f"expected a state, got {type(state).__name__}")
     return state._moments
 

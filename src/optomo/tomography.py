@@ -44,6 +44,7 @@ from .states import (
     GaussianState,
     MixedState,
     State,
+    _STATE_TYPES,
     _integer,
     _mean_and_covariance,
     _rotated_moments,
@@ -171,9 +172,9 @@ class TomogramGrid:
 
     Rows are probability densities: non-negative (values below -1e-12 are
     rejected, small negatives clamped to zero) and trapezoid-normalized to 1
-    within 1e-6.  ``source`` optionally carries the originating state spec,
-    enabling exact re-evaluation off the grid.  The arrays are read-only, so
-    ``row_moments`` is computed once and kept.
+    within 1e-6.  ``source`` is None (a bare grid) or the originating state
+    spec, enabling exact re-evaluation off the grid.  The arrays are
+    read-only, so ``row_moments`` is computed once and kept.
     """
 
     phases: np.ndarray
@@ -182,6 +183,10 @@ class TomogramGrid:
     source: object = field(default=None, compare=False)
 
     def __post_init__(self):
+        if self.source is not None and not isinstance(self.source, _STATE_TYPES):
+            raise InputError(
+                f"source must be a state spec or None, got {type(self.source).__name__}"
+            )
         phases = np.array(self.phases, dtype=float)
         xs = np.array(self.xs, dtype=float)
         # not copied: the clamp below makes the array the grid keeps
@@ -450,7 +455,7 @@ def tomogram_grid(
     ``window`` defaults to the symmetric 8-sigma window of the state.  All
     rows come from one closed-form pass over a shared Hermite table.
     """
-    if not isinstance(state, (GaussianState, FockSuperposition, MixedState)):
+    if not isinstance(state, _STATE_TYPES):
         raise InputError(f"expected a state, got {type(state).__name__}")
     phase_arr = _resolve_phases(phases)
     if window is None:
@@ -551,6 +556,16 @@ def _fock_coefficients(rho, r):
     return np.concatenate([k, -k[1:]]), np.concatenate([v * up, (v * down)[1:]])
 
 
+def _state_of(source):
+    """The state spec a source stands for: the source itself, the state a
+    grid carries, or None for a bare grid; anything else is an InputError."""
+    if isinstance(source, TomogramGrid):
+        return source.source
+    if isinstance(source, _STATE_TYPES):
+        return source
+    raise InputError(f"expected a TomogramGrid or state, got {type(source).__name__}")
+
+
 def _grid_characteristic(grid, phases, r):
     hits = [grid.lookup(theta) for theta in phases]
     rows = grid.values[[i for i, _ in hits]]
@@ -598,12 +613,10 @@ def tomogram_characteristic(source, phase, r):
     if np.any(r_arr < 0.0):
         raise InputError("r must be >= 0")
     phases = np.ravel(phase)
-    if isinstance(source, TomogramGrid) and source.source is None:
+    state = _state_of(source)
+    if state is None:
         out, mirrored = _grid_characteristic(source, phases, r_arr)
     else:
-        state = source.source if isinstance(source, TomogramGrid) else source
-        if not isinstance(state, (GaussianState, FockSuperposition, MixedState)):
-            raise InputError(f"expected a TomogramGrid or state, got {type(source).__name__}")
         reduced, mirrored = _wrap_phases(phases)
         out = _state_characteristic(state, reduced, r_arr)
     out = np.where(mirrored[:, None], np.conj(out), out)
@@ -625,21 +638,25 @@ def save_tomogram_csv(grid: TomogramGrid, path):
             fh.write("".join([f"{prefix}{x}{w:.17g}\n" for x, w in zip(xs, row.tolist())]))
 
 
-def load_tomogram_csv(path) -> TomogramGrid:
-    """Read a tomogram CSV; validates layout and row normalization."""
+def _read_csv(path, header, what):
+    """The records of a CSV file whose first line is ``header``, as a 2-D
+    float array; ``what`` names the kind of file when it cannot be read."""
     try:
         with open(path) as fh:
-            header = fh.readline().strip()
-            if header != "theta,x,w":
-                raise InputError(
-                    f"{path}: expected header 'theta,x,w', got {header!r}"
-                )
+            found = fh.readline().strip()
+            if found != header:
+                raise InputError(f"{path}: expected header {header!r}, got {found!r}")
             try:
-                data = np.loadtxt(fh, delimiter=",", ndmin=2)
+                return np.loadtxt(fh, delimiter=",", ndmin=2)
             except ValueError as exc:
                 raise InputError(f"{path}: malformed CSV: {exc}") from exc
     except OSError as exc:
-        raise InputError(f"cannot read tomogram file {path}: {exc}") from exc
+        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+
+
+def load_tomogram_csv(path) -> TomogramGrid:
+    """Read a tomogram CSV; validates layout and row normalization."""
+    data = _read_csv(path, "theta,x,w", "tomogram")
     if data.size == 0 or data.shape[1] != 3:
         raise InputError(f"{path}: expected three columns theta,x,w")
     thetas = data[:, 0]

@@ -485,6 +485,28 @@ def test_dataset_csv_round_trip(tmp_path_factory, seed):
     assert again.generator == ds.generator
 
 
+def test_records_at_both_zero_signs_keep_their_own_prefix(tmp_path):
+    thetas = np.array([0.0, -0.0, -0.0, 1.0, 0.0, -0.0, 1.0, 0.0] * 10)
+    xs = np.arange(thetas.size) / 7.0
+    ds = HomodyneDataset(thetas, xs, seed=1, state_label="test")
+    path = tmp_path / "d.csv"
+    save_dataset_csv(ds, path)
+    lines = path.read_text().splitlines()
+    assert lines[0] == "theta,x"
+    assert lines[1:] == [f"{t:.17g},{x:.17g}" for t, x in zip(thetas.tolist(), xs.tolist())]
+    again = load_dataset_csv(path)
+    assert np.array_equal(again.thetas.view(np.int64), thetas.view(np.int64))
+    assert np.array_equal(again.xs, xs)
+    # runs split on the bits (7 per block of 8, the last joining the next
+    # block's first); a query matches both signs, in record order
+    phases, bounds = ds._runs
+    assert phases.size == 61 and bounds[-1] == thetas.size
+    for phase in (0.0, -0.0, math.pi):
+        expected = xs[thetas == 0.0]
+        assert np.array_equal(ds.values_at(phase), expected if phase < 1 else -expected)
+    assert estimate_moments(ds, -0.0).count == estimate_moments(ds, 0.0).count == 60
+
+
 def test_dataset_metadata_content(tmp_path):
     ds = sample(vacuum(), [(0.0, 50)], seed=4)
     path = tmp_path / "d.csv"

@@ -198,18 +198,27 @@ def test_report_json_round_trip():
 def test_report_field_layout():
     rep = heisenberg_lhs(tomogram_grid(vacuum(), phases=4))
     d = rep.to_dict()
-    assert set(d) == {
-        "kind",
-        "phase",
-        "lhs",
-        "bound",
-        "margin",
-        "satisfied",
-        "stderr",
-        "tolerance",
-    }
+    fields = ["kind", "phase", "lhs", "bound", "margin", "satisfied", "stderr", "tolerance"]
+    assert list(d) == fields
+    assert rep.to_json() == json.dumps({name: getattr(rep, name) for name in fields})
     assert d["stderr"] is None
     assert d["bound"] == 0.25
+    rep = InequalityReport("trifonov", 0.5, 0.3, 0.25, 0.05, True, 0.01, 0.03)
+    assert rep.to_json() == (
+        '{"kind": "trifonov", "phase": 0.5, "lhs": 0.3, "bound": 0.25, '
+        '"margin": 0.05, "satisfied": true, "stderr": 0.01, "tolerance": 0.03}'
+    )
+
+
+def test_sweep_ties_go_to_the_smallest_phase_in_any_order():
+    # every row is the same density, so every phase gives the same lhs bits
+    phases = uniform_phases(8)
+    xs = np.linspace(-6.0, 6.0, 257)
+    grid = TomogramGrid(phases, xs, np.tile(gaussian_row(xs, 0.2, 0.7), (8, 1)))
+    (lhs,) = {trifonov_lhs(grid, grid, theta).lhs for theta in phases}
+    for order in (phases[::-1], np.roll(phases, 3), phases):
+        rep = trifonov_sweep(grid, grid, order)
+        assert (rep.phase, rep.lhs) == (0.0, lhs)
 
 
 def test_report_rejects_foreign_bound_or_kind():

@@ -26,7 +26,10 @@ from optomo import (
     tomographic_variance,
     vacuum,
 )
+from optomo.moments import STATE_ROW_POINTS
 from optomo.quadrature import simpson, simpson_moments
+from optomo.states import grid_halfwidth
+from optomo.tomography import _state_row
 from oracles import random_state
 
 
@@ -93,6 +96,19 @@ def test_moments_from_state_bypass_grids():
         oracle = analytic_moments(state, theta)
         assert m.mean == pytest.approx(oracle.mean, abs=1e-8)
         assert m.variance == pytest.approx(oracle.variance, abs=1e-8)
+
+
+@given(seed=hyp_st.integers(0, 2**32 - 1), theta=hyp_st.floats(-7.0, 7.0))
+def test_moments_from_state_is_the_two_call_form_bitwise(seed, theta):
+    state = random_state(np.random.default_rng(seed))
+    half = grid_halfwidth(state)
+    xs = np.linspace(-half, half, STATE_ROW_POINTS)
+    row = _state_row(state, theta, xs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", TruncationWarning)
+        expected = (row_mean(xs, row), row_variance(xs, row))
+        m = moments_from_state(state, theta)
+    assert (m.mean, m.variance, m.phase) == (*expected, theta)
 
 
 def test_unnormalized_row_rejected():

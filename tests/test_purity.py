@@ -110,9 +110,19 @@ def test_classify_labels_and_report_fields():
         "classification": "pure",
         "tolerance": 1e-3,
     }
+    assert list(rep.to_dict()) == ["overlap", "classification", "tolerance"]
+    rep = purity_module.PurityReport(overlap=0.5, classification="mixed", tolerance=1e-3)
+    assert rep.to_json() == '{"overlap": 0.5, "classification": "mixed", "tolerance": 0.001}'
     rep = purity_classify(thermal_state(1.0))
     assert rep.classification == "mixed"
     assert rep.overlap == pytest.approx(1.0 / 3.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("junk", ["junk", None, 0.0])
+def test_a_source_that_is_no_state_or_grid_is_rejected(junk):
+    for a, b in ((junk, vacuum()), (vacuum(), junk), (junk, junk)):
+        with pytest.raises(InputError, match="expected a TomogramGrid or state"):
+            purity_overlap(a, b)
 
 
 def test_classify_rejects_nonpositive_tolerance():

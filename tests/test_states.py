@@ -28,6 +28,7 @@ from optomo import states
 from oracles import (
     fourier_transform_minus,
     hermite_psi,
+    random_fock,
     random_state,
     state_row,
     trapz_mean,
@@ -300,6 +301,25 @@ def test_state_dict_round_trip(state):
     assert analytic_moments(again, 0.3).mean == pytest.approx(
         analytic_moments(state, 0.3).mean, abs=1e-12
     )
+
+
+@given(state=fock_states)
+def test_fock_state_survives_a_json_round_trip_bitwise(state):
+    again = state_from_dict(json.loads(json.dumps(state_to_dict(state))))
+    assert again == state
+    assert np.array_equal(tomogram_grid(again, 16).values, tomogram_grid(state, 16).values)
+
+
+def test_normalised_fock_coefficients_are_kept_as_given(tmp_path):
+    rng = np.random.default_rng(3)
+    path = tmp_path / "fock.json"
+    for _ in range(200):
+        state = random_fock(rng)
+        assert FockSuperposition(state.coeffs).coeffs == state.coeffs
+        save_state(state, path)
+        assert load_state(path).coeffs == state.coeffs
+    # coefficients off the unit norm are still normalised
+    assert FockSuperposition((3.0, 4.0)).coeffs == (0.6, 0.8)
 
 
 def test_state_file_round_trip(tmp_path):

@@ -17,6 +17,7 @@ from optomo import (
     TomogramGrid,
     fock,
     gaussian_row,
+    load_dataset_csv,
     load_tomogram_csv,
     optical_tomogram,
     save_tomogram_csv,
@@ -255,6 +256,16 @@ def test_grid_validation_rejects_bad_input():
         with pytest.raises(InputError) as caught:
             TomogramGrid(np.array(phases, dtype=float), np.array(xs, dtype=float), values)
         assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("source", ["junk", 1.0, np.zeros(2)])
+def test_grid_source_must_be_a_state_or_none(source):
+    with pytest.raises(InputError) as caught:
+        TomogramGrid([0.0], _XS, [_ROW], source=source)
+    assert str(caught.value) == f"source must be a state spec or None, got {type(source).__name__}"
+    with pytest.raises(InputError, match="expected a TomogramGrid or state"):
+        tomogram_characteristic(source, 0.0, 1.0)
+    assert TomogramGrid([0.0], _XS, [_ROW], source=vacuum()).source == vacuum()
 
 
 def test_grid_copies_what_it_keeps_and_leaves_the_callers_arrays_alone():
@@ -614,11 +625,28 @@ def test_csv_round_trip_is_exact(tmp_path_factory, seed):
     assert np.array_equal(again.values, grid.values)
 
 
-def test_csv_loader_validates(tmp_path):
+_LOADERS = [(load_tomogram_csv, "theta,x,w", "tomogram"), (load_dataset_csv, "theta,x", "dataset")]
+
+
+@pytest.mark.parametrize("load, header, what", _LOADERS)
+def test_csv_loaders_report_unreadable_files_alike(tmp_path, load, header, what):
     path = tmp_path / "bad.csv"
     path.write_text("alpha,beta\n")
-    with pytest.raises(InputError, match="header"):
-        load_tomogram_csv(path)
+    with pytest.raises(InputError) as caught:
+        load(path)
+    assert str(caught.value) == f"{path}: expected header '{header}', got 'alpha,beta'"
+    path.write_text(f"{header}\n0,zz\n")
+    with pytest.raises(InputError) as caught:
+        load(path)
+    assert str(caught.value).startswith(f"{path}: malformed CSV: could not convert string 'zz'")
+    for target, errno in ((tmp_path / "missing.csv", "[Errno 2]"), (tmp_path, "[Errno 21]")):
+        with pytest.raises(InputError) as caught:
+            load(target)
+        assert str(caught.value).startswith(f"cannot read {what} file {target}: {errno}")
+
+
+def test_csv_loader_validates(tmp_path):
+    path = tmp_path / "bad.csv"
     xs = np.linspace(-5, 5, 32)
     row = gaussian_row(xs, 0.0, 0.5) * 1.02  # denormalized
     lines = ["theta,x,w"]
