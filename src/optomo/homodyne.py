@@ -13,8 +13,12 @@ reduced through the parity rule w(X, theta + pi) = w(-X, theta): its records
 are stored at the reduced phase and drawn there, negated on a mirrored
 phase.  The RNG is numpy's PCG64 seeded through SeedSequence, with one
 spawned child stream per schedule entry, so a (state, schedule, seed) triple
-reproduces the dataset bit for bit.  A dataset computes the moments of each
-set of matching runs once and keeps them.
+reproduces the dataset bit for bit.  A dataset stores its phases as runs
+of records at one phase, as ``sample`` writes them (one run per group of
+consecutive entries at one reduced phase), and derives the per-record
+``thetas`` only when it is read; queries, moments and the CSV writer work on
+the runs.  A dataset computes the moments of each set of matching runs once
+and keeps them.
 """
 
 from __future__ import annotations
@@ -23,6 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from pathlib import Path
 
 import numpy as np
@@ -49,62 +54,79 @@ CDF_POINTS = 4097  # CDF_POINTS - 1 must be a power of two: see _inverse_cdf
 CSV_BLOCK_LINES = 4096
 
 
-@dataclass(frozen=True, eq=False)
-class HomodyneDataset:
-    """Quadrature records (theta_i, x_i) plus provenance metadata."""
+def _split_runs(values):
+    """(phases, bounds): the runs of consecutive equal bits in ``values``,
+    run k being entries bounds[k]:bounds[k + 1] at phases[k].  0.0 and -0.0
+    start separate runs (they print differently)."""
+    bits = values.view(np.int64)
+    first = np.ones(values.size, dtype=bool)
+    first[1:] = bits[1:] != bits[:-1]
+    bounds = np.append(np.flatnonzero(first), values.size)
+    return values[bounds[:-1]], bounds
 
-    thetas: np.ndarray
+
+@dataclass(frozen=True, eq=False, init=False)
+class HomodyneDataset:
+    """Quadrature records (theta_i, x_i) plus provenance metadata.
+
+    The phases are stored as runs, ``_runs = (phases, bounds)``: run k is
+    records bounds[k]:bounds[k + 1], all at phases[k], split on the bits so
+    that 0.0 and -0.0 keep separate runs that every query matches alike.
+    ``sample`` writes one run per group of consecutive schedule entries at
+    one reduced phase; the constructor splits the ``thetas`` it is given.
+    The per-record array ``thetas`` is derived from the runs on first read,
+    bitwise the array the records were made from, and read-only.
+    """
+
     xs: np.ndarray
     seed: int
     state_label: str
-    generator: str = GENERATOR_NAME
+    generator: str
 
-    def __post_init__(self):
-        self._freeze(np.array(self.thetas, dtype=float), np.array(self.xs, dtype=float))
-
-    @classmethod
-    def _adopt(cls, thetas, xs, seed, state_label):
-        """A dataset over float arrays that no one else holds, as ``sample``
-        fills them: validated and frozen in place instead of copied."""
-        ds = object.__new__(cls)
-        object.__setattr__(ds, "seed", seed)
-        object.__setattr__(ds, "state_label", state_label)
-        object.__setattr__(ds, "generator", GENERATOR_NAME)
-        ds._freeze(thetas, xs)
-        return ds
-
-    def _freeze(self, thetas, xs):
+    def __init__(self, thetas, xs, seed, state_label, generator=GENERATOR_NAME):
+        thetas = np.asarray(thetas, dtype=float)
+        xs = np.array(xs, dtype=float)
         if thetas.ndim != 1 or thetas.shape != xs.shape:
             raise InputError("thetas and xs must be matching 1-D arrays")
+        self._init(*_split_runs(thetas), xs, seed, state_label, generator)
+
+    @classmethod
+    def _adopt(cls, phases, bounds, xs, seed, state_label):
+        """A dataset over runs and a float array of records that no one else
+        holds, as ``sample`` fills them: validated and frozen in place
+        instead of copied."""
+        ds = object.__new__(cls)
+        ds._init(phases, bounds, xs, seed, state_label, GENERATOR_NAME)
+        return ds
+
+    def _init(self, phases, bounds, xs, seed, state_label, generator):
         if not np.all(np.isfinite(xs)):
             raise InputError("quadrature values must be finite")
-        if thetas.size and (
-            not np.all(np.isfinite(thetas))
-            or thetas.min() < 0.0
-            or thetas.max() >= math.pi
+        if phases.size and (
+            not np.all(np.isfinite(phases))
+            or phases.min() < 0.0
+            or phases.max() >= math.pi
         ):
             raise InputError("phases must lie in [0, pi)")
+        for array in (phases, bounds, xs):
+            array.setflags(write=False)
+        # frozen: the fields are set once, past the dataclass __setattr__
+        self.__dict__.update(
+            xs=xs, seed=seed, state_label=state_label, generator=generator, _runs=(phases, bounds)
+        )
+
+    @cached_property
+    def thetas(self) -> np.ndarray:
+        """Each record's phase, read-only: the runs' phases repeated over
+        their lengths, built on first read."""
+        phases, bounds = self._runs
+        thetas = np.repeat(phases, np.diff(bounds))
         thetas.setflags(write=False)
-        xs.setflags(write=False)
-        object.__setattr__(self, "thetas", thetas)
-        object.__setattr__(self, "xs", xs)
+        return thetas
 
     @property
     def n_records(self) -> int:
         return self.xs.size
-
-    @cached_property
-    def _runs(self):
-        """(phases, bounds): the runs of consecutive phases with equal bits,
-        run k being records bounds[k]:bounds[k + 1] at phases[k]; built on
-        first use.  0.0 and -0.0 start separate runs (they print differently)
-        that every query matches alike."""
-        thetas = self.thetas
-        bits = thetas.view(np.int64)
-        first = np.ones(thetas.size, dtype=bool)
-        first[1:] = bits[1:] != bits[:-1]
-        bounds = np.append(np.flatnonzero(first), thetas.size)
-        return thetas[bounds[:-1]], bounds
 
     def _match(self, phase):
         """(hit, mirrored): the runs whose phase lies within PHASE_TOL of any
@@ -124,7 +146,9 @@ class HomodyneDataset:
             return self.xs[bounds[hit[0]]:bounds[hit[0] + 1]]
         # no run matches, or several do: a phase stored in several runs, or
         # distinct stored phases within the tolerance
-        return self.xs[np.isin(self.thetas, phases[hit])]
+        hit_flags = np.zeros(phases.size, dtype=bool)
+        hit_flags[hit] = True
+        return self.xs[np.repeat(hit_flags, np.diff(bounds))]
 
     def values_at(self, phase: float) -> np.ndarray:
         """The records that answer any real phase, in record order and
@@ -205,9 +229,10 @@ def _tabulated_cdf(state: State, phases):
     # the tiny ramp lifts the flat left tail; near 1 its steps fall below
     # ulp(1), so the right tail keeps plateaus of equal knots.  The lookup
     # needs only cdf[0] = 0, cdf[-1] = 1 and a non-decreasing table: a draw
-    # u < 1 always lies in an interval cdf[j] <= u < cdf[j + 1]
+    # u < 1 always lies in an interval cdf[j] <= u < cdf[j + 1].  Rows are
+    # >= 0, so the cumsum, the division by a positive total and the added
+    # increasing ramp are each non-decreasing under rounding
     cdf += np.arange(CDF_POINTS) * (1e-15 / CDF_POINTS)
-    np.maximum.accumulate(cdf, axis=1, out=cdf)
     cdf /= cdf[:, -1:].copy()
     return cdf, xs
 
@@ -231,8 +256,9 @@ def _inverse_cdf(cdf, xs):
     Bin k of B equal bins of [0, 1) (B a power of two, so k / B <= u is exact
     for k = floor(u * B)) starts in knot interval guide[k].  A bin that spans at
     most one knot settles j with one comparison against cdf[guide[k] + 1];
-    draws in wider bins, all in the tails, take a binary search.  The
-    interval j then gives numpy's own formula slope[j] * (u - cdf[j]) + xs[j].
+    a wider bin, always in the tails, starts at -2 instead, so its draws come
+    out with j < 0 and take a binary search.  The interval j then gives
+    numpy's own formula slope[j] * (u - cdf[j]) + xs[j].
     Its slopes are finite, since cdf[j] < cdf[j + 1], so a draw equal to a
     knot gives xs[j] exactly, as np.interp's special case does.  The tables
     are built once per row, however many draws it inverts.
@@ -241,15 +267,15 @@ def _inverse_cdf(cdf, xs):
     guide = _guide_table(cdf, bins)
     # for k < bins, k / bins < cdf[-1] = 1, so guide[k] + 1 is a knot
     upper = cdf[guide[:-1] + 1]
-    wide_bins = np.diff(guide) > 1
+    start = np.where(np.diff(guide) > 1, -2, guide[:-1])
     with np.errstate(divide="ignore"):  # plateau intervals are never used
         slopes = np.diff(xs) / np.diff(cdf)
 
     def invert(u):
         k = (u * bins).astype(np.intp)
-        j = guide.take(k)
+        j = start.take(k)
         j += u >= upper.take(k)
-        wide = wide_bins.take(k)
+        wide = j < 0
         if wide.any():
             j[wide] = np.searchsorted(cdf, u[wide], side="right") - 1
         u -= cdf.take(j)
@@ -290,24 +316,24 @@ def sample(state: State, phase_schedule, seed: int) -> HomodyneDataset:
             raise InputError(f"sample count must be a positive integer, got {count!r}")
         parsed.append((reduced, mirrored, n))
 
-    # entries at one reduced phase share a row (0.0 and -0.0 count as one)
-    distinct, row_of = np.unique([phase for phase, _, _ in parsed], return_inverse=True)
+    # entries at one reduced phase share a row
+    entry_phases = np.array([phase for phase, _, _ in parsed])
+    distinct, row_of = np.unique(entry_phases, return_inverse=True)
     cdf, xs = _tabulated_cdf(state, distinct)
     inverses = [_inverse_cdf(row, xs) for row in cdf]
     children = np.random.SeedSequence(seed_value).spawn(len(parsed))
-    total = sum(count for _, _, count in parsed)
-    thetas = np.empty(total)
-    values = np.empty(total)
-    lo = 0
-    for (phase, mirrored, count), row, child in zip(parsed, row_of.tolist(), children):
+    starts = list(accumulate((count for _, _, count in parsed), initial=0))
+    values = np.empty(starts[-1])
+    for (_, mirrored, count), lo, row, child in zip(parsed, starts, row_of.tolist(), children):
         drawn = values[lo:lo + count]
         np.random.Generator(np.random.PCG64(child)).random(out=drawn)
         inverses[row](drawn)
         if mirrored:
             np.negative(drawn, out=drawn)
-        thetas[lo:lo + count] = phase
-        lo += count
-    return HomodyneDataset._adopt(thetas, values, seed_value, state_label(state))
+    # consecutive entries at one reduced phase make one run of records
+    phases, first_entries = _split_runs(entry_phases)
+    bounds = np.array(starts)[first_entries]
+    return HomodyneDataset._adopt(phases, bounds, values, seed_value, state_label(state))
 
 
 def estimate_moments(ds: HomodyneDataset, phase: float) -> MomentEstimate:
@@ -342,8 +368,9 @@ def empirical_trifonov(
     other = phase + math.pi / 2.0
     e1 = estimate_moments(ds1, phase)
     e1_rot = estimate_moments(ds1, other)
+    # xs first: datasets with different records never build their thetas
     same = ds2 is ds1 or (
-        np.array_equal(ds1.thetas, ds2.thetas) and np.array_equal(ds1.xs, ds2.xs)
+        np.array_equal(ds1.xs, ds2.xs) and np.array_equal(ds1.thetas, ds2.thetas)
     )
     if same:
         e2, e2_rot = e1, e1_rot

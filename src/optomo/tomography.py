@@ -31,6 +31,7 @@ so a query just below pi (or 0) reads the stored phase 0, mirrored.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Real
@@ -128,11 +129,12 @@ def wrap_phase(phase: float):
     """Map a phase into [0, pi); the flag says the X axis is mirrored there.
 
     The scalar view of ``_wrap_phases``.  A phase already in [0, pi), as
-    every stored grid phase is, comes back unchanged without a numpy call.
+    every stored grid phase is, comes back without a numpy call; + 0.0 turns
+    -0.0 into 0.0, as ``_wrap_phases`` does.
     """
     phase = float(phase)
     if 0.0 <= phase < math.pi:
-        return phase, False
+        return phase + 0.0, False
     reduced, mirrored = _wrap_phases(phase)
     return float(reduced), bool(mirrored)
 
@@ -647,7 +649,10 @@ def _read_csv(path, header, what):
             if found != header:
                 raise InputError(f"{path}: expected header {header!r}, got {found!r}")
             try:
-                return np.loadtxt(fh, delimiter=",", ndmin=2)
+                with warnings.catch_warnings():
+                    # a header-only file is empty data, which each loader judges
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    return np.loadtxt(fh, delimiter=",", ndmin=2)
             except ValueError as exc:
                 raise InputError(f"{path}: malformed CSV: {exc}") from exc
     except OSError as exc:

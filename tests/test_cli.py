@@ -3,6 +3,7 @@ import contextlib
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -274,6 +275,22 @@ def test_dataset_commands_accept_phases_outside_zero_to_pi(workspace, capsys):
     assert main(["simulate", *args, "--seed", "1", "--out", str(out)]) == 0
     thetas = np.loadtxt(out, delimiter=",", skiprows=1)[:, 0]
     assert np.all((thetas >= 0.0) & (thetas < math.pi))
+
+
+def test_header_only_data_and_negative_zero_phases(workspace, capsys):
+    empty = workspace / "empty.csv"
+    empty.write_text("theta,x\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["estimate", "--data", str(empty), "--theta", "0"]) == 2
+    assert caught == []
+    assert capsys.readouterr().err == "input error: need at least 30 records at phase 0, got 0\n"
+    # a schedule phase of -0.0 is stored, and printed, as 0
+    out = workspace / "zeros.csv"
+    args = ["--state", str(workspace / "vacuum.json"), "--thetas=-0.0,0.5", "--shots", "40"]
+    assert main(["simulate", *args, "--seed", "2", "--out", str(out)]) == 0
+    prefixes = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert prefixes == ["0"] * 40 + ["0.5"] * 40
 
 
 def test_simulate_is_deterministic(workspace, capsys):

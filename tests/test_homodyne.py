@@ -12,6 +12,7 @@ from optomo import (
     GaussianState,
     HomodyneDataset,
     InputError,
+    MixedState,
     empirical_trifonov,
     estimate_moments,
     fock,
@@ -19,6 +20,7 @@ from optomo import (
     operator_trifonov_lhs,
     sample,
     save_dataset_csv,
+    thermal_state,
     uniform_phases,
     vacuum,
 )
@@ -32,7 +34,7 @@ from optomo.homodyne import (
     _tabulated_cdf,
 )
 from optomo.tomography import MAX_PHASE, PHASE_TOL, _state_rows, wrap_phase
-from oracles import random_state
+from oracles import random_fock, random_gaussian, random_state
 
 S2 = GaussianState(0.0, 0.0, 2.0)
 SHALF = GaussianState(0.0, 0.0, 0.5)
@@ -81,6 +83,10 @@ def test_inverse_cdf_is_bitwise_np_interp(seed, phase):
     # many knots), the largest draw below 1 and uniform draws
     u = np.concatenate(([0.0, np.nextafter(1.0, 0.0)], cdf[cdf < 1.0], rng.random(20_000)))
     want = np.interp(u, cdf, xs)
+    # some draws fall in bins spanning several knots, whose guide entry is
+    # the negative sentinel
+    bins = 2 * (CDF_POINTS - 1)
+    assert (np.diff(_guide_table(cdf, bins)) > 1)[(u * bins).astype(np.intp)].any()
     _inverse_cdf(cdf, xs)(u)  # in place
     assert np.array_equal(u.view(np.int64), want.view(np.int64))
 
@@ -153,6 +159,54 @@ def test_batched_cdf_rows_match_the_single_phase_tables(seed, phases):
         else:
             # the batched matrix product may round differently in the last bit
             assert np.max(np.abs(row - want)) <= 1e-15
+
+
+_TABLE_STATES = {
+    "fock": random_fock,
+    "gaussian": random_gaussian,
+    "fock+gaussian": lambda rng: MixedState(
+        ((0.4, random_fock(rng)), (0.6, random_gaussian(rng)))
+    ),
+    "thermal": lambda rng: thermal_state(1.0),
+}
+
+
+@pytest.mark.parametrize("kind", list(_TABLE_STATES))
+@given(
+    seed=hyp_st.integers(0, 2**32 - 1),
+    phases=hyp_st.lists(hyp_st.floats(-7.0, 7.0), min_size=1, max_size=4),
+)
+def test_cdf_tables_are_monotone_without_a_running_maximum(kind, seed, phases):
+    # phases outside [0, pi) give mirrored rows
+    cdf, _ = _tabulated_cdf(_TABLE_STATES[kind](np.random.default_rng(seed)), phases)
+    assert np.all(cdf[:, 0] == 0.0) and np.all(cdf[:, -1] == 1.0)
+    assert np.all(np.diff(cdf, axis=1) >= 0.0)
+
+
+def test_consecutive_entries_at_one_reduced_phase_make_one_run():
+    # 0.5 + pi reduces to 0.5 exactly, and -0.0 is stored as 0.0
+    schedule = [(0.5, 100), (0.5 + math.pi, 50), (2.0, 30), (2.0, 20), (0.5, 10), (-0.0, 5), (0.0, 7)]
+    ds = sample(FockSuperposition((0.5, 0.3j, -0.4, 0.2)), schedule, seed=4)
+    phases, bounds = ds._runs
+    assert phases.tolist() == [0.5, 2.0, 0.5, 0.0] and not np.signbit(phases).any()
+    assert bounds.tolist() == [0, 150, 200, 210, 222]
+    assert "thetas" not in vars(ds)  # built on first read only
+    want = np.concatenate([np.full(count, wrap_phase(phase)[0]) for phase, count in schedule])
+    assert np.array_equal(ds.thetas.view(np.int64), want.view(np.int64))
+    assert not ds.thetas.flags.writeable
+
+
+def test_the_sampling_path_never_builds_thetas(tmp_path):
+    schedule = [(0.3, 400), (0.3 + HALF_PI, 400)]
+    ds = sample(GaussianState(0.2, 0.1, 1.5), schedule, seed=5)
+    other = sample(GaussianState(0.2, 0.1, 1.5), schedule, seed=6)
+    for phase, _ in schedule:
+        estimate_moments(ds, phase)
+        estimate_moments(ds, phase + math.pi)
+    empirical_trifonov(ds, ds, 0.3)
+    empirical_trifonov(ds, other, 0.3)
+    save_dataset_csv(ds, tmp_path / "d.csv")
+    assert "thetas" not in vars(ds) and "thetas" not in vars(other)
 
 
 @pytest.mark.parametrize("to_numpy", [np.int64, np.int32])
@@ -288,6 +342,29 @@ def test_estimates_do_not_depend_on_the_call_order(order, pick):
         query = queries[i % len(queries)]
         fresh = HomodyneDataset(thetas, xs, seed=0, state_label="x")
         assert _bits(estimate_moments(ds, query)) == _bits(estimate_moments(fresh, query))
+
+
+def test_several_matched_runs_read_the_records_of_their_phases():
+    rng = np.random.default_rng(23)
+    stored = [0.3, _CLOSE, 1.2]
+    # interleaved records, and each phase in two runs
+    for thetas in (rng.choice(stored, size=3000), np.tile(np.repeat(stored, 500), 2)):
+        xs = rng.normal(0.4, 1.3, size=thetas.size)
+        ds = HomodyneDataset(thetas, xs, seed=0, state_label="x")
+        for query, matched in (
+            (0.3, [0.3, _CLOSE]),
+            (0.3 + math.pi, [0.3, _CLOSE]),
+            (1.2, [1.2]),
+            (1.2 - math.pi, [1.2]),
+            (0.7, []),
+        ):
+            want = xs[np.isin(thetas, matched)]
+            if wrap_phase(query)[1]:
+                want = -want
+            assert np.array_equal(ds.values_at(query).view(np.int64), want.view(np.int64))
+            if matched:
+                assert _bits(estimate_moments(ds, query)) == _bits(_record_estimate(want, query))
+        assert "thetas" not in vars(ds)
 
 
 def test_a_mirrored_phase_negates_only_the_mean():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -296,6 +297,9 @@ def test_wrap_phase_reduction():
     reduced, mirrored = wrap_phase(2 * math.pi + 0.1)
     assert reduced == pytest.approx(0.1)
     assert not mirrored
+    # -0.0 comes back as 0.0, as from _wrap_phases
+    reduced, mirrored = wrap_phase(-0.0)
+    assert math.copysign(1.0, reduced) == 1.0 and not mirrored
 
 
 @given(phase=hyp_st.floats(-50.0, 50.0), turns=hyp_st.integers(-4, 4))
@@ -643,6 +647,15 @@ def test_csv_loaders_report_unreadable_files_alike(tmp_path, load, header, what)
         with pytest.raises(InputError) as caught:
             load(target)
         assert str(caught.value).startswith(f"cannot read {what} file {target}: {errno}")
+    # a header-only file warns nothing; each loader judges the empty data
+    path.write_text(f"{header}\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if what == "dataset":
+            assert load(path).n_records == 0
+        else:
+            with pytest.raises(InputError, match="expected three columns theta,x,w"):
+                load(path)
 
 
 def test_csv_loader_validates(tmp_path):
