@@ -453,12 +453,13 @@ def _parse_args(parser, argv):
 
 
 # argparse takes a value such as "-1e-20" for a flag, not for this flag's value
-_FLOAT_FLAGS = ("--theta", "--x-min", "--x-max", "--tolerance", "--tol")
+_FLOAT_FLAGS = ("--theta", "--x-min", "--x-max", "--tolerance", "--tol", "--thetas", "--schedule")
 _NEGATIVE_NUMBER = re.compile(r"-\.?\d")
 
 
 def _join_float_values(argv):
-    """Rewrite "--theta -1e-20" as "--theta=-1e-20" for the float flags."""
+    """Rewrite "--theta -1e-20" as "--theta=-1e-20" for the flags whose value
+    starts with a number (a phase list or schedule starts with a phase)."""
     out = []
     for tok in argv:
         if out and out[-1] in _FLOAT_FLAGS and _NEGATIVE_NUMBER.match(tok):

@@ -51,7 +51,9 @@ __all__ = [
 GENERATOR_NAME = "numpy-PCG64(SeedSequence-spawn-per-phase)"
 MIN_SAMPLES = 30
 CDF_POINTS = 4097  # CDF_POINTS - 1 must be a power of two: see _inverse_cdf
-CSV_BLOCK_LINES = 4096
+# with 4096-line blocks the "%" formatting raised the peak RSS of writing
+# 2 x 100k records by ~1.5 MB; 1024-line blocks did not, and write as fast
+CSV_BLOCK_LINES = 1024
 
 
 def _split_runs(values):
@@ -400,16 +402,28 @@ def _sidecar_path(path) -> Path:
 def save_dataset_csv(ds: HomodyneDataset, path):
     """Write "theta,x" records and the JSON metadata sidecar.  Each run of
     the dataset (``HomodyneDataset._runs``, split on the bits) shares one
-    formatted "theta," prefix, so every record keeps its own phase, -0.0
-    included; lines are formatted in blocks of ``CSV_BLOCK_LINES``."""
+    line template with its phase formatted in, so every record keeps its own
+    phase, -0.0 included.  Records are written in blocks of
+    ``CSV_BLOCK_LINES``, each one C-level ``%`` of the joined templates of
+    the runs it covers, so a short run costs no slice or write of its own."""
     phases, bounds = ds._runs
+    lines = [f"{theta:.17g},%.17g\n" for theta in phases.tolist()]
+    ends = bounds[1:].tolist()
+    n = ds.n_records
+    run = 0
     with open(path, "w") as fh:
         fh.write("theta,x\n")
-        for theta, lo, hi in zip(phases.tolist(), bounds[:-1].tolist(), bounds[1:].tolist()):
-            prefix = f"{theta:.17g},"
-            for a in range(lo, hi, CSV_BLOCK_LINES):
-                block = ds.xs[a:min(a + CSV_BLOCK_LINES, hi)].tolist()
-                fh.write("".join([f"{prefix}{x:.17g}\n" for x in block]))
+        for lo in range(0, n, CSV_BLOCK_LINES):
+            hi = min(lo + CSV_BLOCK_LINES, n)
+            block = tuple(ds.xs[lo:hi].tolist())
+            template = []
+            while lo < hi:
+                end = min(ends[run], hi)
+                template.append(lines[run] * (end - lo))
+                if end == ends[run]:
+                    run += 1
+                lo = end
+            fh.write("".join(template) % block)
     meta = {"seed": ds.seed, "state_label": ds.state_label, "generator": ds.generator}
     with open(_sidecar_path(path), "w") as fh:
         json.dump(meta, fh, indent=2)

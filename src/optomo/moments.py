@@ -2,8 +2,10 @@
 
 All moments use Simpson's rule (``quadrature.simpson``).  A grid computes
 every row's mean and variance in one pass on its first moment query and
-keeps them (``TomogramGrid.row_moments``), so a query at a grid phase is a
-lookup plus the mirror sign and the window-coverage guard.  Loose rows
+keeps them (``TomogramGrid.row_moments``), with each row's moments as floats
+and a flag saying whether the window-coverage guard acts on it; a query at a
+grid phase is a lookup, two list reads and the mirror sign, and only a
+flagged row goes through the guard (on every query).  Loose rows
 (``row_mean``, ``row_variance``) are validated on every call.  Moments taken
 directly from a state bypass the stored grid through a dedicated fine row,
 so estimator accuracy is not tied to grid resolution.
@@ -19,7 +21,7 @@ import numpy as np
 from .errors import InputError, NumericalError, TruncationWarning
 from .quadrature import simpson, simpson_moments
 from .states import MomentSet, State, grid_halfwidth
-from .tomography import NORM_TOL, TomogramGrid, _state_row
+from .tomography import NORM_TOL, WINDOW_SIGMAS, TomogramGrid, _state_row
 
 __all__ = [
     "row_mean",
@@ -52,9 +54,9 @@ def _checked(xs, row):
 
 def _guard_window(xs, row, mean, var):
     """Warn (or raise, when the boundary density is not negligible) if the
-    window does not cover mean +/- 6 sigma of the row."""
+    window does not cover mean +/- 6 sigma (``WINDOW_SIGMAS``) of the row."""
     sigma = math.sqrt(var)
-    if mean - 6.0 * sigma < xs[0] or mean + 6.0 * sigma > xs[-1]:
+    if mean - WINDOW_SIGMAS * sigma < xs[0] or mean + WINDOW_SIGMAS * sigma > xs[-1]:
         tail_estimate = (float(row[0]) + float(row[-1])) * max(sigma, 1e-3)
         if tail_estimate > TAIL_TOL:
             raise NumericalError(
@@ -86,11 +88,12 @@ def row_variance(xs, row) -> float:
 
 
 def _grid_moments(grid, phase):
-    """(mean, variance, row, mirrored): the stored row at a grid phase and its
-    kept moments; the mean is that of the unmirrored row."""
+    """(mean, variance, row, mirrored): the kept moments of the stored row at
+    a grid phase, the mean that of the unmirrored row; row is that stored
+    row when the window guard acts on it, else None."""
     i, mirrored = grid.lookup(phase)
-    means, variances = grid.row_moments
-    return float(means[i]), float(variances[i]), grid.values[i], mirrored
+    means, variances, narrow = grid._moment_table
+    return means[i], variances[i], grid.values[i] if narrow[i] else None, mirrored
 
 
 def tomographic_mean(grid: TomogramGrid, phase: float) -> float:
@@ -101,13 +104,15 @@ def tomographic_mean(grid: TomogramGrid, phase: float) -> float:
 def tomographic_variance(grid: TomogramGrid, phase: float) -> float:
     # variance is invariant under X -> -X
     mean, var, row, _ = _grid_moments(grid, phase)
-    _guard_window(grid.xs, row, mean, var)
+    if row is not None:
+        _guard_window(grid.xs, row, mean, var)
     return var
 
 
 def tomographic_moments(grid: TomogramGrid, phase: float) -> MomentSet:
     mean, var, row, mirrored = _grid_moments(grid, phase)
-    _guard_window(grid.xs, row, mean, var)
+    if row is not None:
+        _guard_window(grid.xs, row, mean, var)
     return MomentSet(-mean if mirrored else mean, var, float(phase))
 
 

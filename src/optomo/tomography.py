@@ -76,6 +76,8 @@ DEFAULT_N_X = 256
 MAX_N_X = 4096
 NEGATIVE_TOL = 1e-12
 NORM_TOL = 1e-6
+# moment queries guard a row whose mean +/- this many sigma leaves the window
+WINDOW_SIGMAS = 6.0
 PHASE_TOL = 1e-9
 # past 2**52 neighbouring doubles are >= 1 rad apart: no phase is left mod pi
 MAX_PHASE = 2.0 ** 52
@@ -168,6 +170,16 @@ def gaussian_row(xs, mean: float, variance: float) -> np.ndarray:
     )
 
 
+def _trapezoid_weights(steps):
+    """(dx_0/2, (dx_0 + dx_1)/2, ..., dx_last/2) for the steps of an x grid:
+    ``rows @ weights`` is ``np.trapezoid(rows, xs, axis=-1)`` up to rounding."""
+    weights = np.zeros(steps.size + 1)
+    weights[:-1] = steps
+    weights[1:] += steps
+    weights /= 2.0
+    return weights
+
+
 @dataclass(frozen=True, eq=False)
 class TomogramGrid:
     """Sampled tomogram w[theta_index, x_index] on phases x uniform X grid.
@@ -176,7 +188,8 @@ class TomogramGrid:
     rejected, small negatives clamped to zero) and trapezoid-normalized to 1
     within 1e-6.  ``source`` is None (a bare grid) or the originating state
     spec, enabling exact re-evaluation off the grid.  The arrays are
-    read-only, so ``row_moments`` is computed once and kept.
+    read-only, so ``row_moments``, and the per-row table that moment queries
+    read, are computed once and kept.
     """
 
     phases: np.ndarray
@@ -217,11 +230,7 @@ class TomogramGrid:
         if vmin < -NEGATIVE_TOL:
             raise InputError(f"tomogram values must be >= -{NEGATIVE_TOL}, got {vmin}")
         values = np.maximum(values, 0.0)
-        # np.trapezoid(values, xs, axis=1), operation for operation, in place
-        masses = values[:, 1:] + values[:, :-1]
-        masses *= steps
-        masses /= 2.0
-        masses = masses.sum(1)
+        masses = values @ _trapezoid_weights(steps)
         bad = np.abs(masses - 1.0).argmax()
         if abs(masses[bad] - 1.0) > NORM_TOL:
             raise InputError(
@@ -280,6 +289,19 @@ class TomogramGrid:
         variances.setflags(write=False)
         return means, variances
 
+    @cached_property
+    def _moment_table(self):
+        """(means, variances, narrow): ``row_moments`` as lists of floats, and
+        per row whether mean +/- WINDOW_SIGMAS sigma leaves the x window, the
+        test that ``moments._guard_window`` makes, operation for operation."""
+        means, variances = (arr.tolist() for arr in self.row_moments)
+        lo, hi = float(self.xs[0]), float(self.xs[-1])
+        narrow = [
+            mean - WINDOW_SIGMAS * math.sqrt(var) < lo or mean + WINDOW_SIGMAS * math.sqrt(var) > hi
+            for mean, var in zip(means, variances)
+        ]
+        return means, variances, narrow
+
     def row_at(self, phase: float):
         """(row, mirrored) for any real phase; mirrored means the density at
         the query phase is row evaluated at -X."""
@@ -298,14 +320,20 @@ def _components(state):
 def _fock_rows(coeffs, reduced, mirrored, herm):
     """|C(theta) @ H|^2 for every phase at once; row i of C holds the rotated
     coefficients c_n exp(-i n theta_i), with the odd ones negated on mirrored
-    phases since psi_n(-X) = (-1)^n psi_n(X)."""
+    phases since psi_n(-X) = (-1)^n psi_n(X).  H is real, so the row is
+    (Re C @ H)^2 + (Im C @ H)^2: one real product of Re C stacked over Im C,
+    squared and summed in place, with no complex copy of H."""
     n = np.arange(coeffs.size)
-    rotated = coeffs * np.exp(-1j * np.outer(reduced, n))
+    rotated = coeffs * np.exp(reduced[:, None] * (-1j * n))
     if mirrored.any():
         rotated *= np.where(mirrored[:, None], (-1.0) ** n, 1.0)
-    amp = rotated @ herm[: coeffs.size]
-    rows = amp.real ** 2
-    rows += amp.imag ** 2
+    k = reduced.size
+    parts = rotated.view(float).reshape(k, n.size, 2).transpose(2, 0, 1).reshape(2 * k, n.size)
+    amp = parts @ herm[: n.size]
+    rows, imag = amp[:k], amp[k:]
+    rows *= rows
+    imag *= imag
+    rows += imag
     return rows
 
 
@@ -317,13 +345,20 @@ def _state_rows(state, phases, xs) -> np.ndarray:
     components = _components(state)
     cutoffs = [s.cutoff for _, s in components if isinstance(s, FockSuperposition)]
     herm = kernels.hermite_functions(max(cutoffs), xs) if cutoffs else None
-    total = np.zeros((reduced.size, xs.size))
+    total = None
     for weight, comp in components:
         if isinstance(comp, FockSuperposition):
-            total += weight * _fock_rows(comp.coeff_array(), reduced, mirrored, herm)
+            rows = _fock_rows(comp.coeff_array(), reduced, mirrored, herm)
         else:
             mean, var = _rotated_moments(_mean_and_covariance(comp), reduced[:, None])
-            total += weight * gaussian_row(xs, np.where(mirrored[:, None], -mean, mean), var)
+            rows = gaussian_row(xs, np.where(mirrored[:, None], -mean, mean), var)
+        # rows are >= 0, so starting the sum from them is bitwise 0 + w * rows
+        if weight != 1.0:
+            rows *= weight
+        if total is None:
+            total = rows
+        else:
+            total += rows
     return total
 
 

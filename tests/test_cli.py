@@ -293,6 +293,22 @@ def test_header_only_data_and_negative_zero_phases(workspace, capsys):
     assert prefixes == ["0"] * 40 + ["0.5"] * 40
 
 
+def test_negative_phase_lists_and_schedules_may_follow_their_flag(workspace, capsys):
+    # argparse alone reads the space-separated "-0.5,1" as a flag
+    vac = ["simulate", "--state", str(workspace / "vacuum.json"), "--seed", "4"]
+    runs = {
+        "bare-thetas": ["--thetas", "-0.5,1", "--shots", "40"],
+        "joined-thetas": ["--thetas=-0.5,1", "--shots", "40"],
+        "bare-schedule": ["--schedule", "-0.5:40,1:40"],
+        "joined-schedule": ["--schedule=-0.5:40,1:40"],
+    }
+    for name, flags in runs.items():
+        assert main([*vac, *flags, "--out", str(workspace / f"{name}.csv")]) == 0
+    texts = {name: (workspace / f"{name}.csv").read_text() for name in runs}
+    assert len(set(texts.values())) == 1
+    assert texts["bare-schedule"].count("\n") == 81
+
+
 def test_simulate_is_deterministic(workspace, capsys):
     out1 = workspace / "a.csv"
     out2 = workspace / "b.csv"

@@ -27,6 +27,7 @@ from optomo import (
 from optomo import homodyne
 from optomo.homodyne import (
     CDF_POINTS,
+    CSV_BLOCK_LINES,
     MIN_SAMPLES,
     MomentEstimate,
     _guide_table,
@@ -563,7 +564,10 @@ def test_dataset_csv_round_trip(tmp_path_factory, seed):
 
 
 def test_records_at_both_zero_signs_keep_their_own_prefix(tmp_path):
-    thetas = np.array([0.0, -0.0, -0.0, 1.0, 0.0, -0.0, 1.0, 0.0] * 10)
+    # 520 groups of 8 records span several CSV blocks, each ending inside a
+    # run (a group's last record joins the next group's first)
+    thetas = np.array([0.0, -0.0, -0.0, 1.0, 0.0, -0.0, 1.0, 0.0] * 520)
+    assert thetas.size > 2 * CSV_BLOCK_LINES and CSV_BLOCK_LINES % 8 == 0
     xs = np.arange(thetas.size) / 7.0
     ds = HomodyneDataset(thetas, xs, seed=1, state_label="test")
     path = tmp_path / "d.csv"
@@ -577,11 +581,11 @@ def test_records_at_both_zero_signs_keep_their_own_prefix(tmp_path):
     # runs split on the bits (7 per block of 8, the last joining the next
     # block's first); a query matches both signs, in record order
     phases, bounds = ds._runs
-    assert phases.size == 61 and bounds[-1] == thetas.size
+    assert phases.size == 6 * 520 + 1 and bounds[-1] == thetas.size
     for phase in (0.0, -0.0, math.pi):
         expected = xs[thetas == 0.0]
         assert np.array_equal(ds.values_at(phase), expected if phase < 1 else -expected)
-    assert estimate_moments(ds, -0.0).count == estimate_moments(ds, 0.0).count == 60
+    assert estimate_moments(ds, -0.0).count == estimate_moments(ds, 0.0).count == 6 * 520
 
 
 def test_dataset_metadata_content(tmp_path):

@@ -26,7 +26,7 @@ from optomo import (
     tomographic_variance,
     vacuum,
 )
-from optomo.moments import STATE_ROW_POINTS
+from optomo.moments import STATE_ROW_POINTS, _guard_window
 from optomo.quadrature import simpson, simpson_moments
 from optomo.states import grid_halfwidth
 from optomo.tomography import _state_row
@@ -231,6 +231,88 @@ def test_narrow_window_grid_warns_on_every_variance_query():
         with warnings.catch_warnings():
             warnings.simplefilter("error", TruncationWarning)
             tomographic_mean(grid, phase)  # the mean has no window guard
+
+
+def _acts(call, *args):
+    """Whether call(*args) warns or raises NumericalError, as the window
+    guard does when it acts."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            call(*args)
+        except NumericalError:
+            return True
+    return bool(caught)
+
+
+@given(
+    seed=hyp_st.integers(0, 2**32 - 1),
+    n_phases=hyp_st.integers(1, 12),
+    shrink=hyp_st.floats(0.65, 1.0),
+    shift=hyp_st.floats(-0.1, 0.1),
+)
+def test_kept_guard_flags_are_the_window_guards_decision(seed, n_phases, shrink, shift):
+    state = random_state(np.random.default_rng(seed))
+    half = grid_halfwidth(state) * shrink
+    try:
+        grid = tomogram_grid(state, phases=n_phases, window=(-half + shift, half + shift))
+    except InputError:
+        return  # the narrowed window cut more than the normalisation allows
+    means, variances, narrow = grid._moment_table
+    assert (means, variances) == (grid.row_moments[0].tolist(), grid.row_moments[1].tolist())
+    for i, theta in enumerate(grid.phases.tolist()):
+        assert narrow[i] == _acts(_guard_window, grid.xs, grid.values[i], means[i], variances[i])
+        assert narrow[i] == _acts(tomographic_variance, grid, theta)
+
+
+def _row_whose_six_sigma_reach_is(xs, side):
+    """(row, mean, variance): a normalised Gaussian row on xs whose three
+    values at one end (side -1 the left, +1 the right) are 0, so its Simpson
+    moments do not depend on that end point, with its centre bisected until
+    mean + side * 6 sigma is within 1e-10 dx of that end point."""
+    end, zeros = (-1, slice(-3, None)) if side > 0 else (0, slice(0, 3))
+
+    def build(centre):
+        row = gaussian_row(xs, centre, 0.5)
+        row[zeros] = 0.0
+        row /= np.trapezoid(row, xs)
+        mean, var = (float(v) for v in simpson_moments(xs, row))
+        return row, mean, var
+
+    target = xs[end]
+    lo, hi = sorted((0.0, target))
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        row, mean, var = build(mid)
+        reach = mean + side * 6.0 * math.sqrt(var)
+        if abs(reach - target) <= 1e-10 * (xs[1] - xs[0]):
+            return row, mean, var
+        lo, hi = (mid, hi) if reach < target else (lo, mid)
+    raise AssertionError("bisection did not reach the target")
+
+
+@pytest.mark.parametrize("side", [-1, 1])
+def test_a_row_reaching_the_window_edge_exactly_is_not_guarded(side):
+    xs = np.linspace(-6.0, 6.0, 241)
+    row, mean, var = _row_whose_six_sigma_reach_is(xs, side)
+    edge = mean + side * 6.0 * math.sqrt(var)
+    end = -1 if side > 0 else 0
+    # the edge exactly is covered; one ulp inward, the reach leaves the window
+    for moved, guarded in ((edge, False), (np.nextafter(edge, -side * math.inf), True)):
+        edged = xs.copy()
+        edged[end] = moved
+        grid = TomogramGrid([0.0], edged, [row])
+        assert grid.row_moments[0][0] == mean and grid.row_moments[1][0] == var
+        assert grid._moment_table[2] == [guarded]
+        assert _acts(_guard_window, grid.xs, row, mean, var) == guarded
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            for _ in range(2):
+                assert tomographic_variance(grid, 0.0) == var
+                assert tomographic_moments(grid, math.pi).variance == var
+        # a flagged row warns on every query, pointing at the caller
+        assert len(caught) == (4 if guarded else 0)
+        assert all(w.category is TruncationWarning and w.filename == __file__ for w in caught)
 
 
 def test_grid_with_two_x_points_is_rejected_at_query_time():

@@ -31,7 +31,16 @@ from optomo import (
 )
 from optomo import kernels, quadrature
 from optomo.moments import tomographic_mean
-from optomo.tomography import MAX_PHASE, PHASE_TOL, _state_row, _wrap_phases, wrap_phase
+from optomo.states import _mean_and_covariance, _rotated_moments
+from optomo.tomography import (
+    MAX_PHASE,
+    PHASE_TOL,
+    _state_row,
+    _state_rows,
+    _trapezoid_weights,
+    _wrap_phases,
+    wrap_phase,
+)
 from oracles import fock_row, gaussian_tomogram_row, random_state, state_row
 
 SQRT_PI_INV = math.pi ** -0.5
@@ -172,6 +181,49 @@ def test_closed_rows_match_the_oscillatory_transform(seed, branch, offset):
     )
 
 
+def _complex_reference_rows(state, phases, xs):
+    """Rows summed over components in the package's order: |C @ H|^2 from a
+    complex product for each Fock component (C rotated at the reduced phases,
+    odd coefficients negated where X is mirrored), the Gaussian density at
+    the rotated mean and variance for each Gaussian one."""
+    reduced, mirrored = _wrap_phases(phases)
+    components = state.components if isinstance(state, MixedState) else ((1.0, state),)
+    herm = kernels.hermite_functions(64, xs)
+    total = np.zeros((reduced.size, xs.size))
+    for weight, comp in components:
+        if isinstance(comp, FockSuperposition):
+            c = comp.coeff_array()
+            n = np.arange(c.size)
+            rotated = c * np.exp(-1j * np.outer(reduced, n))
+            rotated = np.where(mirrored[:, None], rotated * (-1.0) ** n, rotated)
+            amp = rotated @ herm[: c.size].astype(complex)
+            total += weight * (amp.real ** 2 + amp.imag ** 2)
+        else:
+            mean, var = _rotated_moments(_mean_and_covariance(comp), reduced[:, None])
+            total += weight * gaussian_row(xs, np.where(mirrored[:, None], -mean, mean), var)
+    return total
+
+
+@given(seed=hyp_st.integers(0, 2**32 - 1), n_phases=hyp_st.integers(1, 20))
+def test_grid_rows_in_real_arithmetic_match_the_complex_product(seed, n_phases):
+    state = random_state(np.random.default_rng(seed))
+    grid = tomogram_grid(state, phases=n_phases)
+    if isinstance(state, GaussianState):
+        # Gaussian rows take no product: bitwise the normal density
+        mean, var = _rotated_moments(_mean_and_covariance(state), grid.phases[:, None])
+        assert np.array_equal(grid.values, gaussian_row(grid.xs, mean, var))
+        return
+    want = _complex_reference_rows(state, grid.phases, grid.xs)
+    assert np.abs(grid.values - want).max() <= 1e-15
+    for phase, row in zip(grid.phases, grid.values):
+        assert np.allclose(row, state_row(state, phase, grid.xs), rtol=0.0, atol=1e-9)
+    # mirrored phases: the same stored rows at theta + pi, read at -X
+    shifted = grid.phases + math.pi
+    rows = _state_rows(state, shifted, grid.xs)
+    assert np.abs(rows - _complex_reference_rows(state, shifted, grid.xs)).max() <= 1e-15
+    assert np.abs(rows - _state_rows(state, grid.phases, -grid.xs)).max() <= 1e-15
+
+
 def test_default_grids_never_run_the_transform(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("default rows must not use the oscillatory transform")
@@ -249,6 +301,18 @@ _GRID_ERRORS = [
         [_ROW, _ROW * 1.01],
         "row at phase 1 integrates to 1.01000000, outside 1 +/- 1e-06",
     ),
+    (
+        [0.0, 1.0],
+        _XS,
+        [_ROW, _ROW * (1.0 + 1.1e-6)],
+        "row at phase 1 integrates to 1.00000110, outside 1 +/- 1e-06",
+    ),
+    (
+        [0.0, 1.0],
+        _XS,
+        [_ROW * (1.0 - 1.1e-6), _ROW],
+        "row at phase 0 integrates to 0.99999890, outside 1 +/- 1e-06",
+    ),
 ]
 
 
@@ -267,6 +331,22 @@ def test_grid_source_must_be_a_state_or_none(source):
     with pytest.raises(InputError, match="expected a TomogramGrid or state"):
         tomogram_characteristic(source, 0.0, 1.0)
     assert TomogramGrid([0.0], _XS, [_ROW], source=vacuum()).source == vacuum()
+
+
+def test_grid_accepts_row_masses_within_the_tolerance():
+    for scale in (1.0 + 0.9e-6, 1.0 - 0.9e-6):
+        TomogramGrid([0.0, 1.0], _XS, [_ROW, _ROW * scale])
+
+
+@pytest.mark.parametrize("n_x", [2, 3, 512])
+def test_trapezoid_weights_give_the_trapezoid_masses(n_x):
+    rng = np.random.default_rng(n_x)
+    for lo, hi in ((-1.0, 1.0), (-7.3, 12.9), (0.0, 1e-3)):
+        xs = np.linspace(lo, hi, n_x)
+        values = rng.random((5, n_x)) / (hi - lo)
+        masses = values @ _trapezoid_weights(np.diff(xs))
+        assert np.abs(masses - np.trapezoid(values, xs, axis=1)).max() <= 1e-14
+        TomogramGrid([0.0], xs, values[:1] / np.trapezoid(values[0], xs))
 
 
 def test_grid_copies_what_it_keeps_and_leaves_the_callers_arrays_alone():
