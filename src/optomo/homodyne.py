@@ -4,21 +4,24 @@ Samples are drawn per phase by inverse-CDF lookup on a finely tabulated
 tomogram row (4097 points over the 8-sigma window keeps the CDF interpolation
 error well under 1e-4 in probability).  Each ``sample`` call tabulates the
 rows of its schedule's distinct reduced phases in one batched row evaluation,
-and builds each row's lookup once.  The lookup is a guide table (Chen &
-Asau 1974; Devroye 1986, sec. III.2.4): the uniform draw's bin among
+and builds each row's lookup once, just before the entries that use it, and
+drops it before the next.  The lookup is a guide table (Chen & Asau 1974;
+Devroye 1986, sec. III.2.4): the uniform draw's bin among
 2 * (CDF_POINTS - 1) equal bins of [0, 1) names the knot interval, so each
 shot costs a few array reads instead of a binary search, and the result is
-bitwise what ``np.interp`` gives.  A schedule phase outside [0, pi) is
-reduced through the parity rule w(X, theta + pi) = w(-X, theta): its records
-are stored at the reduced phase and drawn there, negated on a mirrored
-phase.  The RNG is numpy's PCG64 seeded through SeedSequence, with one
-spawned child stream per schedule entry, so a (state, schedule, seed) triple
-reproduces the dataset bit for bit.  A dataset stores its phases as runs
-of records at one phase, as ``sample`` writes them (one run per group of
-consecutive entries at one reduced phase), and derives the per-record
-``thetas`` only when it is read; queries, moments and the CSV writer work on
-the runs.  A dataset computes the moments of each set of matching runs once
-and keeps them.
+bitwise what ``np.interp`` gives.  Draws are inverted in place in blocks of
+INVERT_BLOCK through scratch buffers kept with the lookup, so apart from the
+records a ``sample`` call's memory does not grow with the shot count.  A
+schedule phase outside [0, pi) is reduced through the parity rule
+w(X, theta + pi) = w(-X, theta): its records are stored at the reduced phase
+and drawn there, negated on a mirrored phase.  The RNG is numpy's PCG64
+seeded through SeedSequence, with one spawned child stream per schedule
+entry, so a (state, schedule, seed) triple reproduces the dataset bit for
+bit.  A dataset stores its phases as runs of records at one phase, as
+``sample`` writes them (one run per group of consecutive entries at one
+reduced phase), and derives the per-record ``thetas`` only when it is read;
+queries, moments and the CSV writer work on the runs.  A dataset computes
+the moments of each set of matching runs once and keeps them.
 """
 
 from __future__ import annotations
@@ -54,6 +57,10 @@ CDF_POINTS = 4097  # CDF_POINTS - 1 must be a power of two: see _inverse_cdf
 # with 4096-line blocks the "%" formatting raised the peak RSS of writing
 # 2 x 100k records by ~1.5 MB; 1024-line blocks did not, and write as fast
 CSV_BLOCK_LINES = 1024
+# draws per block of _inverse_cdf, whose scratch buffers take ~200 KB: on
+# 20k draws, 1024-draw blocks took 2.1x as long as 8192-draw ones, and one
+# 32768-draw block saved another 10-14 % at four times the memory
+INVERT_BLOCK = 8192
 
 
 def _split_runs(values):
@@ -102,7 +109,9 @@ class HomodyneDataset:
         return ds
 
     def _init(self, phases, bounds, xs, seed, state_label, generator):
-        if not np.all(np.isfinite(xs)):
+        # a NaN or an infinity shows in the min or the max, and these two
+        # reductions build no per-record mask
+        if xs.size and not (math.isfinite(xs.min()) and math.isfinite(xs.max())):
             raise InputError("quadrature values must be finite")
         if phases.size and (
             not np.all(np.isfinite(phases))
@@ -223,7 +232,13 @@ def _tabulated_cdf(state: State, phases):
     rows = _state_rows(state, phases, xs)
     dx = xs[1] - xs[0]
     cdf = np.zeros(rows.shape)
-    np.cumsum(0.5 * (rows[:, 1:] + rows[:, :-1]) * dx, axis=1, out=cdf[:, 1:])
+    # the trapezoid increments 0.5 * s * dx and their running sum, in place:
+    # multiplying by 0.5, then by dx, rounds as the left-to-right product does
+    steps = cdf[:, 1:]
+    np.add(rows[:, 1:], rows[:, :-1], out=steps)
+    steps *= 0.5
+    steps *= dx
+    np.cumsum(steps, axis=1, out=steps)
     total = cdf[:, -1:].copy()
     if np.any(total <= 0.0):
         raise InputError("density row has no mass; cannot sample")
@@ -264,6 +279,11 @@ def _inverse_cdf(cdf, xs):
     Its slopes are finite, since cdf[j] < cdf[j + 1], so a draw equal to a
     knot gives xs[j] exactly, as np.interp's special case does.  The tables
     are built once per row, however many draws it inverts.
+
+    The draws are inverted in blocks of INVERT_BLOCK through four scratch
+    buffers allocated with the tables, so the working memory is the same
+    for one draw or millions; each block goes through the same operations,
+    in the same order, as one pass over all the draws would.
     """
     bins = 2 * (CDF_POINTS - 1)
     guide = _guide_table(cdf, bins)
@@ -272,17 +292,30 @@ def _inverse_cdf(cdf, xs):
     start = np.where(np.diff(guide) > 1, -2, guide[:-1])
     with np.errstate(divide="ignore"):  # plateau intervals are never used
         slopes = np.diff(xs) / np.diff(cdf)
+    bin_buf = np.empty(INVERT_BLOCK, dtype=np.intp)
+    knot_buf = np.empty(INVERT_BLOCK, dtype=np.intp)
+    value_buf = np.empty(INVERT_BLOCK)
+    flag_buf = np.empty(INVERT_BLOCK, dtype=bool)
 
-    def invert(u):
-        k = (u * bins).astype(np.intp)
-        j = start.take(k)
-        j += u >= upper.take(k)
-        wide = j < 0
-        if wide.any():
-            j[wide] = np.searchsorted(cdf, u[wide], side="right") - 1
-        u -= cdf.take(j)
-        u *= slopes.take(j)
-        u += xs.take(j)
+    def invert(draws):
+        for lo in range(0, draws.size, INVERT_BLOCK):
+            u = draws[lo:lo + INVERT_BLOCK]
+            n = u.size
+            k, j, value, flag = bin_buf[:n], knot_buf[:n], value_buf[:n], flag_buf[:n]
+            np.multiply(u, bins, out=value)
+            np.copyto(k, value, casting="unsafe")  # truncates, as astype does
+            # every index is in range, and mode="raise" would copy each
+            # output through a temporary of its own
+            start.take(k, out=j, mode="wrap")
+            upper.take(k, out=value, mode="wrap")
+            np.greater_equal(u, value, out=flag)
+            j += flag
+            np.less(j, 0, out=flag)
+            if flag.any():
+                j[flag] = np.searchsorted(cdf, u[flag], side="right") - 1
+            u -= cdf.take(j, out=value, mode="wrap")
+            u *= slopes.take(j, out=value, mode="wrap")
+            u += xs.take(j, out=value, mode="wrap")
 
     return invert
 
@@ -293,8 +326,11 @@ def sample(state: State, phase_schedule, seed: int) -> HomodyneDataset:
     Deterministic: the seed and schedule fully determine the dataset.  The
     CDFs of the schedule's distinct reduced phases are tabulated in one pass
     and each is inverted by guide-table lookup (``_inverse_cdf``, bitwise
-    ``np.interp``), straight into the dataset's records; entries at one
-    reduced phase share its table, and nothing is kept between calls.  A
+    ``np.interp``), straight into the dataset's records in fixed blocks.
+    Entries at one reduced phase share its lookup, which is built just
+    before them and dropped before the next phase's, so at most one lookup
+    is alive and the working memory beside the records stays fixed;
+    nothing is kept between calls.  A
     phase outside [0, pi) (any finite phase below MAX_PHASE in magnitude) is
     reduced mod pi: its records are stored at the reduced phase, with the
     drawn values negated where the reduction mirrors the X axis.  Counts and
@@ -322,16 +358,25 @@ def sample(state: State, phase_schedule, seed: int) -> HomodyneDataset:
     entry_phases = np.array([phase for phase, _, _ in parsed])
     distinct, row_of = np.unique(entry_phases, return_inverse=True)
     cdf, xs = _tabulated_cdf(state, distinct)
-    inverses = [_inverse_cdf(row, xs) for row in cdf]
     children = np.random.SeedSequence(seed_value).spawn(len(parsed))
     starts = list(accumulate((count for _, _, count in parsed), initial=0))
     values = np.empty(starts[-1])
-    for (_, mirrored, count), lo, row, child in zip(parsed, starts, row_of.tolist(), children):
-        drawn = values[lo:lo + count]
-        np.random.Generator(np.random.PCG64(child)).random(out=drawn)
-        inverses[row](drawn)
-        if mirrored:
-            np.negative(drawn, out=drawn)
+    # one row's lookup at a time, built just before the entries that use it:
+    # each entry fills its own slice from its own stream, so the order in
+    # which the rows are visited changes no bit
+    entries_of = [[] for _ in range(distinct.size)]
+    for entry, row in enumerate(row_of.tolist()):
+        entries_of[row].append(entry)
+    for row, entries in zip(cdf, entries_of):
+        invert = _inverse_cdf(row, xs)
+        for entry in entries:
+            _, mirrored, count = parsed[entry]
+            drawn = values[starts[entry]:starts[entry] + count]
+            np.random.Generator(np.random.PCG64(children[entry])).random(out=drawn)
+            invert(drawn)
+            if mirrored:
+                np.negative(drawn, out=drawn)
+        del invert  # before the next row's lookup is built
     # consecutive entries at one reduced phase make one run of records
     phases, first_entries = _split_runs(entry_phases)
     bounds = np.array(starts)[first_entries]

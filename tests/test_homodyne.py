@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from dataclasses import astuple, replace
 
 import numpy as np
@@ -28,6 +29,7 @@ from optomo import homodyne
 from optomo.homodyne import (
     CDF_POINTS,
     CSV_BLOCK_LINES,
+    INVERT_BLOCK,
     MIN_SAMPLES,
     MomentEstimate,
     _guide_table,
@@ -116,9 +118,26 @@ def test_guide_table_is_bitwise_searchsorted(seed, phase, n_knots):
 
 
 def test_sampled_records_are_the_per_entry_draws_in_schedule_order(monkeypatch):
-    state = FockSuperposition((0.5, 0.3j, -0.4, 0.2))
-    # 0.5 + pi and 2.0 + pi reduce to 0.5 and 2.0 exactly, and -0.0 == 0.0
-    schedule = [(0.5, 700), (2.0 + math.pi, 500), (-0.0, 300), (0.5 + math.pi, 200), (2.0, 100), (0.0, 60)]
+    # counts one short of, at, one past and past twice a block of draws; 0.5
+    # recurs non-adjacently and as 0.5 + pi.  0.5 + pi and 2.0 + pi reduce to
+    # 0.5 and 2.0 exactly, and -0.0 == 0.0
+    block = INVERT_BLOCK
+    schedule = [
+        (0.5, block + 1),
+        (2.0 + math.pi, 1),
+        (-0.0, block),
+        (0.5 + math.pi, block - 1),
+        (2.0, 2 * block + 3),
+        (0.0, 60),
+        (0.5, 1),
+    ]
+    states = (
+        GaussianState(0.3, -0.2, 1.5),
+        FockSuperposition((0.5, 0.3j, -0.4, 0.2)),
+        MixedState(
+            ((0.4, FockSuperposition((0.6, 0.0, 0.8))), (0.6, GaussianState(0.3, -0.2, 1.5)))
+        ),
+    )
     calls = []
 
     def recording_rows(st, phases, xs):
@@ -126,21 +145,36 @@ def test_sampled_records_are_the_per_entry_draws_in_schedule_order(monkeypatch):
         return _state_rows(st, phases, xs)
 
     monkeypatch.setattr(homodyne, "_state_rows", recording_rows)
-    ds = sample(state, schedule, seed=11)
-    # one row per distinct reduced phase: theta and theta + pi share one
-    assert len(calls) == 1 and np.array_equal(calls[0], [0.0, 0.5, 2.0])
-    cdf, grid = _tabulated_cdf(state, calls[0])
-    children = np.random.SeedSequence(11).spawn(len(schedule))
-    thetas, xs = [], []
-    for (phase, count), child in zip(schedule, children):
-        reduced, mirrored = wrap_phase(phase)
-        row = cdf[np.flatnonzero(calls[0] == reduced)[0]]
-        drawn = np.interp(np.random.Generator(np.random.PCG64(child)).random(count), row, grid)
-        thetas.append(np.full(count, reduced))
-        xs.append(-drawn if mirrored else drawn)
-    assert np.array_equal(ds.thetas.view(np.int64), np.concatenate(thetas).view(np.int64))
-    assert np.array_equal(ds.xs.view(np.int64), np.concatenate(xs).view(np.int64))
-    assert not ds.thetas.flags.writeable and not ds.xs.flags.writeable
+    for state in states:
+        calls.clear()
+        ds = sample(state, schedule, seed=11)
+        # one row per distinct reduced phase: theta and theta + pi share one
+        assert len(calls) == 1 and np.array_equal(calls[0], [0.0, 0.5, 2.0])
+        cdf, grid = _tabulated_cdf(state, calls[0])
+        children = np.random.SeedSequence(11).spawn(len(schedule))
+        thetas, xs = [], []
+        for (phase, count), child in zip(schedule, children):
+            reduced, mirrored = wrap_phase(phase)
+            row = cdf[np.flatnonzero(calls[0] == reduced)[0]]
+            drawn = np.interp(np.random.Generator(np.random.PCG64(child)).random(count), row, grid)
+            thetas.append(np.full(count, reduced))
+            xs.append(-drawn if mirrored else drawn)
+        assert np.array_equal(ds.thetas.view(np.int64), np.concatenate(thetas).view(np.int64))
+        assert np.array_equal(ds.xs.view(np.int64), np.concatenate(xs).view(np.int64))
+        assert not ds.thetas.flags.writeable and not ds.xs.flags.writeable
+
+
+@pytest.mark.parametrize("n", [100_000, 1_000_000])
+def test_sampling_memory_beside_the_records_does_not_grow_with_the_shots(n):
+    state = FockSuperposition((0.5, 0.3j, -0.4, 0.2))
+    sample(state, [(0.3, 10), (1.2, 10)], 5)  # lazy set-up outside the trace
+    tracemalloc.start()
+    try:
+        ds = sample(state, [(0.3, n), (1.2, n)], 5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - ds.xs.nbytes < 2_000_000
 
 
 @given(
@@ -409,8 +443,13 @@ def test_one_dataset_trifonov_check_is_the_record_formula():
 def test_dataset_invariants():
     with pytest.raises(InputError):
         HomodyneDataset(np.array([0.0, math.pi]), np.array([0.0, 1.0]), 0, "x")
-    with pytest.raises(InputError):
-        HomodyneDataset(np.array([0.0]), np.array([math.inf]), 0, "x")
+    for bad in (math.nan, math.inf, -math.inf):
+        for where in (0, 2, 4):
+            xs = np.array([0.5, -1.0, 2.0, 0.0, 1.5])
+            xs[where] = bad
+            with pytest.raises(InputError, match="^quadrature values must be finite$"):
+                HomodyneDataset(np.full(5, 0.3), xs, 0, "x")
+    assert HomodyneDataset(np.empty(0), np.empty(0), 0, "x").n_records == 0
 
 
 def test_vacuum_sample_variance_converges():
