@@ -12,11 +12,13 @@ import json
 import math
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError, NumericalError
 from .homodyne import (
+    _sidecar_path,
     empirical_trifonov,
     estimate_moments,
     load_dataset_csv,
@@ -30,7 +32,9 @@ from .tomography import (
     DEFAULT_N_PHASES,
     PHASE_TOL,
     TomogramGrid,
+    _csv_fields,
     _nearest_phase,
+    _write_csv,
     load_tomogram_csv,
     save_tomogram_csv,
     tomogram_grid,
@@ -212,6 +216,13 @@ def _cmd_sweep_trifonov(args):
 
 
 def _cmd_simulate(args):
+    # neither the dataset nor its .json metadata sidecar may overwrite an input
+    written = {Path(args.out).resolve(), _sidecar_path(args.out).resolve()}
+    for flag, given in (("--state", args.state), ("--config", args.config)):
+        if given and Path(given).resolve() in written:
+            raise InputError(
+                f"--out {args.out} would overwrite {flag} {given} with its dataset or .json sidecar"
+            )
     state = load_state(args.state)
     schedule = _parse_schedule(args)
     dataset = sample(state, schedule, args.seed)
@@ -252,21 +263,15 @@ def _cmd_plotdata_row(args):
     row, mirrored = grid.row_at(args.theta)
     xs = -grid.xs[::-1] if mirrored else grid.xs
     row = row[::-1] if mirrored else row
-    with open(args.out, "w") as fh:
-        fh.write("x,w\n")
-        for x, w in zip(xs, row):
-            fh.write(f"{x:.17g},{w:.17g}\n")
+    _write_csv(args.out, "x,w", _csv_fields(xs), row)
     print(json.dumps({"out": args.out, "points": int(xs.size)}))
     return EXIT_OK
 
 
 def _cmd_plotdata_sweep(args):
     thetas, w1, w2 = _sweep_sources(args)
-    with open(args.out, "w") as fh:
-        fh.write("theta,lhs\n")
-        for theta in thetas:
-            rep = trifonov_lhs(w1, w2, float(theta))
-            fh.write(f"{theta:.17g},{rep.lhs:.17g}\n")
+    lhs = np.array([trifonov_lhs(w1, w2, theta).lhs for theta in thetas.tolist()])
+    _write_csv(args.out, "theta,lhs", _csv_fields(thetas), lhs)
     print(json.dumps({"out": args.out, "points": int(thetas.size)}))
     return EXIT_OK
 
@@ -475,7 +480,9 @@ def main(argv=None) -> int:
     try:
         args = _parse_args(parser, argv)
         return args.handler(args)
-    except (InputError, OSError) as exc:  # OSError: an --out path that cannot be written
+    # OSError: an --out path that cannot be written; MemoryError: a count too
+    # large to allocate (a count no array can address is an InputError)
+    except (InputError, OSError, MemoryError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except NumericalError as exc:

@@ -37,8 +37,16 @@ import numpy as np
 
 from .errors import InputError
 from .inequalities import InequalityReport, _report
-from .states import State, _integer, grid_halfwidth, state_label
-from .tomography import PHASE_TOL, _nearest_phase, _read_csv, _state_rows, wrap_phase
+from .states import _MAX_COUNT, State, _integer, grid_halfwidth, state_label
+from .tomography import (
+    PHASE_TOL,
+    _csv_fields,
+    _nearest_phase,
+    _read_csv,
+    _state_rows,
+    _write_csv,
+    wrap_phase,
+)
 
 __all__ = [
     "GENERATOR_NAME",
@@ -54,9 +62,6 @@ __all__ = [
 GENERATOR_NAME = "numpy-PCG64(SeedSequence-spawn-per-phase)"
 MIN_SAMPLES = 30
 CDF_POINTS = 4097  # CDF_POINTS - 1 must be a power of two: see _inverse_cdf
-# with 4096-line blocks the "%" formatting raised the peak RSS of writing
-# 2 x 100k records by ~1.5 MB; 1024-line blocks did not, and write as fast
-CSV_BLOCK_LINES = 1024
 # draws per block of _inverse_cdf, whose scratch buffers take ~200 KB: on
 # 20k draws, 1024-draw blocks took 2.1x as long as 8192-draw ones, and one
 # 32768-draw block saved another 10-14 % at four times the memory
@@ -354,12 +359,14 @@ def sample(state: State, phase_schedule, seed: int) -> HomodyneDataset:
             raise InputError(f"sample count must be a positive integer, got {count!r}")
         parsed.append((reduced, mirrored, n))
 
+    starts = list(accumulate((count for _, _, count in parsed), initial=0))
+    if starts[-1] > _MAX_COUNT:
+        raise InputError(f"{starts[-1]} samples are more than an array can address")
     # entries at one reduced phase share a row
     entry_phases = np.array([phase for phase, _, _ in parsed])
     distinct, row_of = np.unique(entry_phases, return_inverse=True)
     cdf, xs = _tabulated_cdf(state, distinct)
     children = np.random.SeedSequence(seed_value).spawn(len(parsed))
-    starts = list(accumulate((count for _, _, count in parsed), initial=0))
     values = np.empty(starts[-1])
     # one row's lookup at a time, built just before the entries that use it:
     # each entry fills its own slice from its own stream, so the order in
@@ -446,31 +453,17 @@ def _sidecar_path(path) -> Path:
 
 def save_dataset_csv(ds: HomodyneDataset, path):
     """Write "theta,x" records and the JSON metadata sidecar.  Each run of
-    the dataset (``HomodyneDataset._runs``, split on the bits) shares one
-    line template with its phase formatted in, so every record keeps its own
-    phase, -0.0 included.  Records are written in blocks of
-    ``CSV_BLOCK_LINES``, each one C-level ``%`` of the joined templates of
-    the runs it covers, so a short run costs no slice or write of its own."""
+    the dataset (``HomodyneDataset._runs``, split on the bits) formats its
+    phase once, so every record keeps its own phase, -0.0 included.  A path
+    whose sidecar would be the data file itself (a ".json" path) is refused
+    before anything is written."""
+    sidecar = _sidecar_path(path)
+    if sidecar.resolve() == Path(path).resolve():
+        raise InputError(f"{path}: a dataset cannot take the name of its .json metadata sidecar")
     phases, bounds = ds._runs
-    lines = [f"{theta:.17g},%.17g\n" for theta in phases.tolist()]
-    ends = bounds[1:].tolist()
-    n = ds.n_records
-    run = 0
-    with open(path, "w") as fh:
-        fh.write("theta,x\n")
-        for lo in range(0, n, CSV_BLOCK_LINES):
-            hi = min(lo + CSV_BLOCK_LINES, n)
-            block = tuple(ds.xs[lo:hi].tolist())
-            template = []
-            while lo < hi:
-                end = min(ends[run], hi)
-                template.append(lines[run] * (end - lo))
-                if end == ends[run]:
-                    run += 1
-                lo = end
-            fh.write("".join(template) % block)
+    _write_csv(path, "theta,x", _csv_fields(phases), ds.xs, ends=bounds[1:].tolist())
     meta = {"seed": ds.seed, "state_label": ds.state_label, "generator": ds.generator}
-    with open(_sidecar_path(path), "w") as fh:
+    with open(sidecar, "w") as fh:
         json.dump(meta, fh, indent=2)
         fh.write("\n")
 

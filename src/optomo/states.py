@@ -191,6 +191,11 @@ def _integer(value):
     return None
 
 
+# the most float64 values one numpy array can address: a count past it is
+# refused before anything is allocated
+_MAX_COUNT = np.iinfo(np.intp).max // 8
+
+
 def fock(n: int) -> FockSuperposition:
     """The number state |n>."""
     count = _integer(n)

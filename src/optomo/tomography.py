@@ -32,9 +32,12 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import islice, repeat
 from numbers import Real
+from operator import add, mul, sub
 
 import numpy as np
 
@@ -45,6 +48,7 @@ from .states import (
     GaussianState,
     MixedState,
     State,
+    _MAX_COUNT,
     _STATE_TYPES,
     _integer,
     _mean_and_covariance,
@@ -82,6 +86,11 @@ PHASE_TOL = 1e-9
 # past 2**52 neighbouring doubles are >= 1 rad apart: no phase is left mod pi
 MAX_PHASE = 2.0 ** 52
 TRANSFORM_TOL = 1e-11
+# every float in a CSV file: 17 significant digits read back bit for bit
+_CSV_FLOAT = "%.17g"
+# with 4096-line blocks the "%" formatting raised the peak RSS of writing
+# 2 x 100k records by ~1.5 MB; 1024-line blocks did not, and write as fast
+CSV_BLOCK_LINES = 1024
 _ENDPOINT_EPS = 1e-12
 
 
@@ -92,6 +101,8 @@ def uniform_phases(n: int) -> np.ndarray:
         raise InputError(f"phase count must be an integer, got {n!r}")
     if count < 1:
         raise InputError(f"need at least one phase, got {n}")
+    if count > _MAX_COUNT:
+        raise InputError(f"phase count {count} is more than an array can address")
     return np.arange(count) * (math.pi / count)
 
 
@@ -474,6 +485,8 @@ def default_n_x(state, window, requested=None):
             raise InputError(f"n_x must be an integer, got {requested!r}")
         if count < 2:
             raise InputError(f"n_x must be >= 2, got {requested}")
+        if count > _MAX_COUNT:
+            raise InputError(f"n_x {count} is more than an array can address")
         return count
     width = window[1] - window[0]
     needed = width * density_bandwidth(state) / math.pi * 1.25
@@ -665,14 +678,43 @@ def tomogram_characteristic(source, phase, r):
 # CSV persistence
 # --------------------------------------------------------------------------
 
+def _csv_fields(values):
+    """Each entry of the array ``values`` as the text of a leading CSV
+    field, comma included."""
+    return [_CSV_FLOAT % value + "," for value in values.tolist()]
+
+
+def _write_csv(path, header, prefixes, values, ends=None):
+    """Write ``header``, then one line per entry of the 1-D array ``values``:
+    its leading fields (text the caller formatted) and the value.
+    ``prefixes`` yields each line's leading fields or, given ``ends``, each
+    run's: run k leads lines ends[k - 1]:ends[k] (from line 0 for k = 0).
+    Lines go out in blocks of ``CSV_BLOCK_LINES``, each one C-level ``%``
+    and one write."""
+    # a run's line is repeated, not joined line by line: joining made 2 x 100k
+    # records ~4 % slower to write, and one-line runs a tomogram ~15 % slower
+    line_end = _CSV_FLOAT + "\n"
+    if ends is None:
+        prefixes = iter(prefixes)
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for lo in range(0, values.size, CSV_BLOCK_LINES):
+            hi = min(lo + CSV_BLOCK_LINES, values.size)
+            if ends is None:
+                template = line_end.join(islice(prefixes, hi - lo)) + line_end
+            else:
+                first, last = bisect_right(ends, lo), bisect_left(ends, hi) + 1
+                cuts = [lo, *ends[first:last - 1], hi]
+                lines = map(add, prefixes[first:last], repeat(line_end))
+                template = "".join(map(mul, lines, map(sub, cuts[1:], cuts)))
+            fh.write(template % tuple(values[lo:hi].tolist()))
+
+
 def save_tomogram_csv(grid: TomogramGrid, path):
     """Write "theta,x,w" rows, row-major by phase, full float precision."""
-    xs = [f"{x:.17g}," for x in grid.xs.tolist()]
-    with open(path, "w") as fh:
-        fh.write("theta,x,w\n")
-        for theta, row in zip(grid.phases.tolist(), grid.values):
-            prefix = f"{theta:.17g},"
-            fh.write("".join([f"{prefix}{x}{w:.17g}\n" for x, w in zip(xs, row.tolist())]))
+    xs = _csv_fields(grid.xs)
+    prefixes = (theta + x for theta in _csv_fields(grid.phases) for x in xs)
+    _write_csv(path, "theta,x,w", prefixes, grid.values.ravel())
 
 
 def _read_csv(path, header, what):

@@ -14,9 +14,11 @@ from optomo import (
     GaussianState,
     TomogramGrid,
     gaussian_row,
+    load_tomogram_csv,
     save_state,
     save_tomogram_csv,
     tomogram_grid,
+    trifonov_lhs,
     uniform_phases,
     vacuum,
 )
@@ -369,6 +371,79 @@ def test_plotdata_row_and_sweep(workspace, capsys):
     thetas, lhs = np.loadtxt(lines[1:], delimiter=",", unpack=True)
     assert thetas.size == 8
     assert abs(lhs[0] - 0.53125) < 1e-6
+
+
+def test_plotdata_lines_are_17_digit_renderings(workspace, capsys):
+    # 257 points put x = 0 in the middle of the row, so a mirrored row holds -0
+    w1, w2, row_csv, sweep_csv = (
+        workspace / name for name in ("w1.csv", "w2.csv", "row.csv", "sweep.csv")
+    )
+    for state, out in (("s2.json", w1), ("shalf.json", w2)):
+        assert main(["tomogram", "--state", str(workspace / state), "--phases", "8",
+                     "--points", "257", "--out", str(out)]) == 0
+    grid1, grid2 = load_tomogram_csv(w1), load_tomogram_csv(w2)
+    theta = 1.25 * math.pi
+    assert main(["plotdata", "row", "--tomogram", str(w1), "--theta", repr(theta),
+                 "--out", str(row_csv)]) == 0
+    row, mirrored = grid1.row_at(theta)
+    assert mirrored
+    lines = row_csv.read_text().splitlines()
+    assert lines == ["x,w"] + [
+        f"{x:.17g},{w:.17g}" for x, w in zip((-grid1.xs[::-1]).tolist(), row[::-1].tolist())
+    ]
+    assert lines[1 + 128].startswith("-0,")
+    assert main(["plotdata", "sweep", "--tomogram1", str(w1), "--tomogram2", str(w2),
+                 "--out", str(sweep_csv)]) == 0
+    assert sweep_csv.read_text().splitlines() == ["theta,lhs"] + [
+        f"{theta:.17g},{trifonov_lhs(grid1, grid2, theta).lhs:.17g}"
+        for theta in grid1.phases.tolist()
+    ]
+
+
+def _one_input_error(capsys):
+    err = capsys.readouterr().err.splitlines()
+    return len(err) == 1 and err[0].startswith("input error:")
+
+
+def test_simulate_refuses_an_out_that_would_overwrite_an_input(workspace, capsys):
+    state = workspace / "vacuum.json"
+    config = workspace / "sim.json"
+    config.write_text('{"seed": 1}\n')
+    inputs = {path: path.read_bytes() for path in (state, config)}
+    files = set(workspace.iterdir())
+    sim = ["simulate", "--state", str(state), "--thetas", "0", "--shots", "40"]
+    capsys.readouterr()
+    for argv in (
+        sim + ["--seed", "1", "--out", str(workspace / "vacuum.csv")],  # sidecar is --state
+        sim + ["--seed", "1", "--out", str(state)],
+        ["--config", str(config)] + sim + ["--out", str(workspace / "sim.csv")],
+        sim + ["--seed", "1", "--out", str(workspace / "d.json")],  # sidecar is the dataset
+    ):
+        assert main(argv) == 2, argv
+        assert _one_input_error(capsys), argv
+    assert {path: path.read_bytes() for path in inputs} == inputs
+    assert set(workspace.iterdir()) == files
+
+
+def test_impossible_sizes_are_input_errors(workspace, capsys):
+    # 10**15 doubles (7 PiB) exceed the address space, so allocating them
+    # fails at once; past 2**60 doubles no array can address them, so the
+    # count checks refuse before anything is allocated
+    vac, out = str(workspace / "vacuum.json"), workspace / "big.csv"
+    half = str(2**59)  # two entries of 2**59 shots add up past 2**60
+    runs = [["simulate", "--state", vac, "--schedule", f"0:{half},1:{half}", "--seed", "1"]]
+    for size in (str(10**15), str(10**19)):
+        runs += [
+            ["simulate", "--state", vac, "--thetas", "0", "--shots", size, "--seed", "1"],
+            ["tomogram", "--state", vac, "--phases", size],
+            ["tomogram", "--state", vac, "--points", size],
+            ["sweep", "trifonov", "--state1", vac, "--state2", vac, "--phases", size],
+        ]
+    capsys.readouterr()
+    for argv in runs:
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        assert _one_input_error(capsys), argv
+    assert not out.exists()
 
 
 def test_unknown_flag_exits_with_usage_error(workspace):

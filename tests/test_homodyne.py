@@ -28,7 +28,6 @@ from optomo import (
 from optomo import homodyne
 from optomo.homodyne import (
     CDF_POINTS,
-    CSV_BLOCK_LINES,
     INVERT_BLOCK,
     MIN_SAMPLES,
     MomentEstimate,
@@ -36,7 +35,7 @@ from optomo.homodyne import (
     _inverse_cdf,
     _tabulated_cdf,
 )
-from optomo.tomography import MAX_PHASE, PHASE_TOL, _state_rows, wrap_phase
+from optomo.tomography import CSV_BLOCK_LINES, MAX_PHASE, PHASE_TOL, _state_rows, wrap_phase
 from oracles import random_fock, random_gaussian, random_state
 
 S2 = GaussianState(0.0, 0.0, 2.0)
@@ -627,6 +626,17 @@ def test_records_at_both_zero_signs_keep_their_own_prefix(tmp_path):
     assert estimate_moments(ds, -0.0).count == estimate_moments(ds, 0.0).count == 6 * 520
 
 
+def test_runs_spanning_whole_blocks_keep_their_prefix(tmp_path):
+    lengths = [2 * CSV_BLOCK_LINES + 3, 1, CSV_BLOCK_LINES, CSV_BLOCK_LINES - 4, 5]
+    thetas = np.repeat([0.5, -0.0, 0.0, 3.0, 1e-300], lengths)
+    xs = np.arange(thetas.size) * -0.3
+    path = tmp_path / "d.csv"
+    save_dataset_csv(HomodyneDataset(thetas, xs, seed=1, state_label="test"), path)
+    assert path.read_text().splitlines() == ["theta,x"] + [
+        f"{t:.17g},{x:.17g}" for t, x in zip(thetas.tolist(), xs.tolist())
+    ]
+
+
 def test_dataset_metadata_content(tmp_path):
     ds = sample(vacuum(), [(0.0, 50)], seed=4)
     path = tmp_path / "d.csv"
@@ -635,6 +645,17 @@ def test_dataset_metadata_content(tmp_path):
     assert meta["seed"] == 4
     assert "gaussian" in meta["state_label"]
     assert "PCG64" in meta["generator"]
+
+
+def test_a_dataset_path_that_is_its_own_sidecar_is_refused(tmp_path):
+    ds = sample(vacuum(), [(0.0, 50)], seed=4)
+    kept = tmp_path / "kept.json"
+    kept.write_text('{"type": "gaussian"}\n')
+    for path in (kept, tmp_path / "new.json"):
+        with pytest.raises(InputError, match="sidecar"):
+            save_dataset_csv(ds, path)
+    assert kept.read_text() == '{"type": "gaussian"}\n'
+    assert list(tmp_path.iterdir()) == [kept]
 
 
 def test_negative_seed_is_an_input_error():

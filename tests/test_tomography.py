@@ -709,6 +709,18 @@ def test_csv_round_trip_is_exact(tmp_path_factory, seed):
     assert np.array_equal(again.values, grid.values)
 
 
+def test_tomogram_csv_lines_are_17_digit_renderings(tmp_path):
+    # 5 rows of 257 points: the lines cross the writer's block ends inside rows
+    grid = tomogram_grid(vacuum(), phases=5, n_x=257)
+    path = tmp_path / "w.csv"
+    save_tomogram_csv(grid, path)
+    assert path.read_text().splitlines() == ["theta,x,w"] + [
+        f"{theta:.17g},{x:.17g},{w:.17g}"
+        for theta, row in zip(grid.phases.tolist(), grid.values.tolist())
+        for x, w in zip(grid.xs.tolist(), row)
+    ]
+
+
 _LOADERS = [(load_tomogram_csv, "theta,x,w", "tomogram"), (load_dataset_csv, "theta,x", "dataset")]
 
 
