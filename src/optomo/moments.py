@@ -19,9 +19,9 @@ import warnings
 import numpy as np
 
 from .errors import InputError, NumericalError, TruncationWarning
-from .quadrature import simpson, simpson_moments
+from .quadrature import simpson_moments
 from .states import MomentSet, State, grid_halfwidth
-from .tomography import NORM_TOL, WINDOW_SIGMAS, TomogramGrid, _state_row
+from .tomography import TomogramGrid, _density_rows, _leaves_window, _state_row
 
 __all__ = [
     "row_mean",
@@ -36,27 +36,24 @@ TAIL_TOL = 1e-6
 STATE_ROW_POINTS = 2049
 
 
-def _checked(xs, row):
+def _row_moments(xs, row):
+    """(xs, row, mean, variance) of a loose row, checked as grid rows are."""
     xs = np.asarray(xs, dtype=float)
     row = np.asarray(row, dtype=float)
     if xs.ndim != 1 or xs.shape != row.shape or xs.size < 3:
         raise InputError("row and x grid must be matching 1-D arrays (>= 3 points)")
-    if not np.all(np.diff(xs) > 0.0):
-        raise InputError("x grid must be strictly increasing")
-    mass = float(np.trapezoid(row, xs))
-    if abs(mass - 1.0) > NORM_TOL:
-        raise InputError(
-            f"row integrates to {mass:.8f}, outside 1 +/- {NORM_TOL}; "
-            "normalize it before taking moments"
-        )
-    return xs, row
+    if not (np.isfinite(xs).all() and (np.diff(xs) > 0.0).all()):
+        raise InputError("x grid must be finite and strictly increasing")
+    rows, _ = _density_rows(row[None], np.diff(xs))
+    mean, var = simpson_moments(xs, rows[0])
+    return xs, rows[0], float(mean), float(var)
 
 
 def _guard_window(xs, row, mean, var):
     """Warn (or raise, when the boundary density is not negligible) if the
-    window does not cover mean +/- 6 sigma (``WINDOW_SIGMAS``) of the row."""
-    sigma = math.sqrt(var)
-    if mean - WINDOW_SIGMAS * sigma < xs[0] or mean + WINDOW_SIGMAS * sigma > xs[-1]:
+    window does not cover mean +/- 6 sigma of the row (``_leaves_window``)."""
+    if _leaves_window(xs[0], xs[-1], [mean], [var])[0]:
+        sigma = math.sqrt(var)
         tail_estimate = (float(row[0]) + float(row[-1])) * max(sigma, 1e-3)
         if tail_estimate > TAIL_TOL:
             raise NumericalError(
@@ -74,15 +71,12 @@ def _guard_window(xs, row, mean, var):
 
 def row_mean(xs, row) -> float:
     """integral w(X) X dX over the grid (Simpson)."""
-    xs, row = _checked(xs, row)
-    return float(simpson(row * xs, xs))
+    return _row_moments(xs, row)[2]
 
 
 def row_variance(xs, row) -> float:
     """integral w X^2 dX - (integral w X dX)^2, with a window-coverage guard."""
-    xs, row = _checked(xs, row)
-    mean, var = simpson_moments(xs, row)
-    mean, var = float(mean), float(var)
+    xs, row, mean, var = _row_moments(xs, row)
     _guard_window(xs, row, mean, var)
     return var
 
@@ -121,8 +115,6 @@ def moments_from_state(state: State, phase: float) -> MomentSet:
     state's window), independent of any grid."""
     half = grid_halfwidth(state)
     xs = np.linspace(-half, half, STATE_ROW_POINTS)
-    xs, row = _checked(xs, _state_row(state, phase, xs))
-    mean, var = simpson_moments(xs, row)
-    mean, var = float(mean), float(var)
+    xs, row, mean, var = _row_moments(xs, _state_row(state, phase, xs))
     _guard_window(xs, row, mean, var)
     return MomentSet(mean, var, float(phase))

@@ -111,8 +111,7 @@ def purity_overlap(a, b) -> float:
         phi_a = tomogram_characteristic(a, phases, r)
         return phi_a, phi_a if b is a else tomogram_characteristic(b, phases, r)
 
-    # the Nyquist limit of each bare grid
-    r_limit = min([math.pi / (2.0 * g.dx) for g in grids] + [R_CAP])
+    r_limit = min([g._nyquist_r for g in grids] + [R_CAP])
     r_max = min(R_START, r_limit)
     phi_a, phi_b = phis(r_max)
     while r_max < r_limit and max(np.max(np.abs(phi_a)), np.max(np.abs(phi_b))) > PHI_TAIL:
@@ -142,8 +141,8 @@ def purity_overlap(a, b) -> float:
 
 def purity_classify(src, tol: float = 1e-3) -> PurityReport:
     """Label a source pure when its self-overlap is within ``tol`` of 1."""
-    if not tol > 0:
-        raise InputError(f"tolerance must be > 0, got {tol}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise InputError(f"tolerance must be finite and > 0, got {tol}")
     value = purity_overlap(src, src)
     label = "pure" if abs(value - 1.0) <= tol else "mixed"
     return PurityReport(overlap=value, classification=label, tolerance=float(tol))

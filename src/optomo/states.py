@@ -49,6 +49,18 @@ WEIGHT_TOL = 1e-10
 GRID_SIGMAS = 8.0
 
 
+def _finite_real(name, value):
+    """``value`` as a float if it is a finite real number and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
+        raise InputError(f"{name} must be a finite real number, got {value!r}")
+    return float(value)
+
+
+def _check_cutoff(cutoff):
+    if cutoff > MAX_FOCK_CUTOFF:
+        raise InputError(f"cutoff {cutoff} exceeds the maximum {MAX_FOCK_CUTOFF}")
+
+
 @dataclass(frozen=True)
 class GaussianState:
     """Wavepacket (pi s)^(-1/4) exp(-(y - mean_q)^2 / (2 s) + i mean_p y).
@@ -64,10 +76,7 @@ class GaussianState:
 
     def __post_init__(self):
         for name in ("mean_q", "mean_p", "squeeze"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
-                raise InputError(f"{name} must be a finite real number, got {v!r}")
-            object.__setattr__(self, name, float(v))
+            object.__setattr__(self, name, _finite_real(name, getattr(self, name)))
         if self.squeeze <= 0.0:
             raise InputError(f"squeeze must be > 0, got {self.squeeze}")
 
@@ -96,10 +105,7 @@ class FockSuperposition:
             raise InputError(f"coeffs must be a sequence of numbers: {exc}") from exc
         if not cs:
             raise InputError("coeffs must be non-empty")
-        if len(cs) - 1 > MAX_FOCK_CUTOFF:
-            raise InputError(
-                f"cutoff {len(cs) - 1} exceeds the maximum {MAX_FOCK_CUTOFF}"
-            )
+        _check_cutoff(len(cs) - 1)
         if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in cs):
             raise InputError("coeffs must be finite")
         norm = math.sqrt(sum(abs(v) ** 2 for v in cs))
@@ -137,11 +143,9 @@ class MixedState:
                 weight, state = item
             except (TypeError, ValueError) as exc:
                 raise InputError("components must be (weight, state) pairs") from exc
-            if isinstance(weight, bool) or not isinstance(weight, Real):
-                raise InputError(f"weight must be a real number, got {weight!r}")
-            weight = float(weight)
-            if not math.isfinite(weight) or weight < 0.0:
-                raise InputError(f"weights must be finite and >= 0, got {weight}")
+            weight = _finite_real("weight", weight)
+            if weight < 0.0:
+                raise InputError(f"weights must be >= 0, got {weight}")
             if not isinstance(state, (GaussianState, FockSuperposition)):
                 raise InputError(
                     "mixture components must be pure states "
@@ -201,6 +205,7 @@ def fock(n: int) -> FockSuperposition:
     count = _integer(n)
     if count is None or count < 0:
         raise InputError(f"n must be a non-negative integer, got {n!r}")
+    _check_cutoff(count)
     return FockSuperposition((0.0,) * count + (1.0,))
 
 
@@ -209,11 +214,11 @@ def thermal_state(nbar: float, tail: float = 1e-10) -> MixedState:
 
     Truncated at the smallest cutoff whose discarded weight is below ``tail``.
     """
-    nbar, tail = float(nbar), float(tail)
-    if not math.isfinite(nbar) or nbar <= 0.0:
+    nbar = _finite_real("nbar", nbar)
+    if nbar <= 0.0:
         raise InputError(f"nbar must be > 0, got {nbar}")
-    if not 0.0 < tail < 1.0:
-        raise InputError(f"tail must lie in (0, 1), got {tail}")
+    if not (isinstance(tail, Real) and 0.0 < tail < 1.0):
+        raise InputError(f"tail must lie in (0, 1), got {tail!r}")
     ratio = nbar / (1.0 + nbar)
     cutoff = max(0, int(math.ceil(math.log(tail) / math.log(ratio))) - 1)
     while ratio ** (cutoff + 1) >= tail:

@@ -36,7 +36,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import islice, repeat
-from numbers import Real
 from operator import add, mul, sub
 
 import numpy as np
@@ -50,6 +49,8 @@ from .states import (
     State,
     _MAX_COUNT,
     _STATE_TYPES,
+    _as_points,
+    _finite_real,
     _integer,
     _mean_and_covariance,
     _rotated_moments,
@@ -183,7 +184,7 @@ def gaussian_row(xs, mean: float, variance: float) -> np.ndarray:
 
 def _trapezoid_weights(steps):
     """(dx_0/2, (dx_0 + dx_1)/2, ..., dx_last/2) for the steps of an x grid:
-    ``rows @ weights`` is ``np.trapezoid(rows, xs, axis=-1)`` up to rounding."""
+    ``rows @ weights`` is the trapezoid sum of each row."""
     weights = np.zeros(steps.size + 1)
     weights[:-1] = steps
     weights[1:] += steps
@@ -191,16 +192,41 @@ def _trapezoid_weights(steps):
     return weights
 
 
+def _density_rows(values, steps, phases=None):
+    """(values clamped at zero, trapezoid weights) of 2-D rows on an x grid with
+    these steps, each checked to be a density; ``phases`` names a failing row."""
+    if not np.isfinite(values).all():
+        raise InputError("tomogram values must be finite")
+    vmin = float(values.min())
+    if vmin < -NEGATIVE_TOL:
+        raise InputError(f"tomogram values must be >= -{NEGATIVE_TOL}, got {vmin}")
+    values = np.maximum(values, 0.0)
+    weights = _trapezoid_weights(steps)
+    masses = values @ weights
+    bad = np.abs(masses - 1.0).argmax()
+    if abs(masses[bad] - 1.0) > NORM_TOL:
+        row = "row" if phases is None else f"row at phase {phases[bad]:.6g}"
+        raise InputError(f"{row} integrates to {masses[bad]:.8f}, outside 1 +/- {NORM_TOL}")
+    return values, weights
+
+
+def _leaves_window(lo, hi, means, variances):
+    """Per row, whether mean +/- WINDOW_SIGMAS sigma leaves [lo, hi]: the window guard's test."""
+    return [m - WINDOW_SIGMAS * math.sqrt(v) < lo or m + WINDOW_SIGMAS * math.sqrt(v) > hi
+            for m, v in zip(means, variances)]
+
+
 @dataclass(frozen=True, eq=False)
 class TomogramGrid:
     """Sampled tomogram w[theta_index, x_index] on phases x uniform X grid.
 
-    Rows are probability densities: non-negative (values below -1e-12 are
-    rejected, small negatives clamped to zero) and trapezoid-normalized to 1
-    within 1e-6.  ``source`` is None (a bare grid) or the originating state
-    spec, enabling exact re-evaluation off the grid.  The arrays are
-    read-only, so ``row_moments``, and the per-row table that moment queries
-    read, are computed once and kept.
+    Rows are probability densities (``_density_rows``): non-negative (values
+    below -1e-12 are rejected, small negatives clamped to zero) and
+    trapezoid-normalized to 1 within 1e-6.  ``source`` is None (a bare grid)
+    or the originating state spec, enabling exact re-evaluation off the grid.
+    The arrays are read-only, so the trapezoid weights (``_weights``), the
+    largest r of a row's characteristic function (``_nyquist_r``, pi / (2 dx)),
+    ``row_moments`` and the per-row table that moment queries read are kept.
     """
 
     phases: np.ndarray
@@ -235,24 +261,14 @@ class TomogramGrid:
                 f"values shape {values.shape} does not match "
                 f"({phases.size}, {xs.size})"
             )
-        if not np.isfinite(values).all():
-            raise InputError("tomogram values must be finite")
-        vmin = float(values.min())
-        if vmin < -NEGATIVE_TOL:
-            raise InputError(f"tomogram values must be >= -{NEGATIVE_TOL}, got {vmin}")
-        values = np.maximum(values, 0.0)
-        masses = values @ _trapezoid_weights(steps)
-        bad = np.abs(masses - 1.0).argmax()
-        if abs(masses[bad] - 1.0) > NORM_TOL:
-            raise InputError(
-                f"row at phase {phases[bad]:.6g} integrates to {masses[bad]:.8f}, "
-                f"outside 1 +/- {NORM_TOL}"
-            )
-        for arr in (phases, xs, values):
+        values, weights = _density_rows(values, steps, phases)
+        for arr in (phases, xs, values, weights):
             arr.setflags(write=False)
         object.__setattr__(self, "phases", phases)
         object.__setattr__(self, "xs", xs)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "_weights", weights)
+        object.__setattr__(self, "_nyquist_r", math.pi / (2.0 * float(step)))
 
     @property
     def n_phases(self) -> int:
@@ -303,15 +319,10 @@ class TomogramGrid:
     @cached_property
     def _moment_table(self):
         """(means, variances, narrow): ``row_moments`` as lists of floats, and
-        per row whether mean +/- WINDOW_SIGMAS sigma leaves the x window, the
-        test that ``moments._guard_window`` makes, operation for operation."""
+        per row whether the window guard acts on it (``_leaves_window``)."""
         means, variances = (arr.tolist() for arr in self.row_moments)
         lo, hi = float(self.xs[0]), float(self.xs[-1])
-        narrow = [
-            mean - WINDOW_SIGMAS * math.sqrt(var) < lo or mean + WINDOW_SIGMAS * math.sqrt(var) > hi
-            for mean, var in zip(means, variances)
-        ]
-        return means, variances, narrow
+        return means, variances, _leaves_window(lo, hi, means, variances)
 
     def row_at(self, phase: float):
         """(row, mirrored) for any real phase; mirrored means the density at
@@ -458,9 +469,7 @@ def optical_tomogram(
         raise InputError(f"expected a pure state, got {type(state).__name__}")
     if branch not in (None, "position", "momentum"):
         raise InputError(f"branch must be 'position' or 'momentum', got {branch!r}")
-    pts = np.atleast_1d(np.asarray(xs, dtype=float))
-    if not np.all(np.isfinite(pts)):
-        raise InputError("x points must be finite")
+    pts = np.atleast_1d(_as_points(xs, "x points"))
     if branch is None:
         return _state_row(state, phase, pts)
     reduced, mirrored = wrap_phase(phase)
@@ -532,9 +541,7 @@ def symplectic_tomogram(
     grid is linearly interpolated in X using the stored phase nearest on the
     pi-circle (``_nearest_phase``, with no tolerance).
     """
-    for name, v in (("x", x), ("mu", mu), ("nu", nu)):
-        if isinstance(v, bool) or not isinstance(v, Real) or not math.isfinite(v):
-            raise InputError(f"{name} must be a finite real number, got {v!r}")
+    x, mu, nu = (_finite_real(name, v) for name, v in (("x", x), ("mu", mu), ("nu", nu)))
     if mu == 0.0 and nu == 0.0:
         raise InputError("(mu, nu) = (0, 0) is not a valid quadrature direction")
     r = math.hypot(mu, nu)
@@ -619,16 +626,12 @@ def _state_of(source):
 def _grid_characteristic(grid, phases, r):
     hits = [grid.lookup(theta) for theta in phases]
     rows = grid.values[[i for i, _ in hits]]
-    r_top = float(r.max()) if r.size else 0.0
-    if r_top * grid.dx > math.pi / 2.0:
+    if r.size and r.max() > grid._nyquist_r:
         raise ResolutionError(
-            f"x grid spacing {grid.dx:.4g} is too coarse for r = {r_top:.4g} "
+            f"x grid spacing {grid.dx:.4g} is too coarse for r = {r.max():.4g} "
             f"(need r*dx <= pi/2)"
         )
-    wts = np.full(grid.n_x, grid.dx)
-    wts[0] *= 0.5
-    wts[-1] *= 0.5
-    amp = kernels.amplitude_rows((rows * wts).T, grid.xs, -1.0, r).T
+    amp = kernels.amplitude_rows((rows * grid._weights).T, grid.xs, -1.0, r).T
     return amp, np.array([m for _, m in hits], dtype=bool)
 
 
@@ -657,9 +660,7 @@ def tomogram_characteristic(source, phase, r):
     against X-grid aliasing).  Phases outside [0, pi) use the parity rule
     phi(r, theta + pi) = conj(phi(r, theta)).
     """
-    r_arr = np.ravel(np.asarray(r, dtype=float))
-    if not np.all(np.isfinite(r_arr)):
-        raise InputError("r must be finite")
+    r_arr = np.ravel(_as_points(r, "r"))
     if np.any(r_arr < 0.0):
         raise InputError("r must be >= 0")
     phases = np.ravel(phase)

@@ -204,6 +204,12 @@ def test_check_purity(workspace, capsys):
     payload = _last_json(capsys)
     assert payload["classification"] == "pure"
     assert abs(payload["overlap"] - 1.0) < 1e-3
+    # a stored 59-point grid: the radial cutoff lands on its Nyquist limit
+    stored = str(workspace / "v59.csv")
+    vac = str(workspace / "vacuum.json")
+    assert main(["tomogram", "--state", vac, "--phases", "16", "--points", "59", "--out", stored]) == 0
+    assert main(["check", "purity", "--tomogram", stored]) == 0
+    assert _last_json(capsys)["classification"] == "pure"
 
 
 def test_simulate_estimate_and_empirical_check(workspace, capsys):
@@ -590,6 +596,7 @@ def test_bad_paths_seeds_and_tolerances_are_input_errors(workspace, capsys):
         ["tomogram", "--state", vac, "--out", str(workspace)],  # a directory
         ["check", "purity", "--state", ""],
         ["check", "purity", "--state", vac, "--tol", "nan"],
+        ["check", "purity", "--state", vac, "--tol", "inf"],
         ["simulate", "--state", vac, "--schedule", "0:40", "--seed", "-1",
          "--out", str(workspace / "d.csv")],
         ["check", "heisenberg", "--state", vac, "--tolerance", "nan"],
@@ -602,7 +609,8 @@ def test_bad_paths_seeds_and_tolerances_are_input_errors(workspace, capsys):
          "--tolerance", "-1e-20"],
     ):
         assert main(argv) == 2, argv
-        assert "input error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "input error" in err and len(err.splitlines()) == 1, argv
     # the dataset check uses 3 standard errors and takes no --tolerance
     d = str(workspace / "d.csv")
     assert main(["simulate", "--state", vac, "--schedule", "0:40,1.5707963267948966:40",

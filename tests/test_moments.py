@@ -331,6 +331,44 @@ def test_narrow_window_with_heavy_boundary_density_is_an_error():
         row_variance(xs, row)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -1e-11, -0.1, "infinite x"])
+def test_loose_rows_get_the_grid_density_check(bad):
+    xs = np.linspace(-6.0, 6.0, 241)
+    row = gaussian_row(xs, 0.0, 0.5)
+    if bad == "infinite x":
+        row[-2:] = 0.0  # so the mass is NaN, not infinite
+        xs[-1] = math.inf
+    else:
+        row[5] = bad  # in the tail, where -1e-11 leaves the mass at 1
+    if bad == -0.1:
+        row /= np.trapezoid(row, xs)
+    for call in (row_mean, row_variance, lambda xs, row: TomogramGrid([0.0], xs, [row])):
+        with pytest.raises(InputError):
+            call(xs, row)
+
+
+def _pinned_rows():
+    xs = np.linspace(-6.0, 6.0, 241)
+    gauss = gaussian_row(xs, 0.3, 0.7)
+    yield xs, gauss / np.trapezoid(gauss, xs)
+    xs = np.linspace(-10.0, 10.0, 321)
+    yield xs, _state_row(fock(2), 0.4, xs)
+    xs = np.sort(np.concatenate([np.linspace(-6.0, 6.0, 150), [0.01, 0.3333, 2.71]]))
+    gauss = gaussian_row(xs, -0.2, 0.5)
+    yield xs, gauss / np.trapezoid(gauss, xs)
+
+
+def test_accepted_loose_rows_keep_their_moments_bitwise():
+    pinned = [
+        ("0x1.33333332b987ep-2", "0x1.666666650730fp-1"),
+        ("0x0.0p+0", "0x1.4000000000002p+1"),
+        ("-0x1.9994bc4787f0cp-3", "0x1.fffb261260e42p-2"),
+    ]
+    for (xs, row), (mean, var) in zip(_pinned_rows(), pinned):
+        assert row_mean(xs, row) == float.fromhex(mean)
+        assert row_variance(xs, row) == float.fromhex(var)
+
+
 def test_moment_lookup_requires_grid_phase():
     grid = tomogram_grid(vacuum(), phases=4)
     with pytest.raises(InputError, match="not on the grid"):

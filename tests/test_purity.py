@@ -128,6 +128,19 @@ def test_a_source_that_is_no_state_or_grid_is_rejected(junk):
 def test_classify_rejects_nonpositive_tolerance():
     with pytest.raises(InputError):
         purity_classify(vacuum(), tol=0.0)
+    # an infinite tolerance would classify anything pure, and is not JSON
+    with pytest.raises(InputError, match="finite"):
+        purity_classify(vacuum(), tol=math.inf)
+
+
+@pytest.mark.parametrize("n_x", [59, 66, 68, 82])
+def test_vacuum_bare_grids_reach_their_nyquist_limit(n_x):
+    # at these sizes the radial cutoff lands on pi / (2 dx) exactly, which
+    # the characteristic-function guard must accept
+    grid = tomogram_grid(vacuum(), phases=16, n_x=n_x)
+    bare = TomogramGrid(grid.phases, grid.xs, grid.values)
+    assert purity_overlap(bare, bare) == pytest.approx(1.0, abs=1e-9)
+    assert purity_classify(bare).classification == "pure"
 
 
 def test_coarse_grid_rows_are_rejected():

@@ -64,6 +64,9 @@ def test_fock_rejects_zero_norm_and_oversized_cutoff():
     with pytest.raises(InputError):
         FockSuperposition((1.0,) + (0.0,) * 65)
     FockSuperposition((1.0,) + (0.0,) * 64)  # cutoff 64 is allowed
+    for n in (65, 10**19):  # refused before any coefficient is built
+        with pytest.raises(InputError, match="exceeds the maximum"):
+            fock(n)
 
 
 def test_number_states_take_numpy_integers_and_refuse_other_counts():
@@ -263,6 +266,12 @@ def test_thermal_state_truncation_and_moments():
 def test_thermal_state_rejects_a_tail_outside_zero_to_one(tail):
     with pytest.raises(InputError, match="tail must lie in"):
         thermal_state(1.0, tail=tail)
+
+
+@pytest.mark.parametrize("nbar, tail", [(True, 1e-10), ("2", 1e-10), (1.0, True), (1.0, "1e-10")])
+def test_thermal_state_takes_only_real_numbers(nbar, tail):
+    with pytest.raises(InputError):
+        thermal_state(nbar, tail=tail)
 
 
 # --------------------------------------------------------------------------

@@ -682,6 +682,15 @@ def test_bare_grid_characteristic_reads_phase_zero_across_the_seam():
     assert np.array_equal(below_zero.view(np.int64), at_zero.view(np.int64))
 
 
+def test_bare_grid_characteristic_is_the_trapezoid_sum_of_its_rows():
+    grid = tomogram_grid(FockSuperposition((0.6, 0.3j, -0.5, 0.2)), phases=8)
+    bare = TomogramGrid(grid.phases, grid.xs, grid.values)
+    rs = np.linspace(0.0, 5.0, 11)
+    weighted = bare.values * _trapezoid_weights(np.diff(bare.xs))
+    want = kernels.amplitude_rows(weighted.T, bare.xs, -1.0, rs).T
+    assert np.array_equal(tomogram_characteristic(bare, bare.phases, rs), want)
+
+
 def test_nyquist_guard_on_coarse_grids():
     xs = np.linspace(-6, 6, 24)
     grid = TomogramGrid(np.array([0.0]), xs, np.array([gaussian_row(xs, 0.0, 0.5)]))
