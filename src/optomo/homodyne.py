@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import InputError
 from .inequalities import InequalityReport, _report
-from .states import _MAX_COUNT, State, _integer, grid_halfwidth, state_label
+from .states import _MAX_COUNT, State, _finite_real, _integer, grid_halfwidth, state_label
 from .tomography import (
     PHASE_TOL,
     _csv_fields,
@@ -170,7 +170,7 @@ class HomodyneDataset:
         """The records that answer any real phase, in record order and
         negated where X is mirrored, as a read-only array.  An unmirrored
         phase held in one run, as ``sample`` writes them, is read in place."""
-        hit, mirrored = self._match(phase)
+        hit, mirrored = self._match(_finite_real("phase", phase))
         values = self._stored_values(hit)
         if mirrored:
             values = -values
@@ -197,7 +197,7 @@ class HomodyneDataset:
         n = int((bounds[hit + 1] - bounds[hit]).sum())
         if n < MIN_SAMPLES:
             raise InputError(
-                f"need at least {MIN_SAMPLES} records at phase {float(phase):.6g}, got {n}"
+                f"need at least {MIN_SAMPLES} records at phase {phase:.6g}, got {n}"
             )
         key = tuple(hit.tolist())
         moments = self._run_moments.get(key)
@@ -398,12 +398,13 @@ def estimate_moments(ds: HomodyneDataset, phase: float) -> MomentEstimate:
     parity rule: theta + pi holds the records of theta with the mean negated.
     The dataset computes each set of matching runs' moments once.
     """
+    phase = _finite_real("phase", phase)
     mean, var, m4, n = ds._moments_at(phase)
     var_of_var = max(0.0, (m4 - var * var * (n - 3) / (n - 1)) / n)
     return MomentEstimate(
         mean=mean,
         variance=var,
-        phase=float(phase),
+        phase=phase,
         count=n,
         mean_stderr=math.sqrt(var / n),
         variance_stderr=math.sqrt(var_of_var),
@@ -418,7 +419,7 @@ def empirical_trifonov(
     First-order (delta-method) propagation across the four variance
     estimates; satisfied means lhs >= 1/4 - 3*stderr.
     """
-    phase = float(phase)
+    phase = _finite_real("phase", phase)
     other = phase + math.pi / 2.0
     e1 = estimate_moments(ds1, phase)
     e1_rot = estimate_moments(ds1, other)
@@ -483,10 +484,12 @@ def load_dataset_csv(path) -> HomodyneDataset:
         try:
             with open(meta_path) as fh:
                 meta = json.load(fh)
-            seed = int(meta.get("seed", -1))
+            seed = _integer(meta.get("seed", -1))
+            if seed is None:
+                raise ValueError(f"seed must be an integer, got {meta['seed']!r}")
             label = str(meta.get("state_label", "unknown"))
             generator = str(meta.get("generator", "unknown"))
-        except (OSError, json.JSONDecodeError, TypeError, ValueError) as exc:
+        except (OSError, AttributeError, ValueError) as exc:
             raise InputError(f"invalid metadata sidecar {meta_path}: {exc}") from exc
     return HomodyneDataset(
         thetas=thetas, xs=xs, seed=seed, state_label=label, generator=generator

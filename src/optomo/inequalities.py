@@ -16,11 +16,9 @@ import json
 import math
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .errors import InputError
 from .moments import tomographic_variance
-from .states import State, analytic_moments
+from .states import State, _as_points, _finite_real, analytic_moments
 from .tomography import TomogramGrid
 
 __all__ = [
@@ -65,34 +63,33 @@ class InequalityReport:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InequalityReport":
+        """The report that ``to_dict`` wrote; ``satisfied`` must be a JSON boolean."""
         try:
-            return cls(
-                kind=d["kind"],
-                phase=float(d["phase"]),
-                lhs=float(d["lhs"]),
-                bound=float(d["bound"]),
-                margin=float(d["margin"]),
-                satisfied=bool(d["satisfied"]),
-                stderr=None if d.get("stderr") is None else float(d["stderr"]),
-                tolerance=float(d.get("tolerance", DEFAULT_TOLERANCE)),
-            )
+            fields = {key: d[key] for key in ("kind", "phase", "lhs", "bound", "margin")}
+            satisfied = fields["satisfied"] = d["satisfied"]
         except KeyError as exc:
             raise InputError(f"report is missing field {exc}") from exc
+        fields.update(stderr=d.get("stderr"), tolerance=d.get("tolerance", DEFAULT_TOLERANCE))
+        for key in ("phase", "lhs", "bound", "margin", "stderr", "tolerance"):
+            if key != "stderr" or fields[key] is not None:
+                fields[key] = _finite_real(f"report field {key!r}", fields[key])
+        if not isinstance(satisfied, bool):
+            raise InputError(f"report field 'satisfied' must be a boolean, got {satisfied!r}")
+        return cls(**fields)
 
 
 def _report(kind, phase, lhs, tolerance, stderr=None):
-    if not (math.isfinite(tolerance) and tolerance >= 0.0):
-        raise InputError(f"tolerance must be finite and >= 0, got {tolerance}")
+    tolerance = _finite_real("tolerance", tolerance, "be finite and >= 0", lambda t: t >= 0.0)
     margin = lhs - BOUND
     return InequalityReport(
         kind=kind,
-        phase=float(phase),
+        phase=phase,
         lhs=float(lhs),
         bound=BOUND,
         margin=float(margin),
         satisfied=bool(margin >= -tolerance),
         stderr=stderr,
-        tolerance=float(tolerance),
+        tolerance=tolerance,
     )
 
 
@@ -111,7 +108,7 @@ def trifonov_lhs(
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> InequalityReport:
     """Symmetric two-state dispersion cross product at one phase."""
-    phase = float(phase)
+    phase = _finite_real("phase", phase)
     other = phase + math.pi / 2.0
     v1 = tomographic_variance(w1, phase)
     v1_rot = tomographic_variance(w1, other)
@@ -132,7 +129,7 @@ def trifonov_sweep(
     ties resolved toward the smallest phase)."""
     if phases is None:
         phases = w1.phases
-    phase_arr = np.asarray(phases, dtype=float)
+    phase_arr = _as_points(phases, "phases")
     if phase_arr.ndim != 1 or phase_arr.size == 0:
         raise InputError("phase list must be non-empty")
     reports = [trifonov_lhs(w1, w2, theta, tolerance=tolerance) for theta in phase_arr.tolist()]
@@ -143,7 +140,8 @@ def trifonov_sweep(
 def operator_trifonov_lhs(s1: State, s2: State, phase: float = 0.0) -> float:
     """The same two-state quantity from closed-form moments (no tomograms);
     serves as the anti-drift oracle for the tomographic route."""
-    other = float(phase) + math.pi / 2.0
+    phase = _finite_real("phase", phase)
+    other = phase + math.pi / 2.0
     v1 = analytic_moments(s1, phase).variance
     v1_rot = analytic_moments(s1, other).variance
     v2 = analytic_moments(s2, phase).variance

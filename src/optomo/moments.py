@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError, TruncationWarning
 from .quadrature import simpson_moments
-from .states import MomentSet, State, grid_halfwidth
+from .states import MomentSet, State, _as_points, _finite_real, grid_halfwidth
 from .tomography import TomogramGrid, _density_rows, _leaves_window, _state_row
 
 __all__ = [
@@ -38,12 +38,12 @@ STATE_ROW_POINTS = 2049
 
 def _row_moments(xs, row):
     """(xs, row, mean, variance) of a loose row, checked as grid rows are."""
-    xs = np.asarray(xs, dtype=float)
-    row = np.asarray(row, dtype=float)
+    xs = _as_points(xs, "x grid")
+    row = _as_points(row, "row")
     if xs.ndim != 1 or xs.shape != row.shape or xs.size < 3:
         raise InputError("row and x grid must be matching 1-D arrays (>= 3 points)")
-    if not (np.isfinite(xs).all() and (np.diff(xs) > 0.0).all()):
-        raise InputError("x grid must be finite and strictly increasing")
+    if not (np.diff(xs) > 0.0).all():
+        raise InputError("x grid must be strictly increasing")
     rows, _ = _density_rows(row[None], np.diff(xs))
     mean, var = simpson_moments(xs, rows[0])
     return xs, rows[0], float(mean), float(var)
@@ -104,17 +104,19 @@ def tomographic_variance(grid: TomogramGrid, phase: float) -> float:
 
 
 def tomographic_moments(grid: TomogramGrid, phase: float) -> MomentSet:
+    phase = _finite_real("phase", phase)
     mean, var, row, mirrored = _grid_moments(grid, phase)
     if row is not None:
         _guard_window(grid.xs, row, mean, var)
-    return MomentSet(-mean if mirrored else mean, var, float(phase))
+    return MomentSet(-mean if mirrored else mean, var, phase)
 
 
 def moments_from_state(state: State, phase: float) -> MomentSet:
     """Tomographic moments from a dedicated fine row (2049 points over the
     state's window), independent of any grid."""
+    phase = _finite_real("phase", phase)
     half = grid_halfwidth(state)
     xs = np.linspace(-half, half, STATE_ROW_POINTS)
     xs, row, mean, var = _row_moments(xs, _state_row(state, phase, xs))
     _guard_window(xs, row, mean, var)
-    return MomentSet(mean, var, float(phase))
+    return MomentSet(mean, var, phase)

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import quadrature
 from .errors import InputError, ResolutionError
-from .states import GaussianState, _fock_amplitudes, _gaussian_overlap
+from .states import GaussianState, _finite_real, _fock_amplitudes, _gaussian_overlap
 from .tomography import (
     PHASE_TOL,
     _components,
@@ -141,8 +141,7 @@ def purity_overlap(a, b) -> float:
 
 def purity_classify(src, tol: float = 1e-3) -> PurityReport:
     """Label a source pure when its self-overlap is within ``tol`` of 1."""
-    if not (math.isfinite(tol) and tol > 0):
-        raise InputError(f"tolerance must be finite and > 0, got {tol}")
+    tol = _finite_real("tolerance", tol, "be finite and > 0", lambda t: t > 0.0)
     value = purity_overlap(src, src)
     label = "pure" if abs(value - 1.0) <= tol else "mixed"
-    return PurityReport(overlap=value, classification=label, tolerance=float(tol))
+    return PurityReport(overlap=value, classification=label, tolerance=tol)

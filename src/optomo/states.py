@@ -15,7 +15,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from numbers import Integral, Real
+from numbers import Integral
 from typing import Union
 
 import numpy as np
@@ -49,11 +49,25 @@ WEIGHT_TOL = 1e-10
 GRID_SIGMAS = 8.0
 
 
-def _finite_real(name, value):
-    """``value`` as a float if it is a finite real number and not a bool."""
-    if isinstance(value, bool) or not isinstance(value, Real) or not math.isfinite(value):
-        raise InputError(f"{name} must be a finite real number, got {value!r}")
-    return float(value)
+_REAL_TYPES = (int, float, np.integer, np.floating)
+
+
+def _finite_real(name, value, rule="be a finite real number", valid=None):
+    """``value`` as a float if it is a finite int or float (numpy's included;
+    not a bool or a 0-d array) for which ``valid`` holds, else an InputError
+    saying that ``name`` must ``rule``.  Every real number a caller passes
+    in goes through it; the common float is tested first."""
+    number = math.nan
+    if type(value) is float:
+        number = value
+    elif isinstance(value, _REAL_TYPES) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:  # an int past the float range
+            pass
+    if not (math.isfinite(number) and (valid is None or valid(number))):
+        raise InputError(f"{name} must {rule}, got {value!r}")
+    return number
 
 
 def _check_cutoff(cutoff):
@@ -143,9 +157,7 @@ class MixedState:
                 weight, state = item
             except (TypeError, ValueError) as exc:
                 raise InputError("components must be (weight, state) pairs") from exc
-            weight = _finite_real("weight", weight)
-            if weight < 0.0:
-                raise InputError(f"weights must be >= 0, got {weight}")
+            weight = _finite_real("weight", weight, "be finite and >= 0", lambda w: w >= 0.0)
             if not isinstance(state, (GaussianState, FockSuperposition)):
                 raise InputError(
                     "mixture components must be pure states "
@@ -214,11 +226,8 @@ def thermal_state(nbar: float, tail: float = 1e-10) -> MixedState:
 
     Truncated at the smallest cutoff whose discarded weight is below ``tail``.
     """
-    nbar = _finite_real("nbar", nbar)
-    if nbar <= 0.0:
-        raise InputError(f"nbar must be > 0, got {nbar}")
-    if not (isinstance(tail, Real) and 0.0 < tail < 1.0):
-        raise InputError(f"tail must lie in (0, 1), got {tail!r}")
+    nbar = _finite_real("nbar", nbar, "be finite and > 0", lambda n: n > 0.0)
+    tail = _finite_real("tail", tail, "lie in (0, 1)", lambda t: 0.0 < t < 1.0)
     ratio = nbar / (1.0 + nbar)
     cutoff = max(0, int(math.ceil(math.log(tail) / math.log(ratio))) - 1)
     while ratio ** (cutoff + 1) >= tail:
@@ -237,10 +246,13 @@ def thermal_state(nbar: float, tail: float = 1e-10) -> MixedState:
 # --------------------------------------------------------------------------
 
 def _as_points(values, name):
-    arr = np.asarray(values, dtype=float)
-    if not np.all(np.isfinite(arr)):
-        raise InputError(f"{name} must be finite")
-    return arr
+    """``values`` as a float array if their dtype is integer or float (not
+    strings, bools or objects) and every entry is finite, else an
+    InputError; every array of reals a caller passes in goes through it."""
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+        raise InputError(f"{name} must be finite real numbers")
+    return arr.astype(float, copy=False)
 
 
 def _maybe_scalar(values, out):
@@ -251,8 +263,7 @@ def _maybe_scalar(values, out):
 
 def eval_position_wavefunction(state: PureState, y):
     """Psi(y) for a pure state; accepts scalars or arrays."""
-    arr = _as_points(y, "y")
-    flat = np.atleast_1d(arr)
+    flat = np.atleast_1d(_as_points(y, "y"))
     if isinstance(state, GaussianState):
         s = state.squeeze
         out = (np.pi * s) ** -0.25 * np.exp(
@@ -274,8 +285,7 @@ def eval_momentum_wavefunction(state: PureState, p):
     pi/2 is |Psi~(X)|^2 and a factor exp(i m p y) in Psi displaces the peak to
     +m_p; Fock components pick up the Fourier eigenvalue (-i)^n.
     """
-    arr = _as_points(p, "p")
-    flat = np.atleast_1d(arr)
+    flat = np.atleast_1d(_as_points(p, "p"))
     if isinstance(state, GaussianState):
         s = state.squeeze
         dp = flat - state.mean_p
@@ -360,9 +370,7 @@ def _rotated_moments(moments, phases):
 
 def analytic_moments(state: State, phase: float) -> MomentSet:
     """Closed-form mean/variance of q cos(theta) + p sin(theta) in ``state``."""
-    theta = float(phase)
-    if not math.isfinite(theta):
-        raise InputError("phase must be finite")
+    theta = _finite_real("phase", phase)
     mean, var = _rotated_moments(_mean_and_covariance(state), theta)
     return MomentSet(float(mean), float(var), theta)
 
@@ -430,13 +438,6 @@ def _require_fields(d, expected, what):
         raise InputError(f"{what}: " + "; ".join(parts))
 
 
-def _number(d, key, what):
-    v = d[key]
-    if isinstance(v, bool) or not isinstance(v, Real):
-        raise InputError(f"{what}: field {key!r} must be a number, got {v!r}")
-    return float(v)
-
-
 def state_to_dict(state: State) -> dict:
     if isinstance(state, GaussianState):
         return {
@@ -464,9 +465,8 @@ def state_from_dict(d) -> State:
     if kind == "gaussian":
         _require_fields(d, {"type", "mean_q", "mean_p", "squeeze"}, "gaussian state")
         return GaussianState(
-            _number(d, "mean_q", "gaussian state"),
-            _number(d, "mean_p", "gaussian state"),
-            _number(d, "squeeze", "gaussian state"),
+            *(_finite_real(f"gaussian state: field {key!r}", d[key])
+              for key in ("mean_q", "mean_p", "squeeze"))
         )
     if kind == "fock":
         _require_fields(d, {"type", "coeffs"}, "fock state")
@@ -475,15 +475,11 @@ def state_from_dict(d) -> State:
             raise InputError("fock state: coeffs must be a list of [re, im] pairs")
         coeffs = []
         for item in raw:
-            if (
-                not isinstance(item, list)
-                or len(item) != 2
-                or any(isinstance(v, bool) or not isinstance(v, Real) for v in item)
-            ):
+            if not isinstance(item, list) or len(item) != 2:
                 raise InputError(
                     f"fock state: each coefficient must be an [re, im] pair, got {item!r}"
                 )
-            coeffs.append(complex(item[0], item[1]))
+            coeffs.append(complex(*(_finite_real("fock state: coefficient part", v) for v in item)))
         return FockSuperposition(tuple(coeffs))
     if kind == "mixed":
         _require_fields(d, {"type", "components"}, "mixed state")
@@ -498,7 +494,7 @@ def state_from_dict(d) -> State:
             sub = state_from_dict(item["state"])
             if isinstance(sub, MixedState):
                 raise InputError("mixture components must be pure states")
-            comps.append((_number(item, "weight", "mixture component"), sub))
+            comps.append((_finite_real("mixture component: field 'weight'", item["weight"]), sub))
         return MixedState(tuple(comps))
     raise InputError(f"unknown state type {kind!r}")
 

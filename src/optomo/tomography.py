@@ -118,8 +118,6 @@ def _wrap_phases(phases):
     if phases.ndim and phases.size and 0.0 <= phases.min() and phases.max() < math.pi:
         # + 0.0 turns -0.0 into 0.0, as the reduction below does
         return phases + 0.0, np.zeros(phases.shape, dtype=bool)
-    if not np.all(np.isfinite(phases)):
-        raise InputError("phase must be finite")
     too_large = np.abs(phases) >= MAX_PHASE
     if np.any(too_large):
         raise InputError(
@@ -142,11 +140,11 @@ def _wrap_phases(phases):
 def wrap_phase(phase: float):
     """Map a phase into [0, pi); the flag says the X axis is mirrored there.
 
-    The scalar view of ``_wrap_phases``.  A phase already in [0, pi), as
-    every stored grid phase is, comes back without a numpy call; + 0.0 turns
-    -0.0 into 0.0, as ``_wrap_phases`` does.
+    The scalar view of ``_wrap_phases``, through ``_finite_real``.  A phase
+    already in [0, pi), as every stored grid phase is, comes back without a
+    numpy call; + 0.0 turns -0.0 into 0.0, as ``_wrap_phases`` does.
     """
-    phase = float(phase)
+    phase = _finite_real("phase", phase)
     if 0.0 <= phase < math.pi:
         return phase + 0.0, False
     reduced, mirrored = _wrap_phases(phase)
@@ -471,7 +469,7 @@ def optical_tomogram(
         raise InputError(f"branch must be 'position' or 'momentum', got {branch!r}")
     pts = np.atleast_1d(_as_points(xs, "x points"))
     if branch is None:
-        return _state_row(state, phase, pts)
+        return _state_row(state, _finite_real("phase", phase), pts)
     reduced, mirrored = wrap_phase(phase)
     return _transform_row(state, reduced, -pts if mirrored else pts, branch)
 
@@ -479,10 +477,9 @@ def optical_tomogram(
 def _resolve_phases(phases):
     if _integer(phases) is not None:
         return uniform_phases(phases)
-    arr = np.asarray(phases, dtype=float)
-    if arr.ndim != 1 or arr.size < 1:
+    if np.ndim(phases) != 1 or np.size(phases) < 1:
         raise InputError("phases must be an integer count or a 1-D list")
-    return arr
+    return _as_points(phases, "phases")
 
 
 def default_n_x(state, window, requested=None):
@@ -520,9 +517,10 @@ def tomogram_grid(
     if window is None:
         half = grid_halfwidth(state)
         window = (-half, half)
-    lo, hi = float(window[0]), float(window[1])
-    if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
+    bounds = [_finite_real("window", bound) for bound in window]
+    if len(bounds) != 2 or bounds[1] <= bounds[0]:
         raise InputError(f"invalid window {window!r}")
+    lo, hi = bounds
     xs = np.linspace(lo, hi, default_n_x(state, (lo, hi), n_x))
     return TomogramGrid(phase_arr, xs, _state_rows(state, phase_arr, xs), source=state)
 
@@ -663,7 +661,7 @@ def tomogram_characteristic(source, phase, r):
     r_arr = np.ravel(_as_points(r, "r"))
     if np.any(r_arr < 0.0):
         raise InputError("r must be >= 0")
-    phases = np.ravel(phase)
+    phases = np.ravel(_as_points(phase, "phase"))
     state = _state_of(source)
     if state is None:
         out, mirrored = _grid_characteristic(source, phases, r_arr)

@@ -1,0 +1,248 @@
+"""Every real number and every array of reals a caller passes in is checked
+where it enters: a string, a bool, None, a NaN, an infinity or a 0-d array is
+an InputError whose message names the argument, and numpy's float and
+integer scalars give bitwise the results of the Python float they hold."""
+
+import json
+import math
+
+import numpy as np
+import pytest
+
+from optomo import (
+    InequalityReport,
+    InputError,
+    TomogramGrid,
+    analytic_moments,
+    empirical_trifonov,
+    estimate_moments,
+    eval_momentum_wavefunction,
+    eval_position_wavefunction,
+    gaussian_row,
+    heisenberg_lhs,
+    load_dataset_csv,
+    moments_from_state,
+    operator_trifonov_lhs,
+    optical_tomogram,
+    purity_classify,
+    row_mean,
+    row_variance,
+    sample,
+    save_dataset_csv,
+    state_from_dict,
+    symplectic_tomogram,
+    thermal_state,
+    tomogram_characteristic,
+    tomogram_grid,
+    tomographic_mean,
+    tomographic_moments,
+    tomographic_variance,
+    trifonov_lhs,
+    trifonov_sweep,
+    vacuum,
+)
+from optomo.cli import main
+from optomo.tomography import wrap_phase
+
+HALF_PI = math.pi / 2.0
+# every phase a case reads, with its partner pi/2 on: 0, 1/2 and 1 hold
+# exactly in a float32 and (0, 1) in an int64
+PHASES = sorted({0.0, 0.5, 1.0, HALF_PI, 0.5 + HALF_PI, 1.0 + HALF_PI})
+GRID = tomogram_grid(vacuum(), PHASES)
+DATA = sample(vacuum(), [(phase, 40) for phase in PHASES], seed=3)
+XS = np.linspace(-6.0, 6.0, 241)
+ROW = gaussian_row(XS, 0.0, 0.5)
+VACUUM = {"type": "gaussian", "mean_q": 0.0, "mean_p": 0.0, "squeeze": 1.0}
+REPORT = dict(kind="trifonov", phase=0.5, lhs=0.2, bound=0.25, margin=-0.05, satisfied=False)
+
+# (start of the refusal's message, the call that takes the value, a value it accepts)
+SCALAR_CASES = [
+    ("phase must", lambda v: wrap_phase(v), 1.0),
+    ("phase must", lambda v: GRID.lookup(v), 1.0),
+    ("phase must", lambda v: tomographic_mean(GRID, v), 1.0),
+    ("phase must", lambda v: tomographic_variance(GRID, v), 1.0),
+    ("phase must", lambda v: tomographic_moments(GRID, v), 1.0),
+    ("phase must", lambda v: analytic_moments(vacuum(), v), 1.0),
+    ("phase must", lambda v: moments_from_state(vacuum(), v), 1.0),
+    ("phase must", lambda v: optical_tomogram(vacuum(), v, XS), 1.0),
+    ("phase must", lambda v: optical_tomogram(vacuum(), v, XS, branch="momentum"), None),
+    ("phase must", lambda v: trifonov_lhs(GRID, GRID, v), 1.0),
+    ("phase must", lambda v: operator_trifonov_lhs(vacuum(), vacuum(), v), 1.0),
+    ("phase must", lambda v: sample(vacuum(), [(v, 40)], 1), 1.0),
+    ("phase must", lambda v: DATA.values_at(v), 1.0),
+    ("phase must", lambda v: estimate_moments(DATA, v), 1.0),
+    ("phase must", lambda v: empirical_trifonov(DATA, DATA, v), 1.0),
+    ("tolerance must", lambda v: heisenberg_lhs(GRID, tolerance=v), 1.0),
+    ("tolerance must", lambda v: trifonov_lhs(GRID, GRID, 0.5, tolerance=v), 1.0),
+    ("tolerance must", lambda v: trifonov_sweep(GRID, GRID, tolerance=v), 1.0),
+    ("tolerance must", lambda v: purity_classify(vacuum(), tol=v), 1.0),
+    ("tail must", lambda v: thermal_state(1.0, tail=v), 2.0 ** -40),
+    ("window must", lambda v: tomogram_grid(vacuum(), 4, window=(v, 6.0)), -6.0),
+    ("window must", lambda v: tomogram_grid(vacuum(), 4, window=(-6.0, v)), 6.0),
+    ("x must", lambda v: symplectic_tomogram(GRID, v, 1.0, 0.0), 1.0),
+    (
+        "gaussian state: field 'mean_q' must",
+        lambda v: state_from_dict({**VACUUM, "mean_q": v}),
+        1.0,
+    ),
+    (
+        "mixture component: field 'weight' must",
+        lambda v: state_from_dict(
+            {"type": "mixed", "components": [{"weight": v, "state": VACUUM}]}
+        ),
+        1.0,
+    ),
+    (
+        "fock state: coefficient part must",
+        lambda v: state_from_dict({"type": "fock", "coeffs": [[v, 0.0]]}),
+        1.0,
+    ),
+    (
+        "report field 'phase' must",
+        lambda v: InequalityReport.from_dict({**REPORT, "phase": v}),
+        1.0,
+    ),
+]
+HUGE = 10**400  # an int past the float range
+BAD_SCALARS = ["0.5", True, np.True_, None, math.nan, math.inf, -math.inf, np.array(0.5), HUGE]
+
+ARRAY_CASES = [
+    ("x points must", lambda v: optical_tomogram(vacuum(), 0.5, v)),
+    ("r must", lambda v: tomogram_characteristic(vacuum(), 0.5, v)),
+    ("phase must", lambda v: tomogram_characteristic(vacuum(), v, 1.0)),
+    ("phases must", lambda v: tomogram_grid(vacuum(), v)),
+    ("phases must", lambda v: trifonov_sweep(GRID, GRID, v)),
+    ("x grid must", lambda v: row_mean(v, ROW)),
+    ("row must", lambda v: row_mean(XS, v)),
+    ("x grid must", lambda v: row_variance(v, ROW)),
+    ("row must", lambda v: row_variance(XS, v)),
+    ("y must", lambda v: eval_position_wavefunction(vacuum(), v)),
+    ("p must", lambda v: eval_momentum_wavefunction(vacuum(), v)),
+]
+BAD_ARRAYS = [
+    ["0.5", "1.0"],
+    [True, False],
+    np.array([0.5, 1.0], dtype=object),
+    [0.5, math.nan],
+    [0.5, -math.inf],
+]
+
+
+def _case_id(case):
+    return case[0].removesuffix(" must")
+
+
+@pytest.mark.parametrize("value", BAD_SCALARS, ids=lambda v: "10**400" if v is HUGE else repr(v))
+@pytest.mark.parametrize("case", SCALAR_CASES, ids=_case_id)
+def test_every_real_argument_refuses_what_is_not_a_finite_real(case, value):
+    message, call, _ = case
+    with pytest.raises(InputError) as caught:
+        call(value)
+    assert str(caught.value).startswith(message), str(caught.value)
+
+
+@pytest.mark.parametrize("value", BAD_ARRAYS, ids=repr)
+@pytest.mark.parametrize("case", ARRAY_CASES, ids=_case_id)
+def test_every_real_array_refuses_strings_bools_objects_and_non_finite_entries(case, value):
+    message, call = case
+    with pytest.raises(InputError) as caught:
+        call(value)
+    assert str(caught.value).startswith(message), str(caught.value)
+
+
+def _bits(result):
+    """A result as text that two bitwise-equal results share: float reprs
+    round-trip, and arrays and datasets are compared by their bytes."""
+    if isinstance(result, np.ndarray):
+        return result.dtype.str + result.tobytes().hex()
+    if isinstance(result, TomogramGrid):
+        return [_bits(a) for a in (result.phases, result.xs, result.values)]
+    if hasattr(result, "xs") and hasattr(result, "thetas"):
+        return [_bits(result.xs), _bits(result.thetas), result.seed]
+    if isinstance(result, tuple) and not hasattr(result, "__dataclass_fields__"):
+        return [_bits(item) for item in result]
+    return repr(result)
+
+
+# every case with a value it accepts (the transform branch is slow) in each
+# numpy type that holds that value exactly
+NUMPY_CASES = [
+    pytest.param(case, to_numpy, id=f"{_case_id(case)}-{to_numpy.__name__}")
+    for case in SCALAR_CASES
+    for to_numpy in (np.float64, np.float32, np.int64)
+    if case[2] is not None and float(to_numpy(case[2])) == case[2]
+]
+
+
+@pytest.mark.parametrize("case, to_numpy", NUMPY_CASES)
+def test_numpy_scalars_give_the_results_of_their_python_float(case, to_numpy):
+    _, call, good = case
+    assert _bits(call(to_numpy(good))) == _bits(call(good))
+
+
+def test_the_inputs_that_used_to_answer_or_raise_a_bare_type_error():
+    grid = tomogram_grid(vacuum(), 4)
+    calls = [
+        lambda: analytic_moments(vacuum(), "0.5"),
+        lambda: tomographic_moments(grid, "0"),
+        lambda: sample(vacuum(), [(True, 40)], 1),
+        lambda: purity_classify(vacuum(), tol=True),
+        lambda: heisenberg_lhs(grid, tolerance="1"),
+        lambda: purity_classify(vacuum(), tol="0.1"),
+        lambda: tomogram_grid(vacuum(), 4, window=("-5", "5")),
+    ]
+    for call in calls:
+        with pytest.raises(InputError):
+            call()
+
+
+def test_a_report_must_hold_numbers_and_a_json_boolean():
+    with pytest.raises(InputError, match="report field 'phase' must be a finite real number"):
+        InequalityReport.from_dict({**REPORT, "phase": "0.5", "satisfied": "false"})
+    for satisfied in ("false", 0, None):
+        with pytest.raises(InputError, match="report field 'satisfied' must be a boolean"):
+            InequalityReport.from_dict({**REPORT, "satisfied": satisfied})
+    with pytest.raises(InputError, match="report field 'stderr' must be a finite real number"):
+        InequalityReport.from_dict({**REPORT, "stderr": "0.1"})
+    report = InequalityReport.from_dict({**REPORT, "stderr": None})
+    assert report.satisfied is False and report.stderr is None
+    assert InequalityReport.from_dict(json.loads(report.to_json())) == report
+
+
+def _dataset_with_sidecar(tmp_path, seed):
+    path = tmp_path / "d.csv"
+    save_dataset_csv(sample(vacuum(), [(0.0, 40)], 5), path)
+    sidecar = tmp_path / "d.json"
+    meta = json.loads(sidecar.read_text())
+    if seed is None:
+        del meta["seed"]
+    else:
+        meta["seed"] = seed
+    sidecar.write_text(json.dumps(meta))
+    return path
+
+
+@pytest.mark.parametrize("seed", [3.7, "3", True, [3], None, 5])
+def test_a_sidecar_seed_is_an_integer_or_refused(tmp_path, seed):
+    path = _dataset_with_sidecar(tmp_path, seed)
+    if seed is None or type(seed) is int:
+        got = load_dataset_csv(path).seed
+        assert type(got) is int and got == (-1 if seed is None else seed)
+        return
+    with pytest.raises(InputError, match="^invalid metadata sidecar .*seed must be an integer"):
+        load_dataset_csv(path)
+
+
+def test_a_sidecar_that_is_not_an_object_is_refused(tmp_path):
+    path = _dataset_with_sidecar(tmp_path, 5)
+    (tmp_path / "d.json").write_text("[5]\n")
+    with pytest.raises(InputError, match="^invalid metadata sidecar"):
+        load_dataset_csv(path)
+
+
+def test_the_cli_exits_2_on_a_fractional_sidecar_seed(tmp_path, capsys):
+    path = _dataset_with_sidecar(tmp_path, 3.7)
+    capsys.readouterr()
+    assert main(["estimate", "--data", str(path), "--theta", "0"]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error: invalid metadata sidecar")
