@@ -18,6 +18,7 @@ import numpy as np
 
 from .errors import InputError, NumericalError
 from .homodyne import (
+    STDERR_SIGMAS,
     _sidecar_path,
     empirical_trifonov,
     estimate_moments,
@@ -25,11 +26,18 @@ from .homodyne import (
     sample,
     save_dataset_csv,
 )
-from .inequalities import DEFAULT_TOLERANCE, heisenberg_lhs, trifonov_lhs, trifonov_sweep
-from .purity import purity_classify
+from .inequalities import (
+    DEFAULT_TOLERANCE,
+    _trifonov_cross,
+    heisenberg_lhs,
+    trifonov_lhs,
+    trifonov_sweep,
+)
+from .purity import PURITY_TOL, purity_classify
 from .states import load_state, state_label, state_to_dict
 from .tomography import (
     DEFAULT_N_PHASES,
+    DEFAULT_N_X,
     PHASE_TOL,
     TomogramGrid,
     _csv_fields,
@@ -138,12 +146,7 @@ def _cmd_tomogram(args):
         if args.x_min is None or args.x_max is None:
             raise InputError("give both --x-min and --x-max or neither")
         window = (args.x_min, args.x_max)
-    grid = tomogram_grid(
-        state,
-        phases=args.phases if args.phases is not None else DEFAULT_N_PHASES,
-        n_x=args.points,
-        window=window,
-    )
+    grid = tomogram_grid(state, args.phases, n_x=args.points, window=window)
     save_tomogram_csv(grid, args.out)
     print(
         json.dumps(
@@ -175,7 +178,7 @@ def _cmd_check_trifonov(args):
         if args.tolerance is not None:
             raise InputError(
                 "--tolerance does not apply to --data1/--data2: the dataset check "
-                "uses 3 standard errors"
+                f"uses {STDERR_SIGMAS:g} standard errors"
             )
         report = empirical_trifonov(
             load_dataset_csv(data1), load_dataset_csv(data2), args.theta
@@ -197,16 +200,14 @@ def _sweep_sources(args):
     --phases when given, else over the phases every loaded tomogram holds."""
     sources = [_read_source(args, "1"), _read_source(args, "2")]
     grids = [s for s in sources if isinstance(s, TomogramGrid)]
-    if args.phases is not None:
-        thetas = uniform_phases(args.phases)
-    elif grids:
+    if grids and args.phases is None:
         thetas = grids[0].phases
         # a phase is held when its gap on the pi-circle, seam included, is within PHASE_TOL
         thetas = thetas[[_nearest_phase(grids[-1].phases, t)[2].min() <= PHASE_TOL for t in thetas]]
         if not thetas.size:
             raise InputError(f"{args.tomogram1} and {args.tomogram2} hold no phase in common")
     else:
-        thetas = uniform_phases(DEFAULT_N_PHASES)
+        thetas = uniform_phases(DEFAULT_N_PHASES if args.phases is None else args.phases)
     return (thetas,) + tuple(_grid_for_phases(s, thetas) for s in sources)
 
 
@@ -270,7 +271,7 @@ def _cmd_plotdata_row(args):
 
 def _cmd_plotdata_sweep(args):
     thetas, w1, w2 = _sweep_sources(args)
-    lhs = np.array([trifonov_lhs(w1, w2, theta).lhs for theta in thetas.tolist()])
+    lhs = np.array([_trifonov_cross(w1, w2, theta) for theta in thetas.tolist()])
     _write_csv(args.out, "theta,lhs", _csv_fields(thetas), lhs)
     print(json.dumps({"out": args.out, "points": int(thetas.size)}))
     return EXIT_OK
@@ -316,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_tomo = sub.add_parser("tomogram", help="compute a tomogram grid to CSV")
     p_tomo.add_argument("--state", required=True)
-    p_tomo.add_argument("--phases", type=int, help="phase count on [0, pi) (default 64)")
-    p_tomo.add_argument("--points", type=int, help="X points per row (default 256+)")
+    phases_help = f"phase count on [0, pi) (default {DEFAULT_N_PHASES})"
+    p_tomo.add_argument("--phases", type=int, default=DEFAULT_N_PHASES, help=phases_help)
+    p_tomo.add_argument("--points", type=int, help=f"X points per row (default {DEFAULT_N_X}+)")
     p_tomo.add_argument("--x-min", type=float, dest="x_min")
     p_tomo.add_argument("--x-max", type=float, dest="x_max")
     p_tomo.add_argument("--out", required=True)
@@ -329,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_heis = check_sub.add_parser("heisenberg", help="Var(0)*Var(pi/2) >= 1/4")
     p_heis.add_argument("--state")
     p_heis.add_argument("--tomogram")
-    p_heis.add_argument("--tolerance", type=float, default=1e-9)
+    p_heis.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p_heis.add_argument("--out")
     p_heis.set_defaults(handler=_cmd_check_heisenberg)
 
@@ -342,7 +344,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tolerance",
         type=float,
         help=f"states and tomograms only (default {DEFAULT_TOLERANCE:g}); "
-        "the dataset check uses 3 standard errors",
+        f"the dataset check uses {STDERR_SIGMAS:g} standard errors",
     )
     p_trif.add_argument("--out")
     p_trif.set_defaults(handler=_cmd_check_trifonov)
@@ -350,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_pur = check_sub.add_parser("purity", help="pure/mixed classification")
     p_pur.add_argument("--state")
     p_pur.add_argument("--tomogram")
-    p_pur.add_argument("--tol", type=float, default=1e-3)
+    p_pur.add_argument("--tol", type=float, default=PURITY_TOL)
     p_pur.add_argument("--out")
     p_pur.set_defaults(handler=_cmd_check_purity)
 
@@ -358,8 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_sub = p_sweep.add_subparsers(dest="sweep_command", required=True)
     p_sweep_t = sweep_sub.add_parser("trifonov", help="minimum over a phase sweep")
     _add_pair_sources(p_sweep_t)
-    p_sweep_t.add_argument("--phases", type=int, help="sweep phase count (default 64)")
-    p_sweep_t.add_argument("--tolerance", type=float, default=1e-9)
+    sweep_help = f"sweep phase count (default: the stored tomograms' phases, else {DEFAULT_N_PHASES})"
+    p_sweep_t.add_argument("--phases", type=int, help=sweep_help)
+    p_sweep_t.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
     p_sweep_t.add_argument("--out")
     p_sweep_t.set_defaults(handler=_cmd_sweep_trifonov)
 

@@ -30,7 +30,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +61,7 @@ __all__ = [
 
 GENERATOR_NAME = "numpy-PCG64(SeedSequence-spawn-per-phase)"
 MIN_SAMPLES = 30
+STDERR_SIGMAS = 3.0  # the dataset check allows this many standard errors
 CDF_POINTS = 4097  # CDF_POINTS - 1 must be a power of two: see _inverse_cdf
 # draws per block of _inverse_cdf, whose scratch buffers take ~200 KB: on
 # 20k draws, 1024-draw blocks took 2.1x as long as 8192-draw ones, and one
@@ -417,7 +418,7 @@ def empirical_trifonov(
     """Two-state dispersion check from sampled data, with propagated stderr.
 
     First-order (delta-method) propagation across the four variance
-    estimates; satisfied means lhs >= 1/4 - 3*stderr.
+    estimates; satisfied means lhs >= 1/4 - STDERR_SIGMAS * stderr.
     """
     phase = _finite_real("phase", phase)
     other = phase + math.pi / 2.0
@@ -441,7 +442,7 @@ def empirical_trifonov(
     )
     # on equal records each estimate's two equal gradient terms add before squaring
     stderr = math.sqrt(2.0 * grad_sq if same else grad_sq)
-    return _report("trifonov", phase, lhs, 3.0 * stderr, stderr)
+    return _report("trifonov", phase, lhs, STDERR_SIGMAS * stderr, stderr)
 
 
 # --------------------------------------------------------------------------
@@ -462,7 +463,8 @@ def save_dataset_csv(ds: HomodyneDataset, path):
     if sidecar.resolve() == Path(path).resolve():
         raise InputError(f"{path}: a dataset cannot take the name of its .json metadata sidecar")
     phases, bounds = ds._runs
-    _write_csv(path, "theta,x", _csv_fields(phases), ds.xs, ends=bounds[1:].tolist())
+    prefixes = chain.from_iterable(map(repeat, _csv_fields(phases), np.diff(bounds).tolist()))
+    _write_csv(path, "theta,x", prefixes, ds.xs)
     meta = {"seed": ds.seed, "state_label": ds.state_label, "generator": ds.generator}
     with open(sidecar, "w") as fh:
         json.dump(meta, fh, indent=2)

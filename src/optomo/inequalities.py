@@ -38,7 +38,7 @@ _KINDS = ("heisenberg", "trifonov", "trifonov_sweep")
 @dataclass(frozen=True)
 class InequalityReport:
     """Outcome of one bound check; ``margin = lhs - bound`` and the check is
-    satisfied when margin >= -tolerance (3*stderr for empirical checks)."""
+    satisfied when margin >= -tolerance (a multiple of stderr for empirical checks)."""
 
     kind: str
     phase: float
@@ -100,6 +100,15 @@ def heisenberg_lhs(grid: TomogramGrid, *, tolerance: float = DEFAULT_TOLERANCE) 
     return _report("heisenberg", 0.0, v_q * v_p, tolerance)
 
 
+def _trifonov_cross(w1: TomogramGrid, w2: TomogramGrid, phase: float) -> float:
+    """1/2 V1(phase) V2(phase + pi/2) + 1/2 V2(phase) V1(phase + pi/2) from
+    the two grids' variances at a real ``phase``."""
+    other = phase + math.pi / 2.0
+    v1, v1_rot = tomographic_variance(w1, phase), tomographic_variance(w1, other)
+    v2, v2_rot = tomographic_variance(w2, phase), tomographic_variance(w2, other)
+    return 0.5 * (v1 * v2_rot) + 0.5 * (v2 * v1_rot)
+
+
 def trifonov_lhs(
     w1: TomogramGrid,
     w2: TomogramGrid,
@@ -109,13 +118,7 @@ def trifonov_lhs(
 ) -> InequalityReport:
     """Symmetric two-state dispersion cross product at one phase."""
     phase = _finite_real("phase", phase)
-    other = phase + math.pi / 2.0
-    v1 = tomographic_variance(w1, phase)
-    v1_rot = tomographic_variance(w1, other)
-    v2 = tomographic_variance(w2, phase)
-    v2_rot = tomographic_variance(w2, other)
-    lhs = 0.5 * (v1 * v2_rot) + 0.5 * (v2 * v1_rot)
-    return _report("trifonov", phase, lhs, tolerance)
+    return _report("trifonov", phase, _trifonov_cross(w1, w2, phase), tolerance)
 
 
 def trifonov_sweep(
@@ -132,9 +135,8 @@ def trifonov_sweep(
     phase_arr = _as_points(phases, "phases")
     if phase_arr.ndim != 1 or phase_arr.size == 0:
         raise InputError("phase list must be non-empty")
-    reports = [trifonov_lhs(w1, w2, theta, tolerance=tolerance) for theta in phase_arr.tolist()]
-    best = min(reports, key=lambda r: (r.lhs, r.phase))
-    return _report("trifonov_sweep", best.phase, best.lhs, tolerance)
+    lhs, phase = min((_trifonov_cross(w1, w2, theta), theta) for theta in phase_arr.tolist())
+    return _report("trifonov_sweep", phase, lhs, tolerance)
 
 
 def operator_trifonov_lhs(s1: State, s2: State, phase: float = 0.0) -> float:

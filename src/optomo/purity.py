@@ -40,6 +40,7 @@ R_CAP = 64.0
 PHI_TAIL = 1e-10
 TAIL_TOL = 1e-8
 RADIAL_TOL = 1e-12
+PURITY_TOL = 1e-3
 
 
 @dataclass(frozen=True)
@@ -139,7 +140,7 @@ def purity_overlap(a, b) -> float:
     return float((total * (math.pi / phases.size) / (2.0 * math.pi)).real)
 
 
-def purity_classify(src, tol: float = 1e-3) -> PurityReport:
+def purity_classify(src, tol: float = PURITY_TOL) -> PurityReport:
     """Label a source pure when its self-overlap is within ``tol`` of 1."""
     tol = _finite_real("tolerance", tol, "be finite and > 0", lambda t: t > 0.0)
     value = purity_overlap(src, src)

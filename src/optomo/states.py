@@ -221,22 +221,18 @@ def fock(n: int) -> FockSuperposition:
     return FockSuperposition((0.0,) * count + (1.0,))
 
 
-def thermal_state(nbar: float, tail: float = 1e-10) -> MixedState:
+def thermal_state(nbar: float) -> MixedState:
     """Thermal mixture sum_n p_n |n><n| with p_n = nbar^n / (1+nbar)^(n+1).
 
-    Truncated at the smallest cutoff whose discarded weight is below ``tail``.
+    Truncated at the smallest cutoff whose discarded weight is below ``WEIGHT_TOL``.
     """
     nbar = _finite_real("nbar", nbar, "be finite and > 0", lambda n: n > 0.0)
-    tail = _finite_real("tail", tail, "lie in (0, 1)", lambda t: 0.0 < t < 1.0)
     ratio = nbar / (1.0 + nbar)
-    cutoff = max(0, int(math.ceil(math.log(tail) / math.log(ratio))) - 1)
-    while ratio ** (cutoff + 1) >= tail:
+    cutoff = max(0, int(math.ceil(math.log(WEIGHT_TOL) / math.log(ratio))) - 1)
+    while ratio ** (cutoff + 1) >= WEIGHT_TOL:
         cutoff += 1
     if cutoff > MAX_FOCK_CUTOFF:
-        raise InputError(
-            f"thermal truncation needs cutoff {cutoff} > {MAX_FOCK_CUTOFF}; "
-            "reduce nbar or loosen tail"
-        )
+        raise InputError(f"thermal truncation needs cutoff {cutoff} > {MAX_FOCK_CUTOFF}; reduce nbar")
     weights = [(nbar ** n) / (1.0 + nbar) ** (n + 1) for n in range(cutoff + 1)]
     return MixedState(tuple((w, fock(n)) for n, w in enumerate(weights)))
 
@@ -245,12 +241,21 @@ def thermal_state(nbar: float, tail: float = 1e-10) -> MixedState:
 # wavefunctions
 # --------------------------------------------------------------------------
 
+def _holds_bool(values):
+    """Whether ``values`` is a bool (numpy's included) or a list or tuple
+    holding one at any depth, which numpy would make 0 or 1 beside numbers."""
+    if isinstance(values, (list, tuple)):
+        return any(map(_holds_bool, values))
+    return isinstance(values, (bool, np.bool_))
+
+
 def _as_points(values, name):
     """``values`` as a float array if their dtype is integer or float (not
     strings, bools or objects) and every entry is finite, else an
-    InputError; every array of reals a caller passes in goes through it."""
+    InputError; every array of reals a caller passes in goes through it.
+    A list or tuple is read as given, so a bool in it is refused too."""
     arr = np.asarray(values)
-    if arr.dtype.kind not in "iuf" or not np.isfinite(arr).all():
+    if arr.dtype.kind not in "iuf" or _holds_bool(values) or not np.isfinite(arr).all():
         raise InputError(f"{name} must be finite real numbers")
     return arr.astype(float, copy=False)
 

@@ -32,11 +32,9 @@ from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import islice, repeat
-from operator import add, mul, sub
+from itertools import islice
 
 import numpy as np
 
@@ -683,29 +681,17 @@ def _csv_fields(values):
     return [_CSV_FLOAT % value + "," for value in values.tolist()]
 
 
-def _write_csv(path, header, prefixes, values, ends=None):
+def _write_csv(path, header, prefixes, values):
     """Write ``header``, then one line per entry of the 1-D array ``values``:
-    its leading fields (text the caller formatted) and the value.
-    ``prefixes`` yields each line's leading fields or, given ``ends``, each
-    run's: run k leads lines ends[k - 1]:ends[k] (from line 0 for k = 0).
-    Lines go out in blocks of ``CSV_BLOCK_LINES``, each one C-level ``%``
-    and one write."""
-    # a run's line is repeated, not joined line by line: joining made 2 x 100k
-    # records ~4 % slower to write, and one-line runs a tomogram ~15 % slower
+    the next entry of ``prefixes`` (leading fields the caller formatted) and
+    the value, in blocks of ``CSV_BLOCK_LINES`` lines, one ``%`` and one write each."""
     line_end = _CSV_FLOAT + "\n"
-    if ends is None:
-        prefixes = iter(prefixes)
+    prefixes = iter(prefixes)
     with open(path, "w") as fh:
         fh.write(header + "\n")
         for lo in range(0, values.size, CSV_BLOCK_LINES):
             hi = min(lo + CSV_BLOCK_LINES, values.size)
-            if ends is None:
-                template = line_end.join(islice(prefixes, hi - lo)) + line_end
-            else:
-                first, last = bisect_right(ends, lo), bisect_left(ends, hi) + 1
-                cuts = [lo, *ends[first:last - 1], hi]
-                lines = map(add, prefixes[first:last], repeat(line_end))
-                template = "".join(map(mul, lines, map(sub, cuts[1:], cuts)))
+            template = line_end.join(islice(prefixes, hi - lo)) + line_end
             fh.write(template % tuple(values[lo:hi].tolist()))
 
 

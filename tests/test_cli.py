@@ -1,5 +1,6 @@
 import argparse
 import contextlib
+import inspect
 import io
 import json
 import math
@@ -11,10 +12,13 @@ from hypothesis import given
 from hypothesis import strategies as hyp_st
 
 from optomo import (
+    FockSuperposition,
     GaussianState,
+    MixedState,
     TomogramGrid,
     gaussian_row,
     load_tomogram_csv,
+    purity_classify,
     save_state,
     save_tomogram_csv,
     tomogram_grid,
@@ -23,6 +27,10 @@ from optomo import (
     vacuum,
 )
 from optomo import cli
+from optomo.homodyne import STDERR_SIGMAS
+from optomo.inequalities import DEFAULT_TOLERANCE
+from optomo.purity import PURITY_TOL
+from optomo.tomography import DEFAULT_N_PHASES, DEFAULT_N_X
 from optomo.cli import _parsers, build_parser, main
 
 
@@ -180,6 +188,35 @@ def test_sweep_trifonov(workspace, capsys):
     assert payload["kind"] == "trifonov_sweep"
     assert abs(payload["lhs"] - 0.390625) < 1e-6
     assert abs(payload["phase"] - math.pi / 4) <= math.pi / 16 + 1e-12
+
+
+# the Fock+Gaussian mixture that CI checks from the command line
+MIX = MixedState(((0.5, FockSuperposition((0.6, 0.0, 0.8))), (0.5, GaussianState(0.3, -0.2, 1.5))))
+
+
+@pytest.mark.parametrize("stored", [False, True], ids=["states", "tomograms"])
+@pytest.mark.parametrize("n_phases", [16, 64])
+@pytest.mark.parametrize("second", [MIX, vacuum()], ids=["mix", "vacuum"])
+def test_sweep_report_is_the_first_minimum_row_of_plotdata_sweep(
+    workspace, capsys, second, n_phases, stored
+):
+    save_state(second, workspace / "second.json")
+    specs = [str(workspace / f"{name}.json") for name in ("vacuum", "second")]
+    if stored:
+        csvs = [spec.replace(".json", ".csv") for spec in specs]
+        for spec, csv in zip(specs, csvs):
+            assert main(["tomogram", "--state", spec, "--phases", str(n_phases), "--out", csv]) == 0
+        sources = ["--tomogram1", csvs[0], "--tomogram2", csvs[1]]
+    else:
+        sources = ["--state1", specs[0], "--state2", specs[1], "--phases", str(n_phases)]
+    assert main(["sweep", "trifonov", *sources]) == 0
+    report = _last_json(capsys)
+    sweep_csv = workspace / "sweep.csv"
+    assert main(["plotdata", "sweep", *sources, "--out", str(sweep_csv)]) == 0
+    rows = np.loadtxt(sweep_csv, delimiter=",", skiprows=1)
+    assert rows.shape == (n_phases, 2)
+    first_min = int(np.argmin(rows[:, 1]))  # argmin takes the first of equal minima
+    assert (report["phase"], report["lhs"]) == tuple(rows[first_min].tolist())
 
 
 def test_sweep_over_stored_tomogram_uses_its_phases(workspace, capsys):
@@ -377,6 +414,25 @@ def test_plotdata_row_and_sweep(workspace, capsys):
     thetas, lhs = np.loadtxt(lines[1:], delimiter=",", unpack=True)
     assert thetas.size == 8
     assert abs(lhs[0] - 0.53125) < 1e-6
+
+
+def test_flag_defaults_are_the_library_constants():
+    leaves = {p.prog: p for p in _parsers(build_parser())}
+
+    def flag(prog, dest):
+        (action,) = [a for a in leaves[f"optomo {prog}"]._actions if a.dest == dest]
+        return action
+
+    assert flag("check heisenberg", "tolerance").default == DEFAULT_TOLERANCE
+    assert flag("sweep trifonov", "tolerance").default == DEFAULT_TOLERANCE
+    assert flag("check purity", "tol").default == PURITY_TOL
+    assert inspect.signature(purity_classify).parameters["tol"].default == PURITY_TOL
+    assert inspect.signature(tomogram_grid).parameters["phases"].default == DEFAULT_N_PHASES
+    assert flag("tomogram", "phases").default == DEFAULT_N_PHASES
+    assert flag("tomogram", "points").default is None
+    assert f"default {DEFAULT_N_PHASES}" in flag("tomogram", "phases").help
+    assert f"default {DEFAULT_N_X}" in flag("tomogram", "points").help
+    assert f"{STDERR_SIGMAS:g} standard errors" in flag("check trifonov", "tolerance").help
 
 
 def test_plotdata_lines_are_17_digit_renderings(workspace, capsys):

@@ -31,7 +31,6 @@ from optomo import (
     save_dataset_csv,
     state_from_dict,
     symplectic_tomogram,
-    thermal_state,
     tomogram_characteristic,
     tomogram_grid,
     tomographic_mean,
@@ -76,7 +75,6 @@ SCALAR_CASES = [
     ("tolerance must", lambda v: trifonov_lhs(GRID, GRID, 0.5, tolerance=v), 1.0),
     ("tolerance must", lambda v: trifonov_sweep(GRID, GRID, tolerance=v), 1.0),
     ("tolerance must", lambda v: purity_classify(vacuum(), tol=v), 1.0),
-    ("tail must", lambda v: thermal_state(1.0, tail=v), 2.0 ** -40),
     ("window must", lambda v: tomogram_grid(vacuum(), 4, window=(v, 6.0)), -6.0),
     ("window must", lambda v: tomogram_grid(vacuum(), 4, window=(-6.0, v)), 6.0),
     ("x must", lambda v: symplectic_tomogram(GRID, v, 1.0, 0.0), 1.0),
@@ -122,6 +120,9 @@ ARRAY_CASES = [
 BAD_ARRAYS = [
     ["0.5", "1.0"],
     [True, False],
+    [0.5, True],
+    (0.0, np.True_),
+    [[0.5], [np.False_]],
     np.array([0.5, 1.0], dtype=object),
     [0.5, math.nan],
     [0.5, -math.inf],

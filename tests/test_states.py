@@ -262,16 +262,29 @@ def test_thermal_state_truncation_and_moments():
         assert m.variance == pytest.approx(1.5, abs=1e-8)
 
 
-@pytest.mark.parametrize("tail", [0.0, -1.0, math.nan, math.inf, 1.0, 2.0])
-def test_thermal_state_rejects_a_tail_outside_zero_to_one(tail):
-    with pytest.raises(InputError, match="tail must lie in"):
-        thermal_state(1.0, tail=tail)
+# the cutoffs that the truncation's former default of 1e-10 gave
+@pytest.mark.parametrize("nbar, cutoff", [(0.1, 9), (0.5, 20), (1.0, 33), (2.0, 56), (2.3, 63)])
+def test_thermal_state_truncates_where_its_discarded_weight_drops_below_weight_tol(nbar, cutoff):
+    weights = [nbar**n / (1.0 + nbar) ** (n + 1) for n in range(cutoff + 1)]
+    assert thermal_state(nbar).components == tuple((w, fock(n)) for n, w in enumerate(weights))
 
 
-@pytest.mark.parametrize("nbar, tail", [(True, 1e-10), ("2", 1e-10), (1.0, True), (1.0, "1e-10")])
-def test_thermal_state_takes_only_real_numbers(nbar, tail):
+@pytest.mark.parametrize("nbar", [2.4, 2.5])
+def test_thermal_state_past_the_largest_cutoff_asks_only_for_a_smaller_nbar(nbar):
+    with pytest.raises(InputError) as caught:
+        thermal_state(nbar)
+    assert str(caught.value).endswith("> 64; reduce nbar")
+
+
+def test_thermal_state_takes_no_tail():
+    with pytest.raises(TypeError):
+        thermal_state(1.0, tail=1e-10)
+
+
+@pytest.mark.parametrize("nbar", [True, "2"])
+def test_thermal_state_takes_only_real_numbers(nbar):
     with pytest.raises(InputError):
-        thermal_state(nbar, tail=tail)
+        thermal_state(nbar)
 
 
 # --------------------------------------------------------------------------
