@@ -108,7 +108,9 @@ def _parse_phase_list(text):
 
 
 def _parse_schedule(args):
-    if args.schedule:
+    if args.schedule is not None:
+        if args.thetas is not None or args.shots is not None:
+            raise InputError("give either --schedule or --thetas with --shots, not both")
         entries = []
         for tok in args.schedule.split(","):
             tok = tok.strip()

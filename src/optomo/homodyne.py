@@ -37,9 +37,10 @@ import numpy as np
 
 from .errors import InputError
 from .inequalities import InequalityReport, _report
-from .states import _MAX_COUNT, State, _finite_real, _integer, grid_halfwidth, state_label
+from .states import _MAX_COUNT, State, _as_points, _finite_real, _integer, grid_halfwidth, state_label
 from .tomography import (
     PHASE_TOL,
+    _PHASE_RULE,
     _csv_fields,
     _nearest_phase,
     _read_csv,
@@ -67,6 +68,17 @@ CDF_POINTS = 4097  # CDF_POINTS - 1 must be a power of two: see _inverse_cdf
 # 20k draws, 1024-draw blocks took 2.1x as long as 8192-draw ones, and one
 # 32768-draw block saved another 10-14 % at four times the memory
 INVERT_BLOCK = 8192
+
+
+def _provenance(seed, state_label, generator):
+    """(seed as an int, state_label, generator) if the seed is an integer and both texts are strings."""
+    seed_value = _integer(seed)
+    if seed_value is None:
+        raise InputError(f"seed must be an integer, got {seed!r}")
+    for name, text in (("state_label", state_label), ("generator", generator)):
+        if not isinstance(text, str):
+            raise InputError(f"{name} must be a string, got {text!r}")
+    return seed_value, state_label, generator
 
 
 def _split_runs(values):
@@ -99,32 +111,24 @@ class HomodyneDataset:
     generator: str
 
     def __init__(self, thetas, xs, seed, state_label, generator=GENERATOR_NAME):
-        thetas = np.asarray(thetas, dtype=float)
-        xs = np.array(xs, dtype=float)
+        thetas = _as_points(thetas, "phases", _PHASE_RULE)
+        xs = _as_points(xs, "quadrature values", "be finite").copy()
         if thetas.ndim != 1 or thetas.shape != xs.shape:
             raise InputError("thetas and xs must be matching 1-D arrays")
-        self._init(*_split_runs(thetas), xs, seed, state_label, generator)
+        phases, bounds = _split_runs(thetas)
+        if phases.size and (phases.min() < 0.0 or phases.max() >= math.pi):
+            raise InputError(f"phases must {_PHASE_RULE}")
+        self._init(phases, bounds, xs, *_provenance(seed, state_label, generator))
 
     @classmethod
     def _adopt(cls, phases, bounds, xs, seed, state_label):
-        """A dataset over runs and a float array of records that no one else
-        holds, as ``sample`` fills them: validated and frozen in place
-        instead of copied."""
+        """A dataset over checked runs, records and provenance, as ``sample`` makes
+        them; no one else holds the records, so they are frozen in place, not copied."""
         ds = object.__new__(cls)
         ds._init(phases, bounds, xs, seed, state_label, GENERATOR_NAME)
         return ds
 
     def _init(self, phases, bounds, xs, seed, state_label, generator):
-        # a NaN or an infinity shows in the min or the max, and these two
-        # reductions build no per-record mask
-        if xs.size and not (math.isfinite(xs.min()) and math.isfinite(xs.max())):
-            raise InputError("quadrature values must be finite")
-        if phases.size and (
-            not np.all(np.isfinite(phases))
-            or phases.min() < 0.0
-            or phases.max() >= math.pi
-        ):
-            raise InputError("phases must lie in [0, pi)")
         for array in (phases, bounds, xs):
             array.setflags(write=False)
         # frozen: the fields are set once, past the dataclass __setattr__
@@ -474,8 +478,7 @@ def save_dataset_csv(ds: HomodyneDataset, path):
 def load_dataset_csv(path) -> HomodyneDataset:
     data = _read_csv(path, "theta,x", "dataset")
     if data.size == 0:
-        thetas = np.empty(0)
-        xs = np.empty(0)
+        thetas = xs = np.empty(0)
     elif data.shape[1] != 2:
         raise InputError(f"{path}: expected two columns theta,x")
     else:
@@ -486,13 +489,9 @@ def load_dataset_csv(path) -> HomodyneDataset:
         try:
             with open(meta_path) as fh:
                 meta = json.load(fh)
-            seed = _integer(meta.get("seed", -1))
-            if seed is None:
-                raise ValueError(f"seed must be an integer, got {meta['seed']!r}")
-            label = str(meta.get("state_label", "unknown"))
-            generator = str(meta.get("generator", "unknown"))
-        except (OSError, AttributeError, ValueError) as exc:
+            seed, label, generator = _provenance(
+                meta.get("seed", seed), meta.get("state_label", label), meta.get("generator", generator)
+            )
+        except (OSError, AttributeError, ValueError, InputError) as exc:
             raise InputError(f"invalid metadata sidecar {meta_path}: {exc}") from exc
-    return HomodyneDataset(
-        thetas=thetas, xs=xs, seed=seed, state_label=label, generator=generator
-    )
+    return HomodyneDataset(thetas, xs, seed, label, generator)

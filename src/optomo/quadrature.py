@@ -27,14 +27,10 @@ def _panel(n):
 
 
 def nodes(n_total, a, b):
-    """Nodes/weights covering [a, b] with ceil(n_total / 256) equal panels."""
-    n_total = int(n_total)
-    if n_total <= PANEL_NODES:
-        x, w = _panel(max(8, n_total))
-        half = 0.5 * (b - a)
-        return half * x + 0.5 * (a + b), w * half
-    k = int(np.ceil(n_total / PANEL_NODES))
-    x, w = _panel(PANEL_NODES)
+    """Nodes/weights over [a, b]: ceil(n_total / m) equal panels of m = min(n_total, 256) nodes."""
+    m = min(n_total, PANEL_NODES)
+    k = int(np.ceil(n_total / m))
+    x, w = _panel(m)
     edges = np.linspace(a, b, k + 1)
     half = 0.5 * (edges[1] - edges[0])
     mids = 0.5 * (edges[:-1] + edges[1:])

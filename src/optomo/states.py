@@ -113,15 +113,17 @@ class FockSuperposition:
     coeffs: tuple
 
     def __post_init__(self):
-        try:
-            cs = tuple(complex(v) for v in self.coeffs)
-        except TypeError as exc:
-            raise InputError(f"coeffs must be a sequence of numbers: {exc}") from exc
+        try:  # the rule of _as_points, complex dtypes included
+            arr = np.asarray(self.coeffs)
+            valid = arr.ndim == 1 and arr.dtype.kind in "iufc" and not _holds_bool(self.coeffs)
+        except ValueError:  # a ragged nesting
+            valid = False
+        if not (valid and np.isfinite(arr).all()):
+            raise InputError("coeffs must be a sequence of finite ints, floats or complex numbers")
+        cs = tuple(arr.astype(complex).tolist())
         if not cs:
             raise InputError("coeffs must be non-empty")
         _check_cutoff(len(cs) - 1)
-        if not all(math.isfinite(v.real) and math.isfinite(v.imag) for v in cs):
-            raise InputError("coeffs must be finite")
         norm = math.sqrt(sum(abs(v) ** 2 for v in cs))
         if norm < 1e-12:
             raise InputError("coeffs have (numerically) zero norm")
@@ -249,14 +251,14 @@ def _holds_bool(values):
     return isinstance(values, (bool, np.bool_))
 
 
-def _as_points(values, name):
-    """``values`` as a float array if their dtype is integer or float (not
-    strings, bools or objects) and every entry is finite, else an
-    InputError; every array of reals a caller passes in goes through it.
-    A list or tuple is read as given, so a bool in it is refused too."""
+def _as_points(values, name, rule="be finite real numbers"):
+    """``values`` as a float array (a float array itself, not a copy) if their dtype is
+    integer or float (not strings, bools or objects) and every entry is finite, else an
+    InputError saying that ``name`` must ``rule``; every array of reals a caller passes
+    in goes through it.  A list or tuple is read as given, so a bool in it is refused too."""
     arr = np.asarray(values)
     if arr.dtype.kind not in "iuf" or _holds_bool(values) or not np.isfinite(arr).all():
-        raise InputError(f"{name} must be finite real numbers")
+        raise InputError(f"{name} must {rule}")
     return arr.astype(float, copy=False)
 
 

@@ -82,6 +82,7 @@ NORM_TOL = 1e-6
 # moment queries guard a row whose mean +/- this many sigma leaves the window
 WINDOW_SIGMAS = 6.0
 PHASE_TOL = 1e-9
+_PHASE_RULE = "be finite and lie in [0, pi)"  # for the phases a grid or a dataset stores
 # past 2**52 neighbouring doubles are >= 1 rad apart: no phase is left mod pi
 MAX_PHASE = 2.0 ** 52
 TRANSFORM_TOL = 1e-11
@@ -189,10 +190,8 @@ def _trapezoid_weights(steps):
 
 
 def _density_rows(values, steps, phases=None):
-    """(values clamped at zero, trapezoid weights) of 2-D rows on an x grid with
-    these steps, each checked to be a density; ``phases`` names a failing row."""
-    if not np.isfinite(values).all():
-        raise InputError("tomogram values must be finite")
+    """(values clamped at zero, trapezoid weights) of 2-D finite rows on an x grid
+    with these steps, each checked to be a density; ``phases`` names a failing row."""
     vmin = float(values.min())
     if vmin < -NEGATIVE_TOL:
         raise InputError(f"tomogram values must be >= -{NEGATIVE_TOL}, got {vmin}")
@@ -235,21 +234,20 @@ class TomogramGrid:
             raise InputError(
                 f"source must be a state spec or None, got {type(self.source).__name__}"
             )
-        phases = np.array(self.phases, dtype=float)
-        xs = np.array(self.xs, dtype=float)
+        phases = _as_points(self.phases, "phases", _PHASE_RULE).copy()
+        xs = _as_points(self.xs, "x grid", "be uniform and increasing").copy()
         # not copied: the clamp below makes the array the grid keeps
-        values = np.asarray(self.values, dtype=float)
+        values = _as_points(self.values, "tomogram values", "be finite")
         if phases.ndim != 1 or phases.size < 1:
             raise InputError("phases must be a non-empty 1-D array")
-        if not np.isfinite(phases).all() or phases[0] < 0 or phases[-1] >= math.pi:
-            raise InputError("phases must be finite and lie in [0, pi)")
+        if phases[0] < 0 or phases[-1] >= math.pi:
+            raise InputError(f"phases must {_PHASE_RULE}")
         if (phases[1:] <= phases[:-1]).any():
             raise InputError("phases must be strictly increasing")
         if xs.ndim != 1 or xs.size < 2:
             raise InputError("x grid needs at least two points")
         steps = xs[1:] - xs[:-1]
         step = steps[0]
-        # a NaN or infinite x leaves a NaN or infinite step, which fails this
         if not 0.0 < step < math.inf or not (np.abs(steps - step) <= 1e-9 * step).all():
             raise InputError("x grid must be uniform and increasing")
         if values.shape != (phases.size, xs.size):

@@ -733,3 +733,60 @@ def test_cli_exit_codes_are_0_to_3_and_never_a_traceback(junk_workspace, data):
         except SystemExit as exc:
             code = exc.code
     assert code in (0, 1, 2, 3), argv
+
+
+def _csv(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def test_refusal_paths_exit_2_on_one_stderr_line(workspace, capsys):
+    vac, w = str(workspace / "vacuum.json"), str(workspace / "classical.csv")
+    d = str(workspace / "d.csv")
+    assert main(["simulate", "--state", vac, "--schedule", "0:40,1.5707963267948966:40",
+                 "--seed", "1", "--out", d]) == 0
+    sim = ["simulate", "--state", vac, "--seed", "1", "--out", str(workspace / "new.csv")]
+    bad_config = _csv(workspace / "list.json", "[1]\n")
+    cases = [
+        (["check", "heisenberg", "--state", vac, "--tomogram", w], "give either --state or --tomogram"),
+        (sim + ["--thetas", "", "--shots", "40"], "phase list is empty"),
+        (sim + ["--thetas", "0,abc", "--shots", "40"], "bad phase list"),
+        (sim + ["--schedule", "0"], "bad schedule entry '0'"),
+        (sim + ["--schedule", ","], "schedule is empty"),
+        (sim + ["--schedule", "0:40", "--thetas", "1"], "not both"),
+        (sim + ["--schedule", "0:40", "--shots", "5"], "not both"),
+        (sim + ["--schedule", "0:40", "--thetas", "1,2", "--shots", "50"], "not both"),
+        (["tomogram", "--state", vac, "--x-min", "-5", "--out", str(workspace / "t.csv")],
+         "give both --x-min and --x-max"),
+        (["check", "trifonov", "--data1", d, "--theta", "0"], "must be given together"),
+        (["check", "trifonov", "--data1", d, "--data2", d, "--state1", vac, "--theta", "0"],
+         "cannot be mixed"),
+        (["--config", bad_config, "check", "purity", "--state", vac], "config must be a JSON object"),
+        (["check", "heisenberg", "--tomogram", _csv(workspace / "ragged.csv",
+          "theta,x,w\n0,0,1\n0,1,1\n0,2,1\n1,0,1\n1,1,1\n")], "ragged phase blocks"),
+        (["check", "heisenberg", "--tomogram", _csv(workspace / "block.csv",
+          "theta,x,w\n0,0,1\n0,1,1\n1,0,1\n2,1,1\n")], "not constant within blocks"),
+        (["check", "heisenberg", "--tomogram", _csv(workspace / "xgrid.csv",
+          "theta,x,w\n0,0,1\n0,1,1\n1,0,1\n1,2,1\n")], "x grid differs between phase blocks"),
+        (["estimate", "--data", _csv(workspace / "three.csv", "theta,x\n0,1,2\n0,2,3\n"),
+          "--theta", "0"], "expected two columns theta,x"),
+    ]
+    capsys.readouterr()
+    for argv, message in cases:
+        assert main(argv) == 2, argv
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("input error:") and message in err[0], (argv, err)
+    assert not (workspace / "new.csv").exists() and not (workspace / "new.json").exists()
+    assert not (workspace / "t.csv").exists()
+
+
+def test_a_numerical_error_exits_3_on_one_stderr_line(workspace, capsys):
+    # 48 points are too coarse for the radial tail of a squeeze-0.8 grid's overlap
+    save_state(GaussianState(0.0, 0.0, 0.8), workspace / "s08.json")
+    grid = str(workspace / "s08.csv")
+    assert main(["tomogram", "--state", str(workspace / "s08.json"), "--phases", "16",
+                 "--points", "48", "--out", grid]) == 0
+    capsys.readouterr()
+    assert main(["check", "purity", "--tomogram", grid]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("numerical error:"), err

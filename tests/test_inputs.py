@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from optomo import (
+    FockSuperposition,
+    HomodyneDataset,
     InequalityReport,
     InputError,
     TomogramGrid,
@@ -247,3 +249,105 @@ def test_the_cli_exits_2_on_a_fractional_sidecar_seed(tmp_path, capsys):
     assert main(["estimate", "--data", str(path), "--theta", "0"]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("input error: invalid metadata sidecar")
+
+
+# (what takes the array, the call, its whole refusal message); each container
+# refuses the array on its own, the other arguments being valid
+CONTAINER_CASES = [
+    (
+        "grid phases",
+        lambda v: TomogramGrid(v, XS, [ROW, ROW]),
+        "phases must be finite and lie in [0, pi)",
+    ),
+    ("grid xs", lambda v: TomogramGrid([0.0], v, [ROW]), "x grid must be uniform and increasing"),
+    ("grid values", lambda v: TomogramGrid([0.0, 0.5], XS, v), "tomogram values must be finite"),
+    (
+        "dataset thetas",
+        lambda v: HomodyneDataset(v, [0.0, 1.0], 0, "x"),
+        "phases must be finite and lie in [0, pi)",
+    ),
+    ("dataset xs", lambda v: HomodyneDataset([0.0, 0.5], v, 0, "x"), "quadrature values must be finite"),
+    (
+        "fock coeffs",
+        lambda v: FockSuperposition(v),
+        "coeffs must be a sequence of finite ints, floats or complex numbers",
+    ),
+]
+# strings, bools (Python's and numpy's, alone and among numbers) and objects
+BAD_TYPES = [
+    ["0.5", "1.0"],
+    [False, True],
+    [0.5, True],
+    (0.0, np.True_),
+    [[0.5], [np.False_]],
+    np.array([0.5, 1.0], dtype=object),
+]
+
+
+@pytest.mark.parametrize("value", BAD_TYPES, ids=repr)
+@pytest.mark.parametrize("case", CONTAINER_CASES, ids=lambda case: case[0])
+def test_grids_datasets_and_fock_states_refuse_strings_bools_and_objects(case, value):
+    _, call, message = case
+    with pytest.raises(InputError) as caught:
+        call(value)
+    assert str(caught.value) == message
+
+
+def test_containers_take_integer_and_numpy_arrays_as_their_float_values():
+    grid = TomogramGrid([0.0, 0.5], XS, [ROW, ROW])
+    assert _bits(TomogramGrid(np.array([0, 0.5], dtype=np.float32), XS, [ROW, ROW])) == _bits(grid)
+    data = HomodyneDataset([0.0, 0.5], [1.0, -2.0], 0, "x")
+    assert _bits(HomodyneDataset(np.array([0.0, 0.5]), np.array([1, -2]), 0, "x")) == _bits(data)
+    want = FockSuperposition((0.6, 0.8j)).coeffs
+    for coeffs in ([0.6, 0.8j], np.array([0.6, 0.8j]), (np.float64(0.6), np.complex128(0.8j))):
+        assert FockSuperposition(coeffs).coeffs == want
+    assert FockSuperposition((3, 4)).coeffs == (0.6, 0.8)
+
+
+@pytest.mark.parametrize(
+    "coeffs",
+    [5, np.array(1.0), (), ([1.0, 0.5], 1.0), (1.0, None), (HUGE,), (1.0, complex(0.0, math.inf))],
+    ids=["int", "0-d array", "empty", "ragged", "None", "10**400", "infinite imaginary part"],
+)
+def test_fock_coefficients_that_are_not_a_sequence_of_finite_numbers_are_refused(coeffs):
+    with pytest.raises(InputError, match="^coeffs must"):
+        FockSuperposition(coeffs)
+
+
+@pytest.mark.parametrize(
+    "provenance, message",
+    [
+        ((3.7, "x", "g"), "seed must be an integer, got 3.7"),
+        (("3", "x", "g"), "seed must be an integer, got '3'"),
+        ((True, "x", "g"), "seed must be an integer, got True"),
+        ((None, "x", "g"), "seed must be an integer, got None"),
+        ((3, 5, "g"), "state_label must be a string, got 5"),
+        ((3, None, "g"), "state_label must be a string, got None"),
+        ((3, "x", [1]), "generator must be a string, got [1]"),
+    ],
+)
+def test_a_dataset_refuses_a_seed_that_is_not_an_integer_and_texts_that_are_not_strings(
+    provenance, message
+):
+    with pytest.raises(InputError) as caught:
+        HomodyneDataset([0.0] * 40, [0.5] * 40, *provenance)
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("seed", [np.int64(-1), np.uint8(7)], ids=repr)
+def test_a_dataset_in_memory_saves_a_sidecar_its_loader_reads_back(tmp_path, seed):
+    data = HomodyneDataset([0.0] * 40, np.linspace(-1.0, 1.0, 40), seed, np.str_("label"), "gen")
+    save_dataset_csv(data, tmp_path / "d.csv")
+    loaded = load_dataset_csv(tmp_path / "d.csv")
+    assert (loaded.seed, loaded.state_label, loaded.generator) == (int(seed), "label", "gen")
+    assert type(loaded.seed) is type(data.seed) is int
+
+
+@pytest.mark.parametrize("field, value", [("state_label", 5), ("generator", [1]), ("state_label", None)])
+def test_a_sidecar_label_or_generator_that_is_not_a_string_is_refused(tmp_path, field, value):
+    path = _dataset_with_sidecar(tmp_path, 5)
+    meta = json.loads((tmp_path / "d.json").read_text())
+    meta[field] = value
+    (tmp_path / "d.json").write_text(json.dumps(meta))
+    with pytest.raises(InputError, match=f"^invalid metadata sidecar .*{field} must be a string"):
+        load_dataset_csv(path)
