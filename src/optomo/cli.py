@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from pathlib import Path
@@ -28,6 +27,7 @@ from .homodyne import (
 )
 from .inequalities import (
     DEFAULT_TOLERANCE,
+    _sweep_phases,
     _trifonov_cross,
     heisenberg_lhs,
     trifonov_lhs,
@@ -38,10 +38,8 @@ from .states import load_state, state_label, state_to_dict
 from .tomography import (
     DEFAULT_N_PHASES,
     DEFAULT_N_X,
-    PHASE_TOL,
     TomogramGrid,
     _csv_fields,
-    _nearest_phase,
     _write_csv,
     load_tomogram_csv,
     save_tomogram_csv,
@@ -69,19 +67,6 @@ def _emit_report(report, out_path):
     (a purity report records none)."""
     _emit(report.to_dict(), out_path)
     return EXIT_OK if getattr(report, "satisfied", True) else EXIT_VIOLATION
-
-
-def _grid_for_phases(source, thetas):
-    """A loaded tomogram as it is; a state as a small grid holding exactly the
-    phases a check needs (plus partners)."""
-    if isinstance(source, TomogramGrid):
-        return source
-    wanted = set()
-    for theta in thetas:
-        reduced, _ = wrap_phase(theta)
-        wanted.add(reduced)
-        wanted.add(wrap_phase(reduced + math.pi / 2.0)[0])
-    return tomogram_grid(source, np.array(sorted(wanted)))
 
 
 def _read_source(args, suffix):
@@ -165,8 +150,7 @@ def _cmd_tomogram(args):
 
 
 def _cmd_check_heisenberg(args):
-    grid = _grid_for_phases(_read_source(args, ""), [0.0])
-    return _emit_report(heisenberg_lhs(grid, tolerance=args.tolerance), args.out)
+    return _emit_report(heisenberg_lhs(_read_source(args, ""), tolerance=args.tolerance), args.out)
 
 
 def _cmd_check_trifonov(args):
@@ -186,8 +170,7 @@ def _cmd_check_trifonov(args):
             load_dataset_csv(data1), load_dataset_csv(data2), args.theta
         )
     else:
-        w1 = _grid_for_phases(_read_source(args, "1"), [args.theta])
-        w2 = _grid_for_phases(_read_source(args, "2"), [args.theta])
+        w1, w2 = _read_source(args, "1"), _read_source(args, "2")
         tolerance = DEFAULT_TOLERANCE if args.tolerance is None else args.tolerance
         report = trifonov_lhs(w1, w2, args.theta, tolerance=tolerance)
     return _emit_report(report, args.out)
@@ -198,19 +181,13 @@ def _cmd_check_purity(args):
 
 
 def _sweep_sources(args):
-    """(thetas, w1, w2), each tomogram CSV read once.  The sweep runs over
-    --phases when given, else over the phases every loaded tomogram holds."""
-    sources = [_read_source(args, "1"), _read_source(args, "2")]
-    grids = [s for s in sources if isinstance(s, TomogramGrid)]
-    if grids and args.phases is None:
-        thetas = grids[0].phases
-        # a phase is held when its gap on the pi-circle, seam included, is within PHASE_TOL
-        thetas = thetas[[_nearest_phase(grids[-1].phases, t)[2].min() <= PHASE_TOL for t in thetas]]
-        if not thetas.size:
-            raise InputError(f"{args.tomogram1} and {args.tomogram2} hold no phase in common")
-    else:
-        thetas = uniform_phases(DEFAULT_N_PHASES if args.phases is None else args.phases)
-    return (thetas,) + tuple(_grid_for_phases(s, thetas) for s in sources)
+    """(thetas, w1, w2): the ``_sweep_phases`` of --phases and the two sources, each read once."""
+    w1, w2 = _read_source(args, "1"), _read_source(args, "2")
+    phases = None if args.phases is None else uniform_phases(args.phases)
+    try:
+        return _sweep_phases(w1, w2, phases), w1, w2
+    except InputError as exc:
+        raise InputError(f"{args.tomogram1} and {args.tomogram2}: {exc}") from exc
 
 
 def _cmd_sweep_trifonov(args):
@@ -262,7 +239,9 @@ def _cmd_estimate(args):
 
 
 def _cmd_plotdata_row(args):
-    grid = _grid_for_phases(_read_source(args, ""), [args.theta])
+    grid = _read_source(args, "")
+    if not isinstance(grid, TomogramGrid):
+        grid = tomogram_grid(grid, [wrap_phase(args.theta)[0]])
     row, mirrored = grid.row_at(args.theta)
     xs = -grid.xs[::-1] if mirrored else grid.xs
     row = row[::-1] if mirrored else row

@@ -221,6 +221,13 @@ class HomodyneDataset:
         return moments
 
 
+def _dataset(ds):
+    """``ds`` if it is a HomodyneDataset, else an InputError naming its type."""
+    if not isinstance(ds, HomodyneDataset):
+        raise InputError(f"expected a HomodyneDataset, got {type(ds).__name__}")
+    return ds
+
+
 @dataclass(frozen=True)
 class MomentEstimate:
     """Sample mean/variance at one phase with delta-method standard errors."""
@@ -404,7 +411,7 @@ def estimate_moments(ds: HomodyneDataset, phase: float) -> MomentEstimate:
     The dataset computes each set of matching runs' moments once.
     """
     phase = _finite_real("phase", phase)
-    mean, var, m4, n = ds._moments_at(phase)
+    mean, var, m4, n = _dataset(ds)._moments_at(phase)
     var_of_var = max(0.0, (m4 - var * var * (n - 3) / (n - 1)) / n)
     return MomentEstimate(
         mean=mean,
@@ -430,7 +437,7 @@ def empirical_trifonov(
     e1_rot = estimate_moments(ds1, other)
     # xs first: datasets with different records never build their thetas
     same = ds2 is ds1 or (
-        np.array_equal(ds1.xs, ds2.xs) and np.array_equal(ds1.thetas, ds2.thetas)
+        np.array_equal(ds1.xs, _dataset(ds2).xs) and np.array_equal(ds1.thetas, ds2.thetas)
     )
     if same:
         e2, e2_rot = e1, e1_rot
@@ -466,7 +473,7 @@ def save_dataset_csv(ds: HomodyneDataset, path):
     sidecar = _sidecar_path(path)
     if sidecar.resolve() == Path(path).resolve():
         raise InputError(f"{path}: a dataset cannot take the name of its .json metadata sidecar")
-    phases, bounds = ds._runs
+    phases, bounds = _dataset(ds)._runs
     prefixes = chain.from_iterable(map(repeat, _csv_fields(phases), np.diff(bounds).tolist()))
     _write_csv(path, "theta,x", prefixes, ds.xs)
     meta = {"seed": ds.seed, "state_label": ds.state_label, "generator": ds.generator}

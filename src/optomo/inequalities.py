@@ -5,9 +5,9 @@ Var(theta=0) * Var(theta=pi/2), and the two-state symmetric cross product
 
     1/2 Var_1(theta) Var_2(theta + pi/2) + 1/2 Var_2(theta) Var_1(theta + pi/2),
 
-which reduces to the former for identical states.  The checker accepts any
-normalized non-negative rows, quantum-realizable or not, so violation
-detection (e.g. on sub-quantum classical rows) is a supported use case.
+which reduces to the former for identical states.  A grid's variances come
+from its stored rows, a state's from its closed form.  Any normalized
+non-negative rows are accepted, so sub-quantum rows can show a violation.
 """
 
 from __future__ import annotations
@@ -19,7 +19,9 @@ from dataclasses import asdict, dataclass
 from .errors import InputError
 from .moments import tomographic_variance
 from .states import State, _as_points, _finite_real, analytic_moments
-from .tomography import TomogramGrid
+from .tomography import (
+    DEFAULT_N_PHASES, PHASE_TOL, TomogramGrid, _nearest_phase, uniform_phases, wrap_phase
+)
 
 __all__ = [
     "BOUND",
@@ -93,59 +95,63 @@ def _report(kind, phase, lhs, tolerance, stderr=None):
     )
 
 
-def heisenberg_lhs(grid: TomogramGrid, *, tolerance: float = DEFAULT_TOLERANCE) -> InequalityReport:
-    """Var at phase 0 times Var at phase pi/2, against the bound 1/4."""
-    v_q = tomographic_variance(grid, 0.0)
-    v_p = tomographic_variance(grid, math.pi / 2.0)
-    return _report("heisenberg", 0.0, v_q * v_p, tolerance)
+def _variance(source, phase: float) -> float:
+    """Var at a real ``phase``: a grid's from its stored rows, any other source's
+    from the closed form at the reduced phase (InputError for a non-state)."""
+    if isinstance(source, TomogramGrid):
+        return tomographic_variance(source, phase)
+    return analytic_moments(source, wrap_phase(phase)[0]).variance
 
 
-def _trifonov_cross(w1: TomogramGrid, w2: TomogramGrid, phase: float) -> float:
+def heisenberg_lhs(grid, *, tolerance: float = DEFAULT_TOLERANCE) -> InequalityReport:
+    """Var at phase 0 times Var at phase pi/2 of a grid or state, against the bound 1/4."""
+    lhs = _variance(grid, 0.0) * _variance(grid, math.pi / 2.0)
+    return _report("heisenberg", 0.0, lhs, tolerance)
+
+
+def _trifonov_cross(w1, w2, phase: float) -> float:
     """1/2 V1(phase) V2(phase + pi/2) + 1/2 V2(phase) V1(phase + pi/2) from
-    the two grids' variances at a real ``phase``."""
+    the two sources' variances at a real ``phase``."""
     other = phase + math.pi / 2.0
-    v1, v1_rot = tomographic_variance(w1, phase), tomographic_variance(w1, other)
-    v2, v2_rot = tomographic_variance(w2, phase), tomographic_variance(w2, other)
+    v1, v1_rot = _variance(w1, phase), _variance(w1, other)
+    v2, v2_rot = _variance(w2, phase), _variance(w2, other)
     return 0.5 * (v1 * v2_rot) + 0.5 * (v2 * v1_rot)
 
 
-def trifonov_lhs(
-    w1: TomogramGrid,
-    w2: TomogramGrid,
-    phase: float,
-    *,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> InequalityReport:
-    """Symmetric two-state dispersion cross product at one phase."""
+def trifonov_lhs(w1, w2, phase: float, *, tolerance: float = DEFAULT_TOLERANCE) -> InequalityReport:
+    """Symmetric two-state dispersion cross product of two grids or states at one phase."""
     phase = _finite_real("phase", phase)
     return _report("trifonov", phase, _trifonov_cross(w1, w2, phase), tolerance)
 
 
-def trifonov_sweep(
-    w1: TomogramGrid,
-    w2: TomogramGrid,
-    phases=None,
-    *,
-    tolerance: float = DEFAULT_TOLERANCE,
-) -> InequalityReport:
-    """Minimum of the two-state check over a list of phases (argmin reported;
+def _sweep_phases(w1, w2, phases=None):
+    """The phases a sweep runs over: ``phases`` when given; else the first grid's
+    phases that the other holds (a gap on the pi-circle, seam included, within
+    PHASE_TOL; an InputError when there are none); else DEFAULT_N_PHASES uniform phases."""
+    if phases is not None:
+        phase_arr = _as_points(phases, "phases")
+        if phase_arr.ndim != 1 or phase_arr.size == 0:
+            raise InputError("phase list must be non-empty")
+        return phase_arr
+    grids = [w for w in (w1, w2) if isinstance(w, TomogramGrid)]
+    if not grids:
+        return uniform_phases(DEFAULT_N_PHASES)
+    thetas = grids[0].phases
+    thetas = thetas[[_nearest_phase(grids[-1].phases, t)[2].min() <= PHASE_TOL for t in thetas]]
+    if not thetas.size:
+        raise InputError("the two grids hold no phase in common")
+    return thetas
+
+
+def trifonov_sweep(w1, w2, phases=None, *, tolerance: float = DEFAULT_TOLERANCE) -> InequalityReport:
+    """Minimum of the two-state check over ``_sweep_phases`` (argmin reported;
     ties resolved toward the smallest phase)."""
-    if phases is None:
-        phases = w1.phases
-    phase_arr = _as_points(phases, "phases")
-    if phase_arr.ndim != 1 or phase_arr.size == 0:
-        raise InputError("phase list must be non-empty")
-    lhs, phase = min((_trifonov_cross(w1, w2, theta), theta) for theta in phase_arr.tolist())
+    thetas = _sweep_phases(w1, w2, phases).tolist()
+    lhs, phase = min((_trifonov_cross(w1, w2, theta), theta) for theta in thetas)
     return _report("trifonov_sweep", phase, lhs, tolerance)
 
 
 def operator_trifonov_lhs(s1: State, s2: State, phase: float = 0.0) -> float:
-    """The same two-state quantity from closed-form moments (no tomograms);
-    serves as the anti-drift oracle for the tomographic route."""
-    phase = _finite_real("phase", phase)
-    other = phase + math.pi / 2.0
-    v1 = analytic_moments(s1, phase).variance
-    v1_rot = analytic_moments(s1, other).variance
-    v2 = analytic_moments(s2, phase).variance
-    v2_rot = analytic_moments(s2, other).variance
-    return 0.5 * (v1 * v2_rot) + 0.5 * (v2 * v1_rot)
+    """The same two-state quantity from two states' closed-form moments (no
+    tomograms); serves as the anti-drift oracle for the tomographic route."""
+    return _trifonov_cross(s1, s2, _finite_real("phase", phase))

@@ -85,6 +85,8 @@ def _grid_moments(grid, phase):
     """(mean, variance, row, mirrored): the kept moments of the stored row at
     a grid phase, the mean that of the unmirrored row; row is that stored
     row when the window guard acts on it, else None."""
+    if not isinstance(grid, TomogramGrid):
+        raise InputError(f"expected a TomogramGrid, got {type(grid).__name__}")
     i, mirrored = grid.lookup(phase)
     means, variances, narrow = grid._moment_table
     return means[i], variances[i], grid.values[i] if narrow[i] else None, mirrored

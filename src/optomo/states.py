@@ -255,8 +255,11 @@ def _as_points(values, name, rule="be finite real numbers"):
     """``values`` as a float array (a float array itself, not a copy) if their dtype is
     integer or float (not strings, bools or objects) and every entry is finite, else an
     InputError saying that ``name`` must ``rule``; every array of reals a caller passes
-    in goes through it.  A list or tuple is read as given, so a bool in it is refused too."""
-    arr = np.asarray(values)
+    in goes through it.  A bool in a list or tuple, or a ragged nesting, is refused too."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nesting
+        raise InputError(f"{name} must {rule}") from None
     if arr.dtype.kind not in "iuf" or _holds_bool(values) or not np.isfinite(arr).all():
         raise InputError(f"{name} must {rule}")
     return arr.astype(float, copy=False)

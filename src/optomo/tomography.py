@@ -473,9 +473,11 @@ def optical_tomogram(
 def _resolve_phases(phases):
     if _integer(phases) is not None:
         return uniform_phases(phases)
-    if np.ndim(phases) != 1 or np.size(phases) < 1:
-        raise InputError("phases must be an integer count or a 1-D list")
-    return _as_points(phases, "phases")
+    rule = "be an integer count or a 1-D list of finite real numbers"
+    phase_arr = _as_points(phases, "phases", rule)
+    if phase_arr.ndim != 1 or phase_arr.size < 1:
+        raise InputError(f"phases must {rule}")
+    return phase_arr
 
 
 def default_n_x(state, window, requested=None):

@@ -17,12 +17,15 @@ from optomo import (
     MixedState,
     TomogramGrid,
     gaussian_row,
+    analytic_moments,
     load_tomogram_csv,
+    operator_trifonov_lhs,
     purity_classify,
     save_state,
     save_tomogram_csv,
     tomogram_grid,
     trifonov_lhs,
+    trifonov_sweep,
     uniform_phases,
     vacuum,
 )
@@ -790,3 +793,33 @@ def test_a_numerical_error_exits_3_on_one_stderr_line(workspace, capsys):
     assert main(["check", "purity", "--tomogram", grid]) == 3
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("numerical error:"), err
+
+
+def test_state_checks_print_the_closed_form(workspace, capsys):
+    vac, s2, shalf = (str(workspace / f"{name}.json") for name in ("vacuum", "s2", "shalf"))
+    S2, SHALF = GaussianState(0.0, 0.0, 2.0), GaussianState(0.0, 0.0, 0.5)
+    assert main(["check", "heisenberg", "--state", vac]) == 0
+    assert _last_json(capsys)["lhs"] == 0.25
+    assert main(["check", "heisenberg", "--state", s2]) == 0
+    want = analytic_moments(S2, 0.0).variance * analytic_moments(S2, math.pi / 2).variance
+    assert _last_json(capsys)["lhs"] == want
+    pair = ["--state1", s2, "--state2", shalf]
+    for theta in (0.3, -2.0, 4.0):
+        assert main(["check", "trifonov", *pair, "--theta", repr(theta)]) == 0
+        assert _last_json(capsys)["lhs"] == operator_trifonov_lhs(S2, SHALF, theta)
+    assert main(["sweep", "trifonov", *pair, "--phases", "16"]) == 0
+    assert _last_json(capsys) == trifonov_sweep(S2, SHALF, uniform_phases(16)).to_dict()
+    out = workspace / "sweep.csv"
+    assert main(["plotdata", "sweep", *pair, "--phases", "16", "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert rows[:, 1].tolist() == [operator_trifonov_lhs(S2, SHALF, t) for t in rows[:, 0].tolist()]
+
+
+def test_a_sweep_over_two_stored_grids_is_the_library_sweep(workspace, capsys):
+    a, b = str(workspace / "g16.csv"), str(workspace / "g8.csv")
+    save_tomogram_csv(tomogram_grid(GaussianState(0.0, 0.0, 2.0), phases=16), a)
+    save_tomogram_csv(tomogram_grid(GaussianState(0.0, 0.0, 0.5), phases=8), b)
+    want = trifonov_sweep(load_tomogram_csv(a), load_tomogram_csv(b))
+    assert main(["sweep", "trifonov", "--tomogram1", a, "--tomogram2", b]) == 0
+    assert _last_json(capsys) == want.to_dict()
+    assert want.phase == math.pi / 4

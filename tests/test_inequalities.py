@@ -10,6 +10,7 @@ from optomo import (
     InequalityReport,
     InputError,
     TomogramGrid,
+    analytic_moments,
     fock,
     gaussian_row,
     heisenberg_lhs,
@@ -21,7 +22,8 @@ from optomo import (
     uniform_phases,
     vacuum,
 )
-from oracles import random_pure_state
+from optomo.tomography import DEFAULT_N_PHASES
+from oracles import random_pure_state, random_state
 
 S2 = GaussianState(0.0, 0.0, 2.0)
 SHALF = GaussianState(0.0, 0.0, 0.5)
@@ -226,3 +228,84 @@ def test_report_rejects_foreign_bound_or_kind():
         InequalityReport("heisenberg", 0.0, 1.0, 0.5, 0.5, True)
     with pytest.raises(InputError):
         InequalityReport("banana", 0.0, 1.0, 0.25, 0.75, True)
+
+
+# --------------------------------------------------------------------------
+# states: the checks read a state's closed form, a grid's stored rows
+# --------------------------------------------------------------------------
+
+def _closed_form_variance(state, phase):
+    return analytic_moments(state, phase).variance
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_state_pair_gives_the_operator_lhs_bit_for_bit(seed):
+    rng = np.random.default_rng(2500 + seed)
+    s1, s2 = random_state(rng), random_state(rng)
+    for theta in (0.0, 0.3, math.pi / 2, 2.0, 3.0, -1.2, 7.5, 1e3):
+        lhs = trifonov_lhs(s1, s2, theta).lhs
+        assert lhs == operator_trifonov_lhs(s1, s2, theta)
+        # the closed form at the unreduced phases agrees to rounding
+        other = theta + math.pi / 2
+        direct = 0.5 * _closed_form_variance(s1, theta) * _closed_form_variance(s2, other)
+        direct += 0.5 * _closed_form_variance(s2, theta) * _closed_form_variance(s1, other)
+        assert lhs == pytest.approx(direct, rel=1e-11)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_a_state_heisenberg_product_is_the_closed_form_product(seed):
+    state = random_state(np.random.default_rng(2600 + seed))
+    want = _closed_form_variance(state, 0.0) * _closed_form_variance(state, math.pi / 2)
+    rep = heisenberg_lhs(state)
+    assert (rep.kind, rep.phase, rep.lhs) == ("heisenberg", 0.0, want)
+    assert heisenberg_lhs(vacuum()).lhs == 0.25
+
+
+def test_a_state_pairs_with_a_grid():
+    grid = tomogram_grid(S2, phases=16)
+    for theta in grid.phases[::3].tolist():
+        rep = trifonov_lhs(SHALF, grid, theta)
+        assert rep.lhs == trifonov_lhs(grid, SHALF, theta).lhs
+        assert rep.lhs == pytest.approx(operator_trifonov_lhs(SHALF, S2, theta), abs=1e-9)
+    # the sweep runs over the grid's phases; pi/4 is one of them
+    rep = trifonov_sweep(SHALF, grid)
+    assert rep == trifonov_sweep(SHALF, grid, grid.phases)
+    assert rep.phase == math.pi / 4
+    assert rep.lhs == pytest.approx(0.390625, abs=1e-9)
+
+
+def test_a_sweep_of_two_grids_runs_over_the_phases_both_hold():
+    g16 = tomogram_grid(S2, phases=16)
+    g8 = tomogram_grid(SHALF, phases=8)
+    rep = trifonov_sweep(g16, g8)
+    assert rep == trifonov_sweep(g16, g8, g8.phases) == trifonov_sweep(g8, g16)
+    assert rep.phase == math.pi / 4
+    off = tomogram_grid(SHALF, phases=g8.phases + 0.1)
+    with pytest.raises(InputError, match="no phase in common"):
+        trifonov_sweep(g16, off)
+
+
+def test_a_sweep_of_two_states_runs_over_the_default_phases():
+    rep = trifonov_sweep(S2, SHALF)
+    phases = uniform_phases(DEFAULT_N_PHASES)
+    assert rep == trifonov_sweep(S2, SHALF, phases)
+    assert (rep.lhs, rep.phase) == min(
+        (operator_trifonov_lhs(S2, SHALF, theta), theta) for theta in phases.tolist()
+    )
+    assert rep.lhs == pytest.approx(0.390625, abs=1e-12)
+
+
+def test_state_checks_refuse_unreducible_phases_and_other_objects():
+    grid = tomogram_grid(vacuum(), phases=4)
+    calls = [
+        lambda: trifonov_lhs(vacuum(), vacuum(), 1e57),
+        lambda: trifonov_lhs(vacuum(), grid, -1e57),
+        lambda: operator_trifonov_lhs(fock(1), S2, 1e57),
+        lambda: trifonov_sweep(vacuum(), S2, [0.0, 1e57]),
+    ]
+    for call in calls:
+        with pytest.raises(InputError, match="cannot be reduced mod pi"):
+            call()
+    for call in (lambda: trifonov_lhs("x", grid, 0.0), lambda: heisenberg_lhs(None)):
+        with pytest.raises(InputError, match="expected a state"):
+            call()

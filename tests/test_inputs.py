@@ -351,3 +351,58 @@ def test_a_sidecar_label_or_generator_that_is_not_a_string_is_refused(tmp_path, 
     (tmp_path / "d.json").write_text(json.dumps(meta))
     with pytest.raises(InputError, match=f"^invalid metadata sidecar .*{field} must be a string"):
         load_dataset_csv(path)
+
+
+# a ragged nesting, which numpy refuses with a ValueError of its own
+RAGGED = [[0.1, 0.2], 0.3]
+
+
+@pytest.mark.parametrize("case", ARRAY_CASES, ids=_case_id)
+def test_every_real_array_refuses_a_ragged_nesting(case):
+    message, call = case
+    with pytest.raises(InputError) as caught:
+        call(RAGGED)
+    assert str(caught.value).startswith(message), str(caught.value)
+
+
+@pytest.mark.parametrize("case", CONTAINER_CASES, ids=lambda case: case[0])
+def test_grids_datasets_and_fock_states_refuse_a_ragged_nesting(case):
+    _, call, message = case
+    with pytest.raises(InputError) as caught:
+        call(RAGGED)
+    assert str(caught.value) == message
+
+
+# calls that take a dataset or a grid, with the type they take
+WRONG_OBJECT_CASES = [
+    ("estimate_moments", HomodyneDataset, lambda v: estimate_moments(v, 0.5)),
+    ("empirical_trifonov first", HomodyneDataset, lambda v: empirical_trifonov(v, DATA, 0.5)),
+    ("empirical_trifonov second", HomodyneDataset, lambda v: empirical_trifonov(DATA, v, 0.5)),
+    ("tomographic_mean", TomogramGrid, lambda v: tomographic_mean(v, 0.5)),
+    ("tomographic_variance", TomogramGrid, lambda v: tomographic_variance(v, 0.5)),
+    ("tomographic_moments", TomogramGrid, lambda v: tomographic_moments(v, 0.5)),
+]
+
+
+WRONG_OBJECTS = [
+    pytest.param(case, value, id=f"{case[0]}-{type(value).__name__}")
+    for case in WRONG_OBJECT_CASES
+    for value in (vacuum(), "x", None, GRID, DATA)
+    if not isinstance(value, case[1])
+]
+
+
+@pytest.mark.parametrize("case, value", WRONG_OBJECTS)
+def test_dataset_and_grid_functions_refuse_other_objects_by_type(case, value):
+    _, kind, call = case
+    with pytest.raises(InputError) as caught:
+        call(value)
+    assert str(caught.value) == f"expected a {kind.__name__}, got {type(value).__name__}"
+
+
+@pytest.mark.parametrize("value", [vacuum(), GRID, None], ids=lambda v: type(v).__name__)
+def test_save_dataset_csv_refuses_other_objects_and_writes_nothing(tmp_path, value):
+    with pytest.raises(InputError) as caught:
+        save_dataset_csv(value, tmp_path / "d.csv")
+    assert str(caught.value) == f"expected a HomodyneDataset, got {type(value).__name__}"
+    assert not list(tmp_path.iterdir())
