@@ -1,27 +1,32 @@
 """Simulated homodyne detection: seeded quadrature sampling and estimation.
 
-Samples are drawn per phase by inverse-CDF lookup on a finely tabulated
-tomogram row (4097 points over the 8-sigma window keeps the CDF interpolation
-error well under 1e-4 in probability).  Each ``sample`` call tabulates the
-rows of its schedule's distinct reduced phases in one batched row evaluation,
-and builds each row's lookup once, just before the entries that use it, and
-drops it before the next.  The lookup is a guide table (Chen & Asau 1974;
-Devroye 1986, sec. III.2.4): the uniform draw's bin among
-2 * (CDF_POINTS - 1) equal bins of [0, 1) names the knot interval, so each
-shot costs a few array reads instead of a binary search, and the result is
-bitwise what ``np.interp`` gives.  Draws are inverted in place in blocks of
-INVERT_BLOCK through scratch buffers kept with the lookup, so apart from the
-records a ``sample`` call's memory does not grow with the shot count.  A
-schedule phase outside [0, pi) is reduced through the parity rule
-w(X, theta + pi) = w(-X, theta): its records are stored at the reduced phase
-and drawn there, negated on a mirrored phase.  The RNG is numpy's PCG64
-seeded through SeedSequence, with one spawned child stream per schedule
-entry, so a (state, schedule, seed) triple reproduces the dataset bit for
-bit.  A dataset stores its phases as runs of records at one phase, as
-``sample`` writes them (one run per group of consecutive entries at one
-reduced phase), and derives the per-record ``thetas`` only when it is read;
-queries, moments and the CSV writer work on the runs.  A dataset computes
-the moments of each set of matching runs once and keeps them.
+A Gaussian state's quadrature at each phase is exactly normal, so its
+samples are drawn in closed form: sigma(theta) * z + mean(theta), z the
+entry's standard normal draws, with the mean and variance of the state's
+mean vector and covariance at that phase; no table is built.  Every other
+state (Fock superpositions, and every mixture, Gaussian components included)
+is sampled by inverse-CDF lookup on a finely tabulated tomogram row (4097
+points over the 8-sigma window keeps the CDF interpolation error well under
+1e-4 in probability).  Each ``sample`` call tabulates the rows of its
+schedule's distinct reduced phases in one batched row evaluation, and builds
+each row's lookup once, just before the entries that use it, and drops it
+before the next.  The lookup is a guide table (Chen & Asau 1974; Devroye
+1986, sec. III.2.4): the uniform draw's bin among 2 * (CDF_POINTS - 1) equal
+bins of [0, 1) names the knot interval, so each shot costs a few array reads
+instead of a binary search, and the result is bitwise what ``np.interp``
+gives.  Draws are inverted in place in blocks of INVERT_BLOCK through scratch
+buffers kept with the lookup, so apart from the records a ``sample`` call's
+memory does not grow with the shot count.  A schedule phase outside [0, pi)
+is reduced through the parity rule w(X, theta + pi) = w(-X, theta): a shot x
+at theta + pi is the record (theta, -x), so its records are drawn and stored
+at the reduced phase.  The RNG is numpy's PCG64 seeded through SeedSequence,
+with one spawned child stream per schedule entry, so a (state, schedule,
+seed) triple reproduces the dataset bit for bit.  A dataset stores its
+phases as runs of records at one phase, as ``sample`` writes them (one run
+per group of consecutive entries at one reduced phase), and derives the
+per-record ``thetas`` only when it is read; queries, moments and the CSV
+writer work on the runs.  A dataset computes the moments of each set of
+matching runs once and keeps them.
 """
 
 from __future__ import annotations
@@ -37,7 +42,18 @@ import numpy as np
 
 from .errors import InputError
 from .inequalities import InequalityReport, _report
-from .states import _MAX_COUNT, State, _as_points, _finite_real, _integer, grid_halfwidth, state_label
+from .states import (
+    _MAX_COUNT,
+    GaussianState,
+    State,
+    _as_points,
+    _finite_real,
+    _integer,
+    _mean_and_covariance,
+    _rotated_moments,
+    grid_halfwidth,
+    state_label,
+)
 from .tomography import (
     PHASE_TOL,
     _PHASE_RULE,
@@ -337,21 +353,61 @@ def _inverse_cdf(cdf, xs):
     return invert
 
 
+def _table_draw(cdf, xs):
+    """draw(generator, out): uniform draws into ``out``, inverted in place
+    through the CDF row ``cdf`` over the knots ``xs`` (``_inverse_cdf``)."""
+    invert = _inverse_cdf(cdf, xs)
+
+    def draw(generator, out):
+        generator.random(out=out)
+        invert(out)
+
+    return draw
+
+
+def _normal_draw(mean, sigma):
+    """draw(generator, out): sigma * z + mean in place in ``out``, z the
+    generator's standard normal draws; exact, with no table."""
+
+    def draw(generator, out):
+        generator.standard_normal(out=out)
+        out *= sigma
+        out += mean
+
+    return draw
+
+
+def _row_draws(state, phases):
+    """draw_of(k): the draw of the row at phases[k] (reduced phases), as
+    ``_normal_draw`` or ``_table_draw`` give it.  A Gaussian state's rows are
+    exactly N(mean, variance) at each phase, drawn in closed form; every other
+    state's CDF rows are tabulated here in one batched pass, and a row's lookup
+    is built only when draw_of(k) is called."""
+    if isinstance(state, GaussianState):
+        means, variances = _rotated_moments(_mean_and_covariance(state), phases)
+        sigmas = np.sqrt(variances)
+        return lambda k: _normal_draw(means[k], sigmas[k])
+    cdf, xs = _tabulated_cdf(state, phases)
+    return lambda k: _table_draw(cdf[k], xs)
+
+
 def sample(state: State, phase_schedule, seed: int) -> HomodyneDataset:
     """Draw quadrature samples for each (phase, count) entry of the schedule.
 
-    Deterministic: the seed and schedule fully determine the dataset.  The
-    CDFs of the schedule's distinct reduced phases are tabulated in one pass
+    Deterministic: the seed and schedule fully determine the dataset.  Each
+    of the schedule's distinct reduced phases gets one draw (``_row_draws``),
+    built just before the entries at that phase and dropped before the next
+    phase's, and each entry's draw writes straight into its slice of the
+    records.  A Gaussian state's draws are sigma * z + mean from the closed
+    form, with no table.  Any other state's CDFs are tabulated in one pass
     and each is inverted by guide-table lookup (``_inverse_cdf``, bitwise
-    ``np.interp``), straight into the dataset's records in fixed blocks.
-    Entries at one reduced phase share its lookup, which is built just
-    before them and dropped before the next phase's, so at most one lookup
-    is alive and the working memory beside the records stays fixed;
-    nothing is kept between calls.  A
-    phase outside [0, pi) (any finite phase below MAX_PHASE in magnitude) is
-    reduced mod pi: its records are stored at the reduced phase, with the
-    drawn values negated where the reduction mirrors the X axis.  Counts and
-    the seed may be any integers (numpy's included) but bools.
+    ``np.interp``) in fixed blocks, so at most one lookup is alive and the
+    working memory beside the records stays fixed; nothing is kept between
+    calls.  A phase outside [0, pi) (any finite phase below MAX_PHASE in
+    magnitude) is reduced mod pi, and its records are drawn and stored at the
+    reduced phase: by the parity rule a shot x at theta + pi is the record
+    (theta, -x), and -x follows the law at theta.  Counts and the seed may be
+    any integers (numpy's included) but bools.
     """
     seed_value = _integer(seed)
     if seed_value is None or seed_value < 0:
@@ -365,37 +421,33 @@ def sample(state: State, phase_schedule, seed: int) -> HomodyneDataset:
             phase, count = entry
         except (TypeError, ValueError) as exc:
             raise InputError("schedule entries must be (phase, count) pairs") from exc
-        reduced, mirrored = wrap_phase(phase)
+        reduced, _ = wrap_phase(phase)
         n = _integer(count)
         if n is None or n < 1:
             raise InputError(f"sample count must be a positive integer, got {count!r}")
-        parsed.append((reduced, mirrored, n))
+        parsed.append((reduced, n))
 
-    starts = list(accumulate((count for _, _, count in parsed), initial=0))
+    starts = list(accumulate((count for _, count in parsed), initial=0))
     if starts[-1] > _MAX_COUNT:
         raise InputError(f"{starts[-1]} samples are more than an array can address")
     # entries at one reduced phase share a row
-    entry_phases = np.array([phase for phase, _, _ in parsed])
+    entry_phases = np.array([phase for phase, _ in parsed])
     distinct, row_of = np.unique(entry_phases, return_inverse=True)
-    cdf, xs = _tabulated_cdf(state, distinct)
+    draw_of = _row_draws(state, distinct)
     children = np.random.SeedSequence(seed_value).spawn(len(parsed))
     values = np.empty(starts[-1])
-    # one row's lookup at a time, built just before the entries that use it:
+    # one row's draw at a time, built just before the entries that use it:
     # each entry fills its own slice from its own stream, so the order in
     # which the rows are visited changes no bit
     entries_of = [[] for _ in range(distinct.size)]
     for entry, row in enumerate(row_of.tolist()):
         entries_of[row].append(entry)
-    for row, entries in zip(cdf, entries_of):
-        invert = _inverse_cdf(row, xs)
+    for row, entries in enumerate(entries_of):
+        draw = draw_of(row)
         for entry in entries:
-            _, mirrored, count = parsed[entry]
-            drawn = values[starts[entry]:starts[entry] + count]
-            np.random.Generator(np.random.PCG64(children[entry])).random(out=drawn)
-            invert(drawn)
-            if mirrored:
-                np.negative(drawn, out=drawn)
-        del invert  # before the next row's lookup is built
+            generator = np.random.Generator(np.random.PCG64(children[entry]))
+            draw(generator, values[starts[entry]:starts[entry + 1]])
+        del draw  # before the next row's lookup is built
     # consecutive entries at one reduced phase make one run of records
     phases, first_entries = _split_runs(entry_phases)
     bounds = np.array(starts)[first_entries]

@@ -171,7 +171,7 @@ def gaussian_row(xs, mean: float, variance: float) -> np.ndarray:
     """Normal density on a grid: a Gaussian state's row, or a test row not
     derived from any state.  ``mean`` and ``variance`` broadcast against
     ``xs``, so columns of them give one row per phase."""
-    xs = np.asarray(xs, dtype=float)
+    xs = _as_points(xs, "xs")
     if np.any(np.asarray(variance) <= 0):
         raise InputError(f"variance must be > 0, got {variance}")
     return np.exp(-((xs - mean) ** 2) / (2.0 * variance)) / np.sqrt(

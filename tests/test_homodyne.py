@@ -14,6 +14,7 @@ from optomo import (
     HomodyneDataset,
     InputError,
     MixedState,
+    analytic_moments,
     empirical_trifonov,
     estimate_moments,
     fock,
@@ -35,6 +36,7 @@ from optomo.homodyne import (
     _inverse_cdf,
     _tabulated_cdf,
 )
+from optomo.states import _mean_and_covariance, _rotated_moments
 from optomo.tomography import CSV_BLOCK_LINES, MAX_PHASE, PHASE_TOL, _state_rows, wrap_phase
 from oracles import random_fock, random_gaussian, random_state
 
@@ -66,15 +68,16 @@ def test_schedule_validation():
         sample(vacuum(), [(0.0, 10)], seed=1.5)
 
 
-def test_a_phase_outside_zero_to_pi_draws_its_reduced_phase_mirrored():
+def test_a_phase_outside_zero_to_pi_is_drawn_and_stored_at_its_reduced_phase():
+    # a shot x at theta + pi is the record (theta, -x), and -x follows the
+    # law at theta: the entry's records are its draws at the reduced phase
     state = GaussianState(0.8, -0.5, 2.0)
     for query in (0.4 + math.pi, 0.4 - math.pi, 0.4 + 2 * math.pi, -2.0, 1e6):
-        reduced, mirrored = wrap_phase(query)
+        reduced, _ = wrap_phase(query)
         ds = sample(state, [(query, 300), (1.0, 200)], seed=6)
         base = sample(state, [(reduced, 300), (1.0, 200)], seed=6)
         assert np.array_equal(ds.thetas, base.thetas)
-        assert np.array_equal(ds.xs[:300], -base.xs[:300] if mirrored else base.xs[:300])
-        assert np.array_equal(ds.xs[300:], base.xs[300:])
+        assert np.array_equal(ds.xs, base.xs)
 
 
 @given(seed=hyp_st.integers(0, 2**32 - 1), phase=hyp_st.floats(0.0, math.pi, exclude_max=True))
@@ -137,6 +140,7 @@ def test_sampled_records_are_the_per_entry_draws_in_schedule_order(monkeypatch):
             ((0.4, FockSuperposition((0.6, 0.0, 0.8))), (0.6, GaussianState(0.3, -0.2, 1.5)))
         ),
     )
+    distinct = np.array([0.0, 0.5, 2.0])
     calls = []
 
     def recording_rows(st, phases, xs):
@@ -147,25 +151,66 @@ def test_sampled_records_are_the_per_entry_draws_in_schedule_order(monkeypatch):
     for state in states:
         calls.clear()
         ds = sample(state, schedule, seed=11)
-        # one row per distinct reduced phase: theta and theta + pi share one
-        assert len(calls) == 1 and np.array_equal(calls[0], [0.0, 0.5, 2.0])
-        cdf, grid = _tabulated_cdf(state, calls[0])
+        if isinstance(state, GaussianState):
+            # drawn in closed form: no row is tabulated
+            assert not calls
+            means, variances = _rotated_moments(_mean_and_covariance(state), distinct)
+
+            def draws(row, generator, count):
+                return generator.standard_normal(count) * math.sqrt(variances[row]) + means[row]
+        else:
+            # one row per distinct reduced phase: theta and theta + pi share one
+            assert len(calls) == 1 and np.array_equal(calls[0], distinct)
+            cdf, grid = _tabulated_cdf(state, distinct)
+
+            def draws(row, generator, count):
+                return np.interp(generator.random(count), cdf[row], grid)
+
         children = np.random.SeedSequence(11).spawn(len(schedule))
         thetas, xs = [], []
         for (phase, count), child in zip(schedule, children):
-            reduced, mirrored = wrap_phase(phase)
-            row = cdf[np.flatnonzero(calls[0] == reduced)[0]]
-            drawn = np.interp(np.random.Generator(np.random.PCG64(child)).random(count), row, grid)
+            reduced, _ = wrap_phase(phase)
+            row = np.flatnonzero(distinct == reduced)[0]
+            xs.append(draws(row, np.random.Generator(np.random.PCG64(child)), count))
             thetas.append(np.full(count, reduced))
-            xs.append(-drawn if mirrored else drawn)
         assert np.array_equal(ds.thetas.view(np.int64), np.concatenate(thetas).view(np.int64))
         assert np.array_equal(ds.xs.view(np.int64), np.concatenate(xs).view(np.int64))
         assert not ds.thetas.flags.writeable and not ds.xs.flags.writeable
 
 
+def _normal_ks_distance(values, mean, variance):
+    """The Kolmogorov-Smirnov distance of ``values`` from N(mean, variance)."""
+    scale = math.sqrt(2.0 * variance)
+    cdf = np.array([0.5 * (1.0 + math.erf((x - mean) / scale)) for x in np.sort(values)])
+    n = cdf.size
+    return max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+
+
+@pytest.mark.parametrize(
+    "state, seed",
+    [(GaussianState(0.8, -0.5, 2.0), 17), (GaussianState(-1.2, 0.4, 0.3), 18), (vacuum(), 19)],
+    ids=["displaced-squeezed", "displaced-antisqueezed", "vacuum"],
+)
+def test_gaussian_records_follow_the_exact_normal_law(state, seed):
+    # phases across [0, pi), a theta + pi entry and a phase just below pi
+    phases = [0.0, 0.7, HALF_PI, 2.6, 1.9 + math.pi, np.nextafter(math.pi, 0.0)]
+    n = 20_000
+    ds = sample(state, [(phase, n) for phase in phases], seed=seed)
+    critical = math.sqrt(-math.log(1e-3 / 2.0) / 2.0) / math.sqrt(n)  # KS at alpha = 1e-3
+    for phase in phases:
+        want = analytic_moments(state, phase)
+        values = ds.values_at(phase)
+        assert values.size == n
+        assert _normal_ks_distance(values, want.mean, want.variance) < critical, phase
+
+
+@pytest.mark.parametrize(
+    "state",
+    [FockSuperposition((0.5, 0.3j, -0.4, 0.2)), GaussianState(0.8, -0.5, 2.0)],
+    ids=["fock", "gaussian"],
+)
 @pytest.mark.parametrize("n", [100_000, 1_000_000])
-def test_sampling_memory_beside_the_records_does_not_grow_with_the_shots(n):
-    state = FockSuperposition((0.5, 0.3j, -0.4, 0.2))
+def test_sampling_memory_beside_the_records_does_not_grow_with_the_shots(n, state):
     sample(state, [(0.3, 10), (1.2, 10)], 5)  # lazy set-up outside the trace
     tracemalloc.start()
     try:

@@ -118,6 +118,7 @@ ARRAY_CASES = [
     ("row must", lambda v: row_variance(XS, v)),
     ("y must", lambda v: eval_position_wavefunction(vacuum(), v)),
     ("p must", lambda v: eval_momentum_wavefunction(vacuum(), v)),
+    ("xs must", lambda v: gaussian_row(v, 0, 1)),
 ]
 BAD_ARRAYS = [
     ["0.5", "1.0"],
