@@ -34,7 +34,7 @@ from .inequalities import (
     trifonov_sweep,
 )
 from .purity import PURITY_TOL, purity_classify
-from .states import load_state, state_label, state_to_dict
+from .states import _read_json, load_state, state_label, state_to_dict
 from .tomography import (
     DEFAULT_N_PHASES,
     DEFAULT_N_X,
@@ -54,7 +54,8 @@ EXIT_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
-def _emit(payload: dict, out_path):
+def _emit(payload: dict, out_path=None):
+    """Print a subcommand's one JSON line, the only stdout; --out, if given, holds the same line."""
     text = json.dumps(payload)
     print(text)
     if out_path:
@@ -122,7 +123,7 @@ def _parse_schedule(args):
 
 def _cmd_state_validate(args):
     state = load_state(args.state)
-    print(json.dumps({"valid": True, "label": state_label(state), "spec": state_to_dict(state)}))
+    _emit({"valid": True, "label": state_label(state), "spec": state_to_dict(state)})
     return EXIT_OK
 
 
@@ -135,17 +136,8 @@ def _cmd_tomogram(args):
         window = (args.x_min, args.x_max)
     grid = tomogram_grid(state, args.phases, n_x=args.points, window=window)
     save_tomogram_csv(grid, args.out)
-    print(
-        json.dumps(
-            {
-                "out": args.out,
-                "n_phases": grid.n_phases,
-                "n_x": grid.n_x,
-                "x_min": grid.xs[0],
-                "x_max": grid.xs[-1],
-            }
-        )
-    )
+    _emit({"out": args.out, "n_phases": grid.n_phases, "n_x": grid.n_x,
+           "x_min": grid.xs[0], "x_max": grid.xs[-1]})
     return EXIT_OK
 
 
@@ -207,34 +199,16 @@ def _cmd_simulate(args):
     schedule = _parse_schedule(args)
     dataset = sample(state, schedule, args.seed)
     save_dataset_csv(dataset, args.out)
-    print(
-        json.dumps(
-            {
-                "out": args.out,
-                "records": dataset.n_records,
-                "seed": dataset.seed,
-                "state_label": dataset.state_label,
-                "generator": dataset.generator,
-            }
-        )
-    )
+    _emit({"out": args.out, "records": dataset.n_records, "seed": dataset.seed,
+           "state_label": dataset.state_label, "generator": dataset.generator})
     return EXIT_OK
 
 
 def _cmd_estimate(args):
     dataset = load_dataset_csv(args.data)
     est = estimate_moments(dataset, args.theta)
-    _emit(
-        {
-            "phase": est.phase,
-            "count": est.count,
-            "mean": est.mean,
-            "mean_stderr": est.mean_stderr,
-            "variance": est.variance,
-            "variance_stderr": est.variance_stderr,
-        },
-        args.out,
-    )
+    keys = ("phase", "count", "mean", "mean_stderr", "variance", "variance_stderr")
+    _emit({key: getattr(est, key) for key in keys}, args.out)
     return EXIT_OK
 
 
@@ -246,7 +220,7 @@ def _cmd_plotdata_row(args):
     xs = -grid.xs[::-1] if mirrored else grid.xs
     row = row[::-1] if mirrored else row
     _write_csv(args.out, "x,w", _csv_fields(xs), row)
-    print(json.dumps({"out": args.out, "points": int(xs.size)}))
+    _emit({"out": args.out, "points": int(xs.size)})
     return EXIT_OK
 
 
@@ -254,7 +228,7 @@ def _cmd_plotdata_sweep(args):
     thetas, w1, w2 = _sweep_sources(args)
     lhs = np.array([_trifonov_cross(w1, w2, theta) for theta in thetas.tolist()])
     _write_csv(args.out, "theta,lhs", _csv_fields(thetas), lhs)
-    print(json.dumps({"out": args.out, "points": int(thetas.size)}))
+    _emit({"out": args.out, "points": int(thetas.size)})
     return EXIT_OK
 
 
@@ -398,9 +372,13 @@ def _leaf_parser(parser, args):
 
 
 def _config_value(key, value, action):
-    """A config value, converted as if its JSON text had been typed on the command line."""
+    """A config value, converted as if its JSON text had been typed on the command
+    line, which cannot carry a NUL byte."""
+    text = value if isinstance(value, str) else json.dumps(value)
     try:
-        return (action.type or str)(value if isinstance(value, str) else json.dumps(value))
+        if "\0" in text:
+            raise ValueError("a command-line value cannot hold a NUL byte")
+        return (action.type or str)(text)
     except ValueError as exc:
         raise InputError(f"config key {key!r}: bad value {value!r}: {exc}") from exc
 
@@ -408,13 +386,7 @@ def _config_value(key, value, action):
 def _apply_config(leaf, path):
     """Make the config's keys the defaults of the subcommand's flags; return
     the flags they cover."""
-    try:
-        with open(path) as fh:
-            config = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read config {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in config {path}: {exc}") from exc
+    config = _read_json(path, "config")
     if not isinstance(config, dict):
         raise InputError("config must be a JSON object of flag defaults")
     flags = {a.dest: a for a in leaf._actions if a.option_strings and a.dest != "help"}

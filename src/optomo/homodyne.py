@@ -31,7 +31,6 @@ matching runs once and keeps them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,7 +40,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InputError
-from .inequalities import InequalityReport, _report
+from .inequalities import InequalityReport, _report, _trifonov_product
 from .states import (
     _MAX_COUNT,
     GaussianState,
@@ -50,7 +49,9 @@ from .states import (
     _finite_real,
     _integer,
     _mean_and_covariance,
+    _read_json,
     _rotated_moments,
+    _write_json,
     grid_halfwidth,
     state_label,
 )
@@ -496,7 +497,7 @@ def empirical_trifonov(
     else:
         e2 = estimate_moments(ds2, phase)
         e2_rot = estimate_moments(ds2, other)
-    lhs = 0.5 * (e1.variance * e2_rot.variance) + 0.5 * (e2.variance * e1_rot.variance)
+    lhs = _trifonov_product(e1.variance, e1_rot.variance, e2.variance, e2_rot.variance)
     grad_sq = (
         (0.5 * e2_rot.variance * e1.variance_stderr) ** 2
         + (0.5 * e1.variance * e2_rot.variance_stderr) ** 2
@@ -528,10 +529,7 @@ def save_dataset_csv(ds: HomodyneDataset, path):
     phases, bounds = _dataset(ds)._runs
     prefixes = chain.from_iterable(map(repeat, _csv_fields(phases), np.diff(bounds).tolist()))
     _write_csv(path, "theta,x", prefixes, ds.xs)
-    meta = {"seed": ds.seed, "state_label": ds.state_label, "generator": ds.generator}
-    with open(sidecar, "w") as fh:
-        json.dump(meta, fh, indent=2)
-        fh.write("\n")
+    _write_json(sidecar, {"seed": ds.seed, "state_label": ds.state_label, "generator": ds.generator})
 
 
 def load_dataset_csv(path) -> HomodyneDataset:
@@ -545,12 +543,11 @@ def load_dataset_csv(path) -> HomodyneDataset:
     meta_path = _sidecar_path(path)
     seed, label, generator = -1, "unknown", "unknown"
     if meta_path.exists():
+        meta = _read_json(meta_path, "metadata sidecar")
         try:
-            with open(meta_path) as fh:
-                meta = json.load(fh)
             seed, label, generator = _provenance(
                 meta.get("seed", seed), meta.get("state_label", label), meta.get("generator", generator)
             )
-        except (OSError, AttributeError, ValueError, InputError) as exc:
+        except (AttributeError, InputError) as exc:  # AttributeError: not an object
             raise InputError(f"invalid metadata sidecar {meta_path}: {exc}") from exc
     return HomodyneDataset(thetas, xs, seed, label, generator)

@@ -109,13 +109,16 @@ def heisenberg_lhs(grid, *, tolerance: float = DEFAULT_TOLERANCE) -> InequalityR
     return _report("heisenberg", 0.0, lhs, tolerance)
 
 
-def _trifonov_cross(w1, w2, phase: float) -> float:
-    """1/2 V1(phase) V2(phase + pi/2) + 1/2 V2(phase) V1(phase + pi/2) from
-    the two sources' variances at a real ``phase``."""
-    other = phase + math.pi / 2.0
-    v1, v1_rot = _variance(w1, phase), _variance(w1, other)
-    v2, v2_rot = _variance(w2, phase), _variance(w2, other)
+def _trifonov_product(v1, v1_rot, v2, v2_rot) -> float:
+    """1/2 V1(theta) V2(theta + pi/2) + 1/2 V2(theta) V1(theta + pi/2) from the
+    four variances: the one Trifonov cross product, for grids, states and datasets."""
     return 0.5 * (v1 * v2_rot) + 0.5 * (v2 * v1_rot)
+
+
+def _trifonov_cross(w1, w2, phase: float) -> float:
+    """``_trifonov_product`` of the two sources' variances at a real ``phase``."""
+    other = phase + math.pi / 2.0
+    return _trifonov_product(*(_variance(w, theta) for w in (w1, w2) for theta in (phase, other)))
 
 
 def trifonov_lhs(w1, w2, phase: float, *, tolerance: float = DEFAULT_TOLERANCE) -> InequalityReport:

@@ -113,14 +113,11 @@ class FockSuperposition:
     coeffs: tuple
 
     def __post_init__(self):
-        try:  # the rule of _as_points, complex dtypes included
-            arr = np.asarray(self.coeffs)
-            valid = arr.ndim == 1 and arr.dtype.kind in "iufc" and not _holds_bool(self.coeffs)
-        except ValueError:  # a ragged nesting
-            valid = False
-        if not (valid and np.isfinite(arr).all()):
-            raise InputError("coeffs must be a sequence of finite ints, floats or complex numbers")
-        cs = tuple(arr.astype(complex).tolist())
+        rule = "be a sequence of finite ints, floats or complex numbers"
+        arr = _as_points(self.coeffs, "coeffs", rule, complex)
+        if arr.ndim != 1:
+            raise InputError(f"coeffs must {rule}")
+        cs = tuple(arr.tolist())
         if not cs:
             raise InputError("coeffs must be non-empty")
         _check_cutoff(len(cs) - 1)
@@ -251,18 +248,20 @@ def _holds_bool(values):
     return isinstance(values, (bool, np.bool_))
 
 
-def _as_points(values, name, rule="be finite real numbers"):
-    """``values`` as a float array (a float array itself, not a copy) if their dtype is
-    integer or float (not strings, bools or objects) and every entry is finite, else an
-    InputError saying that ``name`` must ``rule``; every array of reals a caller passes
-    in goes through it.  A bool in a list or tuple, or a ragged nesting, is refused too."""
+def _as_points(values, name, rule="be finite real numbers", dtype=float):
+    """``values`` as a ``dtype`` array (itself, not a copy, if it has that dtype) if their
+    dtype is integer or float, or complex for ``dtype=complex`` (Fock coefficients), and
+    every entry is finite, else an InputError saying that ``name`` must ``rule``; every array
+    a caller passes in goes through it.  Strings, bools (in a list or tuple too), objects
+    and a ragged nesting are refused."""
     try:
         arr = np.asarray(values)
     except ValueError:  # a ragged nesting
         raise InputError(f"{name} must {rule}") from None
-    if arr.dtype.kind not in "iuf" or _holds_bool(values) or not np.isfinite(arr).all():
+    kinds = "iufc" if dtype is complex else "iuf"
+    if arr.dtype.kind not in kinds or _holds_bool(values) or not np.isfinite(arr).all():
         raise InputError(f"{name} must {rule}")
-    return arr.astype(float, copy=False)
+    return arr.astype(dtype, copy=False)
 
 
 def _maybe_scalar(values, out):
@@ -509,21 +508,32 @@ def state_from_dict(d) -> State:
     raise InputError(f"unknown state type {kind!r}")
 
 
-def save_state(state: State, path):
+def _read_json(path, what):
+    """The JSON value in the file at ``path``, the one JSON reader; ``what`` names the file
+    when it cannot be read or decoded (bad JSON, not UTF-8, or nested too deep)."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            try:
+                return json.load(fh)
+            except (ValueError, RecursionError) as exc:
+                raise InputError(f"invalid JSON in {what} {path}: {exc}") from exc
+    except OSError as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
+def _write_json(path, data):
+    """Write ``data`` (a state spec or a metadata sidecar) as JSON indented by 2, one newline after."""
     with open(path, "w") as fh:
-        json.dump(state_to_dict(state), fh, indent=2)
+        json.dump(data, fh, indent=2)
         fh.write("\n")
 
 
+def save_state(state: State, path):
+    _write_json(path, state_to_dict(state))
+
+
 def load_state(path) -> State:
-    try:
-        with open(path) as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise InputError(f"cannot read state file {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise InputError(f"invalid JSON in state file {path}: {exc}") from exc
-    return state_from_dict(data)
+    return state_from_dict(_read_json(path, "state file"))
 
 
 def state_label(state: State) -> str:

@@ -707,16 +707,16 @@ def _read_csv(path, header, what):
     float array; ``what`` names the kind of file when it cannot be read."""
     try:
         with open(path) as fh:
-            found = fh.readline().strip()
-            if found != header:
-                raise InputError(f"{path}: expected header {header!r}, got {found!r}")
-            try:
-                with warnings.catch_warnings():
-                    # a header-only file is empty data, which each loader judges
-                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                    return np.loadtxt(fh, delimiter=",", ndmin=2)
+            try:  # ValueError: bad numbers, or bytes that are not UTF-8 on any line
+                found = fh.readline().strip()
+                if found == header:
+                    with warnings.catch_warnings():
+                        # a header-only file is empty data, which each loader judges
+                        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                        return np.loadtxt(fh, delimiter=",", ndmin=2)
             except ValueError as exc:
                 raise InputError(f"{path}: malformed CSV: {exc}") from exc
+            raise InputError(f"{path}: expected header {header!r}, got {found!r}")
     except OSError as exc:
         raise InputError(f"cannot read {what} file {path}: {exc}") from exc
 

@@ -783,6 +783,54 @@ def test_refusal_paths_exit_2_on_one_stderr_line(workspace, capsys):
     assert not (workspace / "t.csv").exists()
 
 
+_NOT_UTF8 = b"\xff\xfe"
+_DEEP = b"[" * 100_000 + b"]" * 100_000  # past the JSON decoder's recursion limit
+
+
+def _unreadable_input(workspace, case):
+    """(argv, the text that names the bad file) for one case of
+    ``test_an_unreadable_input_file_exits_2_on_one_line_naming_it``."""
+    vac = str(workspace / "vacuum.json")
+    kind, content = case.rsplit("-", 1)
+    if kind == "nul":  # a NUL byte in a path that --config gives
+        key = "state" if content == "input" else "out"
+        path = str(workspace / ("a\0b.json" if key == "state" else "a\0b.csv"))
+        config = workspace / "config.json"
+        config.write_text(json.dumps({key: path}))
+        command = ["state", "validate"] if key == "state" else ["tomogram", "--state", vac]
+        return ["--config", str(config)] + command, repr(path)
+    (workspace / "d.csv").write_text("theta,x\n" + "0,0.5\n" * 40)
+    bad = workspace / {"sidecar": "d.json", "dataset": "bin.csv", "tomogram": "bin.csv"}.get(
+        kind, "bad.json"
+    )
+    records = {"dataset": b"theta,x\n0,0.5\n", "tomogram": b"theta,x,w\n0,0,1\n"}.get(kind, b"")
+    bad.write_bytes({"not_utf8": _NOT_UTF8, "deep": _DEEP}[content] + records)
+    argv = {
+        "state": ["state", "validate", "--state", str(bad)],
+        "config": ["--config", str(bad), "state", "validate", "--state", vac],
+        "sidecar": ["estimate", "--data", str(workspace / "d.csv"), "--theta", "0"],
+        "dataset": ["estimate", "--data", str(bad), "--theta", "0"],
+        "tomogram": ["check", "heisenberg", "--tomogram", str(bad)],
+    }[kind]
+    return argv, str(bad)
+
+
+@pytest.mark.parametrize("case", [
+    "state-not_utf8", "config-not_utf8", "sidecar-not_utf8", "dataset-not_utf8",
+    "tomogram-not_utf8", "state-deep", "config-deep", "sidecar-deep", "nul-input", "nul-output",
+])
+def test_an_unreadable_input_file_exits_2_on_one_line_naming_it(workspace, capsys, case):
+    argv, named = _unreadable_input(workspace, case)
+    files = {path: path.read_bytes() for path in workspace.iterdir()}
+    capsys.readouterr()
+    assert main(argv) == 2, argv
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:") and named in err[0], err
+    assert captured.out == ""
+    assert {path: path.read_bytes() for path in workspace.iterdir()} == files
+
+
 def test_a_numerical_error_exits_3_on_one_stderr_line(workspace, capsys):
     # 48 points are too coarse for the radial tail of a squeeze-0.8 grid's overlap
     save_state(GaussianState(0.0, 0.0, 0.8), workspace / "s08.json")

@@ -23,7 +23,7 @@ from optomo import (
     vacuum,
 )
 from optomo.tomography import DEFAULT_N_PHASES
-from oracles import random_pure_state, random_state
+from oracles import random_pure_state, random_state, state_row, trapz_var
 
 S2 = GaussianState(0.0, 0.0, 2.0)
 SHALF = GaussianState(0.0, 0.0, 0.5)
@@ -259,6 +259,41 @@ def test_a_state_heisenberg_product_is_the_closed_form_product(seed):
     rep = heisenberg_lhs(state)
     assert (rep.kind, rep.phase, rep.lhs) == ("heisenberg", 0.0, want)
     assert heisenberg_lhs(vacuum()).lhs == 0.25
+
+
+_DENSE_XS = np.linspace(-30.0, 30.0, 6001)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_state_checks_match_dense_trapezoid_variances(seed):
+    # an oracle outside the closed form: each variance is a trapezoid sum over
+    # the state's explicit row (Hermite polynomials, Gaussian densities, the
+    # mixture's weighted rows); on this grid the sums agree with the closed
+    # form to within 1e-14 relative at every phase of these seeds, and 1e-9
+    # leaves room for rounding in the products
+    rng = np.random.default_rng(2700 + seed)
+    s1, s2 = random_state(rng), random_state(rng)
+    phases = uniform_phases(DEFAULT_N_PHASES).tolist()
+    theta = float(rng.uniform(-math.pi, 2.0 * math.pi))
+    var = {
+        (state, phase): trapz_var(_DENSE_XS, state_row(state, phase, _DENSE_XS))
+        for state in (s1, s2)
+        for phase in [0.0, theta] + phases
+        for phase in (phase, phase + math.pi / 2)
+    }
+
+    def cross(phase):
+        other = phase + math.pi / 2
+        return 0.5 * var[s1, phase] * var[s2, other] + 0.5 * var[s2, phase] * var[s1, other]
+
+    for state in (s1, s2):
+        want = var[state, 0.0] * var[state, math.pi / 2]
+        assert heisenberg_lhs(state).lhs == pytest.approx(want, rel=1e-9)
+    assert trifonov_lhs(s1, s2, theta).lhs == pytest.approx(cross(theta), rel=1e-9)
+    sweep = trifonov_sweep(s1, s2)
+    assert sweep.phase in phases
+    assert sweep.lhs == pytest.approx(min(map(cross, phases)), rel=1e-9)
+    assert sweep.lhs == pytest.approx(cross(sweep.phase), rel=1e-9)
 
 
 def test_a_state_pairs_with_a_grid():
