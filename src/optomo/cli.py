@@ -9,16 +9,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .errors import InputError, NumericalError
 from .homodyne import (
     STDERR_SIGMAS,
-    _sidecar_path,
+    _dataset_paths,
     empirical_trifonov,
     estimate_moments,
     load_dataset_csv,
@@ -27,8 +27,8 @@ from .homodyne import (
 )
 from .inequalities import (
     DEFAULT_TOLERANCE,
+    _sweep,
     _sweep_phases,
-    _trifonov_cross,
     heisenberg_lhs,
     trifonov_lhs,
     trifonov_sweep,
@@ -55,12 +55,12 @@ EXIT_NUMERICAL = 3
 
 
 def _emit(payload: dict, out_path=None):
-    """Print a subcommand's one JSON line, the only stdout; --out, if given, holds the same line."""
+    """Write a subcommand's one JSON line to --out, if given, then print it: the only stdout."""
     text = json.dumps(payload)
-    print(text)
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text + "\n")
+    print(text)
 
 
 def _emit_report(report, out_path):
@@ -146,13 +146,12 @@ def _cmd_check_heisenberg(args):
 
 
 def _cmd_check_trifonov(args):
-    data1, data2 = getattr(args, "data1", None), getattr(args, "data2", None)
+    data1, data2 = args.data1, args.data2
     if (data1 is None) != (data2 is None):
         raise InputError("--data1 and --data2 must be given together")
     if data1 is not None:
-        for suffix in ("1", "2"):
-            if getattr(args, f"state{suffix}", None) or getattr(args, f"tomogram{suffix}", None):
-                raise InputError("--data sources cannot be mixed with states/tomograms")
+        if args.state1 or args.state2 or args.tomogram1 or args.tomogram2:
+            raise InputError("--data sources cannot be mixed with states/tomograms")
         if args.tolerance is not None:
             raise InputError(
                 "--tolerance does not apply to --data1/--data2: the dataset check "
@@ -188,13 +187,6 @@ def _cmd_sweep_trifonov(args):
 
 
 def _cmd_simulate(args):
-    # neither the dataset nor its .json metadata sidecar may overwrite an input
-    written = {Path(args.out).resolve(), _sidecar_path(args.out).resolve()}
-    for flag, given in (("--state", args.state), ("--config", args.config)):
-        if given and Path(given).resolve() in written:
-            raise InputError(
-                f"--out {args.out} would overwrite {flag} {given} with its dataset or .json sidecar"
-            )
     state = load_state(args.state)
     schedule = _parse_schedule(args)
     dataset = sample(state, schedule, args.seed)
@@ -226,7 +218,7 @@ def _cmd_plotdata_row(args):
 
 def _cmd_plotdata_sweep(args):
     thetas, w1, w2 = _sweep_sources(args)
-    lhs = np.array([_trifonov_cross(w1, w2, theta) for theta in thetas.tolist()])
+    lhs, thetas = np.array(_sweep(w1, w2, thetas)).T
     _write_csv(args.out, "theta,lhs", _csv_fields(thetas), lhs)
     _emit({"out": args.out, "points": int(thetas.size)})
     return EXIT_OK
@@ -430,11 +422,30 @@ def _join_float_values(argv):
     return out
 
 
+def _check_outputs(args):
+    """Refuse an --out (and simulate's sidecar of it) that names a file the command reads."""
+    if not getattr(args, "out", None):
+        return
+    files = {f"--{dest} {given}": _dataset_paths(given) if dest.startswith("data") else [given]
+             for dest, given in vars(args).items()
+             if given and re.fullmatch(r"config|(state|tomogram|data)[12]?", dest)}
+    files["--out"] = _dataset_paths(args.out) if args.command == "simulate" else [args.out]
+    try:  # realpath follows links and leaves a link loop as it is; ValueError: a NUL byte
+        files = {flag: set(map(os.path.realpath, paths)) for flag, paths in files.items()}
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot resolve a path of {args.command}: {exc}") from exc
+    written = files.pop("--out")
+    for flag, read in files.items():
+        if read & written:
+            raise InputError(f"--out {args.out} would overwrite a file read through {flag}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = _join_float_values(sys.argv[1:] if argv is None else list(argv))
     try:
         args = _parse_args(parser, argv)
+        _check_outputs(args)
         return args.handler(args)
     # OSError: an --out path that cannot be written; MemoryError: a count too
     # large to allocate (a count no array can address is an InputError)

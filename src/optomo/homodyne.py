@@ -513,19 +513,20 @@ def empirical_trifonov(
 # CSV persistence (metadata goes to a JSON sidecar next to the CSV)
 # --------------------------------------------------------------------------
 
-def _sidecar_path(path) -> Path:
-    return Path(path).with_suffix(".json")
+def _dataset_paths(path):
+    """(records, sidecar): the CSV at ``path`` and its JSON metadata, named by the
+    CSV's stem and ".json"; a ".json" path, which would be its own sidecar, is refused."""
+    records = Path(path)
+    if records.suffix == ".json":
+        raise InputError(f"{path}: a dataset cannot take the name of its .json metadata sidecar")
+    return records, records.parent / (records.stem + ".json")
 
 
 def save_dataset_csv(ds: HomodyneDataset, path):
-    """Write "theta,x" records and the JSON metadata sidecar.  Each run of
-    the dataset (``HomodyneDataset._runs``, split on the bits) formats its
-    phase once, so every record keeps its own phase, -0.0 included.  A path
-    whose sidecar would be the data file itself (a ".json" path) is refused
-    before anything is written."""
-    sidecar = _sidecar_path(path)
-    if sidecar.resolve() == Path(path).resolve():
-        raise InputError(f"{path}: a dataset cannot take the name of its .json metadata sidecar")
+    """Write "theta,x" records and the JSON metadata sidecar at ``_dataset_paths``, which
+    may refuse the path before anything is written.  Each run of the dataset (``_runs``,
+    split on the bits) formats its phase once, so each record keeps its own phase, -0.0 too."""
+    _, sidecar = _dataset_paths(path)
     phases, bounds = _dataset(ds)._runs
     prefixes = chain.from_iterable(map(repeat, _csv_fields(phases), np.diff(bounds).tolist()))
     _write_csv(path, "theta,x", prefixes, ds.xs)
@@ -533,14 +534,11 @@ def save_dataset_csv(ds: HomodyneDataset, path):
 
 
 def load_dataset_csv(path) -> HomodyneDataset:
-    data = _read_csv(path, "theta,x", "dataset")
-    if data.size == 0:
-        thetas = xs = np.empty(0)
-    elif data.shape[1] != 2:
+    _, meta_path = _dataset_paths(path)
+    data = _read_csv(path, "theta,x", "dataset file")
+    if data.size and data.shape[1] != 2:
         raise InputError(f"{path}: expected two columns theta,x")
-    else:
-        thetas, xs = data[:, 0], data[:, 1]
-    meta_path = _sidecar_path(path)
+    thetas, xs = data.reshape(-1, 2).T
     seed, label, generator = -1, "unknown", "unknown"
     if meta_path.exists():
         meta = _read_json(meta_path, "metadata sidecar")

@@ -146,11 +146,14 @@ def _sweep_phases(w1, w2, phases=None):
     return thetas
 
 
+def _sweep(w1, w2, phases=None):
+    """[(lhs, theta)] over ``_sweep_phases``: the one sweep, read by the check and its plot data."""
+    return [(_trifonov_cross(w1, w2, theta), theta) for theta in _sweep_phases(w1, w2, phases).tolist()]
+
+
 def trifonov_sweep(w1, w2, phases=None, *, tolerance: float = DEFAULT_TOLERANCE) -> InequalityReport:
-    """Minimum of the two-state check over ``_sweep_phases`` (argmin reported;
-    ties resolved toward the smallest phase)."""
-    thetas = _sweep_phases(w1, w2, phases).tolist()
-    lhs, phase = min((_trifonov_cross(w1, w2, theta), theta) for theta in thetas)
+    """Minimum of the two-state check over ``_sweep``, at its smallest argmin phase."""
+    lhs, phase = min(_sweep(w1, w2, phases))
     return _report("trifonov_sweep", phase, lhs, tolerance)
 
 

@@ -508,17 +508,22 @@ def state_from_dict(d) -> State:
     raise InputError(f"unknown state type {kind!r}")
 
 
+def _open_input(path, what, encoding=None):
+    """The file at ``path`` opened to read; one that cannot be (a NUL byte too) is an InputError."""
+    try:
+        return open(path, encoding=encoding)
+    except (OSError, ValueError) as exc:
+        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+
+
 def _read_json(path, what):
     """The JSON value in the file at ``path``, the one JSON reader; ``what`` names the file
     when it cannot be read or decoded (bad JSON, not UTF-8, or nested too deep)."""
-    try:
-        with open(path, encoding="utf-8") as fh:
-            try:
-                return json.load(fh)
-            except (ValueError, RecursionError) as exc:
-                raise InputError(f"invalid JSON in {what} {path}: {exc}") from exc
-    except OSError as exc:
-        raise InputError(f"cannot read {what} {path}: {exc}") from exc
+    with _open_input(path, what, "utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (ValueError, RecursionError) as exc:
+            raise InputError(f"invalid JSON in {what} {path}: {exc}") from exc
 
 
 def _write_json(path, data):

@@ -51,6 +51,7 @@ from .states import (
     _finite_real,
     _integer,
     _mean_and_covariance,
+    _open_input,
     _rotated_moments,
     density_bandwidth,
     eval_momentum_wavefunction,
@@ -704,26 +705,23 @@ def save_tomogram_csv(grid: TomogramGrid, path):
 
 def _read_csv(path, header, what):
     """The records of a CSV file whose first line is ``header``, as a 2-D
-    float array; ``what`` names the kind of file when it cannot be read."""
-    try:
-        with open(path) as fh:
-            try:  # ValueError: bad numbers, or bytes that are not UTF-8 on any line
-                found = fh.readline().strip()
-                if found == header:
-                    with warnings.catch_warnings():
-                        # a header-only file is empty data, which each loader judges
-                        warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-                        return np.loadtxt(fh, delimiter=",", ndmin=2)
-            except ValueError as exc:
-                raise InputError(f"{path}: malformed CSV: {exc}") from exc
-            raise InputError(f"{path}: expected header {header!r}, got {found!r}")
-    except OSError as exc:
-        raise InputError(f"cannot read {what} file {path}: {exc}") from exc
+    float array; ``what`` names the file when it cannot be opened."""
+    with _open_input(path, what) as fh:
+        try:  # ValueError: bad numbers, or bytes that are not UTF-8 on any line
+            found = fh.readline().strip()
+            if found == header:
+                with warnings.catch_warnings():
+                    # a header-only file is empty data, which each loader judges
+                    warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+                    return np.loadtxt(fh, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise InputError(f"{path}: malformed CSV: {exc}") from exc
+        raise InputError(f"{path}: expected header {header!r}, got {found!r}")
 
 
 def load_tomogram_csv(path) -> TomogramGrid:
     """Read a tomogram CSV; validates layout and row normalization."""
-    data = _read_csv(path, "theta,x,w", "tomogram")
+    data = _read_csv(path, "theta,x,w", "tomogram file")
     if data.size == 0 or data.shape[1] != 3:
         raise InputError(f"{path}: expected three columns theta,x,w")
     thetas = data[:, 0]

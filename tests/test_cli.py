@@ -871,3 +871,73 @@ def test_a_sweep_over_two_stored_grids_is_the_library_sweep(workspace, capsys):
     assert main(["sweep", "trifonov", "--tomogram1", a, "--tomogram2", b]) == 0
     assert _last_json(capsys) == want.to_dict()
     assert want.phase == math.pi / 4
+
+
+# the sources of one run of a command, as (flag, file in the workspace)
+_STATE, _TOMOGRAM = [("--state", "vacuum.json")], [("--tomogram", "classical.csv")]
+_STATES = [("--state1", "vacuum.json"), ("--state2", "s2.json")]
+_TOMOGRAMS = [("--tomogram1", "classical.csv"), ("--tomogram2", "g2.csv")]
+_DATASETS = [("--data1", "d1.csv"), ("--data2", "d2.csv")]
+# each --out subcommand: its argv without sources or --out, and each set of sources it takes
+_OUT_COMMANDS = {
+    "tomogram": (["tomogram", "--phases", "4"], [_STATE]),
+    "check-heisenberg": (["check", "heisenberg"], [_STATE, _TOMOGRAM]),
+    "check-trifonov": (["check", "trifonov", "--theta", "0"], [_STATES, _TOMOGRAMS, _DATASETS]),
+    "check-purity": (["check", "purity"], [_STATE, _TOMOGRAM]),
+    "sweep-trifonov": (["sweep", "trifonov", "--phases", "4"], [_STATES, _TOMOGRAMS]),
+    "simulate": (["simulate", "--thetas", "0", "--shots", "40", "--seed", "1"], [_STATE]),
+    "estimate": (["estimate", "--theta", "0"], [[("--data", "d1.csv")]]),
+    "plotdata-row": (["plotdata", "row", "--theta", "0"], [_STATE, _TOMOGRAM]),
+    "plotdata-sweep": (["plotdata", "sweep", "--phases", "4"], [_STATES, _TOMOGRAMS]),
+}
+
+
+def _clash_cases():
+    """(subcommand, sources, input flag, its file, --out file) for every input of
+    every --out subcommand, --config included: --out is the input itself, the
+    .json sidecar of a --data file, or (simulate) the dataset whose sidecar it is."""
+    for name, (_, source_sets) in _OUT_COMMANDS.items():
+        inputs = [(sources, flag, file) for sources in source_sets for flag, file in sources]
+        for sources, flag, file in inputs + [(source_sets[0], "--config", "c.json")]:
+            yield name, sources, flag, file, file
+            if flag.startswith("--data"):
+                yield name, sources, flag, file, file.replace(".csv", ".json")
+            if name == "simulate":
+                yield name, sources, flag, file, file.replace(".json", ".csv")
+
+
+@pytest.mark.parametrize("name, sources, flag, file, out_file", list(_clash_cases()),
+                         ids=[f"{case[0]}:{case[2]}:{case[4]}" for case in _clash_cases()])
+def test_an_out_that_names_an_input_exits_2_and_writes_nothing(
+    workspace, capsys, name, sources, flag, file, out_file
+):
+    (workspace / "g2.csv").write_bytes((workspace / "classical.csv").read_bytes())
+    for seed, data in enumerate(("d1.csv", "d2.csv")):
+        main(["simulate", "--state", str(workspace / "vacuum.json"), "--thetas",
+              "0,1.5707963267948966", "--shots", "40", "--seed", str(seed), "--out", str(workspace / data)])
+    (workspace / "c.json").write_text("{}\n")
+    named, out = str(workspace / file), str(workspace / out_file)
+    command, _ = _OUT_COMMANDS[name]
+    source_args = [arg for source, path in sources for arg in (source, str(workspace / path))]
+    files = {path: path.read_bytes() for path in workspace.iterdir()}
+    capsys.readouterr()
+    assert main(["--config", str(workspace / "c.json"), *command, *source_args, "--out", out]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("input error:") and out in err[0], err
+    # simulate refuses a .json --out as its own sidecar, before any input is looked at
+    if name != "simulate" or out != named:
+        assert f"--out {out}" in err[0] and f"{flag} {named}" in err[0], err
+    assert captured.out == ""
+    assert {path: path.read_bytes() for path in workspace.iterdir()} == files
+
+
+def test_an_out_that_cannot_be_written_leaves_stdout_empty(workspace, capsys):
+    missing = str(workspace / "no-such-dir" / "r.json")
+    vac = str(workspace / "vacuum.json")
+    capsys.readouterr()
+    assert main(["check", "heisenberg", "--state", vac, "--out", missing]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == "" and len(err) == 1 and err[0].startswith("input error:"), captured
+    assert not (workspace / "no-such-dir").exists()

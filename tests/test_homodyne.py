@@ -706,3 +706,16 @@ def test_a_dataset_path_that_is_its_own_sidecar_is_refused(tmp_path):
 def test_negative_seed_is_an_input_error():
     with pytest.raises(InputError, match="non-negative"):
         sample(vacuum(), [(0.0, 40)], seed=-1)
+
+
+def test_a_dataset_path_that_is_its_own_sidecar_is_refused_on_load(tmp_path):
+    # the loader and the writer share one rule for a dataset's two paths
+    text = "a dataset cannot take the name of its .json metadata sidecar"
+    path = tmp_path / "d.json"
+    with pytest.raises(InputError, match=text):
+        load_dataset_csv(path)  # no such file: the name alone is refused
+    path.write_text("theta,x\n" + "0,0.5\n" * 40)
+    with pytest.raises(InputError, match=text):
+        load_dataset_csv(path)
+    with pytest.raises(InputError, match=text):
+        save_dataset_csv(sample(vacuum(), [(0.0, 40)], seed=1), path)

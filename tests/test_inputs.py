@@ -23,6 +23,8 @@ from optomo import (
     gaussian_row,
     heisenberg_lhs,
     load_dataset_csv,
+    load_state,
+    load_tomogram_csv,
     moments_from_state,
     operator_trifonov_lhs,
     optical_tomogram,
@@ -407,3 +409,10 @@ def test_save_dataset_csv_refuses_other_objects_and_writes_nothing(tmp_path, val
         save_dataset_csv(value, tmp_path / "d.csv")
     assert str(caught.value) == f"expected a HomodyneDataset, got {type(value).__name__}"
     assert not list(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("load", [load_state, load_tomogram_csv, load_dataset_csv])
+def test_a_path_holding_a_nul_byte_is_an_input_error_naming_it(load):
+    # open raises ValueError, not OSError, for such a path
+    with pytest.raises(InputError, match="^cannot read .*a\x00b: embedded null byte"):
+        load("a\0b")
