@@ -1,16 +1,18 @@
 """Overlap functional of tomogram pairs and pure/mixed classification.
 
 The 4-D overlap integral over two scaled tomograms equals Tr rho_a rho_b, in
-closed form for two state specs.  With a bare grid it collapses, after the
-polar substitution (mu, nu) = (r cos t, r sin t) and the scaling homogeneity
-of the tomogram, to a 2-D integral over characteristic functions of the rows:
+closed form for two state specs.  A grid is read from its stored rows alone,
+whatever it was computed from: the integral collapses, after the polar
+substitution (mu, nu) = (r cos t, r sin t) and the scaling homogeneity of
+the tomogram, to a 2-D integral over characteristic functions of the rows:
 
     overlap = (1/2pi) * integral_0^{2pi} dt integral_0^inf r dr
               phi_1(r, t) conj(phi_2(r, t)),
 
 a rectangle rule over the grid's uniform phases, with the t in [pi, 2pi)
 half supplied by the parity rule phi(r, t + pi) = conj(phi(r, t)).
-Self-overlap equals 1 for pure states and drops below 1 for mixtures.
+Self-overlap equals 1 for pure states and drops below 1 for mixtures; no
+state has one above 1, so a grid whose overlap exceeds it is non-physical.
 """
 
 from __future__ import annotations
@@ -95,12 +97,12 @@ def _trace_product(a, b):
 def purity_overlap(a, b) -> float:
     """The tomogram-pair overlap functional (equals Tr rho_a rho_b).
 
-    Two state specs (a grid that carries one counts as that state) give
-    ``_trace_product`` in closed form.  A pair with a bare grid integrates
-    over the grid's stored phases: the radial cutoff grows from r = 12
-    (``R_START``) by factors of 1.3 until both characteristic functions have
-    decayed below 1e-10, up to r = 64 or the Nyquist limit, and the radial
-    integral is refined until it changes by at most 1e-12 (``RADIAL_TOL``).
+    Two state specs give ``_trace_product`` in closed form.  A pair with a
+    grid integrates over the grid's stored phases: the radial cutoff grows
+    from r = 12 (``R_START``) by factors of 1.3 until both characteristic
+    functions have decayed below 1e-10, up to r = 64 or the Nyquist limit,
+    and the radial integral is refined until it changes by at most 1e-12
+    (``RADIAL_TOL``).
     """
     states = [_state_of(a), _state_of(b)]
     if None not in states:
@@ -141,8 +143,9 @@ def purity_overlap(a, b) -> float:
 
 
 def purity_classify(src, tol: float = PURITY_TOL) -> PurityReport:
-    """Label a source pure when its self-overlap is within ``tol`` of 1."""
+    """Label a source by its self-overlap: "pure" within ``tol`` of 1,
+    "non-physical" above 1 + ``tol`` (no state has Tr rho^2 > 1), else "mixed"."""
     tol = _finite_real("tolerance", tol, "be finite and > 0", lambda t: t > 0.0)
     value = purity_overlap(src, src)
-    label = "pure" if abs(value - 1.0) <= tol else "mixed"
+    label = "pure" if abs(value - 1.0) <= tol else "non-physical" if value > 1.0 else "mixed"
     return PurityReport(overlap=value, classification=label, tolerance=tol)

@@ -555,4 +555,4 @@ def state_label(state: State) -> str:
         return f"fock-superposition(cutoff={state.cutoff})"
     if isinstance(state, MixedState):
         return f"mixed({len(state.components)} components)"
-    return type(state).__name__
+    raise InputError(f"expected a state, got {type(state).__name__}")

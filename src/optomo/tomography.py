@@ -26,13 +26,18 @@ scalar view); any other phase is reached through the parity rule
 w(X, theta + pi) = w(-X, theta).  Phases of magnitude 2**52 (``MAX_PHASE``)
 or more are rejected.  ``_nearest_phase`` matches a query to stored phases,
 so a query just below pi (or 0) reads the stored phase 0, mirrored.
+
+A ``TomogramGrid`` is its stored rows, as a measured tomogram is: every
+function reads a grid through its rows alone, so a grid gives the same
+results before and after a CSV round trip.  A function with a closed form
+gets it by being handed the state itself.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
@@ -218,23 +223,18 @@ class TomogramGrid:
 
     Rows are probability densities (``_density_rows``): non-negative (values
     below -1e-12 are rejected, small negatives clamped to zero) and
-    trapezoid-normalized to 1 within 1e-6.  ``source`` is None (a bare grid)
-    or the originating state spec, enabling exact re-evaluation off the grid.
-    The arrays are read-only, so the trapezoid weights (``_weights``), the
-    largest r of a row's characteristic function (``_nyquist_r``, pi / (2 dx)),
-    ``row_moments`` and the per-row table that moment queries read are kept.
+    trapezoid-normalized to 1 within 1e-6.  A grid keeps no link to a state
+    it was computed from.  The arrays are read-only, so the trapezoid weights
+    (``_weights``), the largest r of a row's characteristic function
+    (``_nyquist_r``, pi / (2 dx)), ``row_moments`` and the per-row table that
+    moment queries read are kept.
     """
 
     phases: np.ndarray
     xs: np.ndarray
     values: np.ndarray
-    source: object = field(default=None, compare=False)
 
     def __post_init__(self):
-        if self.source is not None and not isinstance(self.source, _STATE_TYPES):
-            raise InputError(
-                f"source must be a state spec or None, got {type(self.source).__name__}"
-            )
         phases = _as_points(self.phases, "phases", _PHASE_RULE).copy()
         xs = _as_points(self.xs, "x grid", "be uniform and increasing").copy()
         # not copied: the clamp below makes the array the grid keeps
@@ -521,43 +521,38 @@ def tomogram_grid(
         raise InputError(f"invalid window {window!r}")
     lo, hi = bounds
     xs = np.linspace(lo, hi, default_n_x(state, (lo, hi), n_x))
-    return TomogramGrid(phase_arr, xs, _state_rows(state, phase_arr, xs), source=state)
+    return TomogramGrid(phase_arr, xs, _state_rows(state, phase_arr, xs))
 
 
 # --------------------------------------------------------------------------
 # symplectic (scaled) tomogram
 # --------------------------------------------------------------------------
 
-def symplectic_tomogram(
-    grid: TomogramGrid, x: float, mu: float, nu: float, *, exact: bool | None = None
-) -> float:
+def symplectic_tomogram(source, x: float, mu: float, nu: float) -> float:
     """w(x, mu, nu) = (1/r) w_opt(x/r, angle(mu, nu)) with r = hypot(mu, nu).
 
-    The angle is mapped into [0, pi) through the parity rule.  With a source
-    state attached the row value is re-evaluated exactly; otherwise the stored
-    grid is linearly interpolated in X using the stored phase nearest on the
-    pi-circle (``_nearest_phase``, with no tolerance).
+    The angle is mapped into [0, pi) through the parity rule.  A state spec
+    gives the closed-form row value; a TomogramGrid is linearly interpolated
+    in X on the stored phase nearest on the pi-circle (``_nearest_phase``,
+    with no tolerance).
     """
+    state = _state_of(source)
     x, mu, nu = (_finite_real(name, v) for name, v in (("x", x), ("mu", mu), ("nu", nu)))
     if mu == 0.0 and nu == 0.0:
         raise InputError("(mu, nu) = (0, 0) is not a valid quadrature direction")
     r = math.hypot(mu, nu)
-    if exact is None:
-        exact = grid.source is not None
-    if exact:
-        if grid.source is None:
-            raise InputError("exact evaluation requires a grid with a source state")
-        return float(_state_row(grid.source, math.atan2(nu, mu), np.array([x / r]))[0]) / r
+    if state is not None:
+        return float(_state_row(state, math.atan2(nu, mu), np.array([x / r]))[0]) / r
 
-    j, mirrored, _ = _nearest_phase(grid.phases, math.atan2(nu, mu))
+    j, mirrored, _ = _nearest_phase(source.phases, math.atan2(nu, mu))
     u = -(x / r) if mirrored else x / r
-    xs = grid.xs
+    xs = source.xs
     if u < xs[0] or u > xs[-1]:
         raise ExtrapolationError(
             f"scaled quadrature x/r = {u:.6g} falls outside the stored grid "
             f"[{xs[0]:.6g}, {xs[-1]:.6g}]"
         )
-    return float(np.interp(u, xs, grid.values[j])) / r
+    return float(np.interp(u, xs, source.values[j])) / r
 
 
 # --------------------------------------------------------------------------
@@ -611,10 +606,11 @@ def _fock_coefficients(rho, r):
 
 
 def _state_of(source):
-    """The state spec a source stands for: the source itself, the state a
-    grid carries, or None for a bare grid; anything else is an InputError."""
+    """The state spec a source stands for: the source itself, or None for a
+    TomogramGrid, which stands for its stored rows; anything else is an
+    InputError."""
     if isinstance(source, TomogramGrid):
-        return source.source
+        return None
     if isinstance(source, _STATE_TYPES):
         return source
     raise InputError(f"expected a TomogramGrid or state, got {type(source).__name__}")
@@ -652,10 +648,9 @@ def tomogram_characteristic(source, phase, r):
 
     ``phase`` and ``r`` are numbers or arrays; the result has shape
     ``np.shape(phase) + np.shape(r)`` (a complex number for two scalars).
-    ``source`` is a state spec (closed form; also used when a grid carries
-    one) or a bare TomogramGrid (trapezoid sums over the stored rows, guarded
-    against X-grid aliasing).  Phases outside [0, pi) use the parity rule
-    phi(r, theta + pi) = conj(phi(r, theta)).
+    ``source`` is a state spec (closed form) or a TomogramGrid (trapezoid
+    sums over the stored rows, guarded against X-grid aliasing).  Phases
+    outside [0, pi) use the parity rule phi(r, theta + pi) = conj(phi(r, theta)).
     """
     r_arr = np.ravel(_as_points(r, "r"))
     if np.any(r_arr < 0.0):

@@ -94,6 +94,17 @@ def test_tomogram_then_check_heisenberg_round_trip(workspace, capsys):
     assert abs(report["lhs"] - 0.25) < 1e-6
 
 
+def test_tomogram_window_flags_set_the_x_grid(workspace, capsys):
+    out = workspace / "win.csv"
+    code = main(["tomogram", "--state", str(workspace / "vacuum.json"), "--phases", "4",
+                 "--points", "257", "--x-min", "-7.5", "--x-max", "8.25", "--out", str(out)])
+    assert code == 0
+    payload = _last_json(capsys)
+    assert (payload["x_min"], payload["x_max"]) == (-7.5, 8.25)
+    xs = np.loadtxt(out, delimiter=",", skiprows=1)[:, 1]
+    assert np.array_equal(xs, np.tile(np.linspace(-7.5, 8.25, 257), 4))
+
+
 def test_check_trifonov_from_states(workspace, capsys):
     code = main(
         [
@@ -761,6 +772,9 @@ def test_refusal_paths_exit_2_on_one_stderr_line(workspace, capsys):
         (sim + ["--schedule", "0:40", "--thetas", "1,2", "--shots", "50"], "not both"),
         (["tomogram", "--state", vac, "--x-min", "-5", "--out", str(workspace / "t.csv")],
          "give both --x-min and --x-max"),
+        (["tomogram", "--state", vac, "--x-min", "5", "--x-max", "-5", "--out",
+          str(workspace / "t.csv")], "invalid window (5.0, -5.0)"),
+        (sim, "give --schedule or both --thetas and --shots"),
         (["check", "trifonov", "--data1", d, "--theta", "0"], "must be given together"),
         (["check", "trifonov", "--data1", d, "--data2", d, "--state1", vac, "--theta", "0"],
          "cannot be mixed"),

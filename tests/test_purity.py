@@ -95,8 +95,7 @@ def test_self_overlap_stays_in_the_unit_interval(seed):
 def test_grid_route_agrees_with_state_route():
     state = FockSuperposition((0.8, 0.0, 0.6))
     grid = tomogram_grid(state, phases=64)
-    bare = TomogramGrid(grid.phases, grid.xs, grid.values)
-    assert purity_overlap(bare, bare) == pytest.approx(
+    assert purity_overlap(grid, grid) == pytest.approx(
         purity_overlap(state, state), abs=1e-4
     )
 
@@ -116,6 +115,33 @@ def test_classify_labels_and_report_fields():
     rep = purity_classify(thermal_state(1.0))
     assert rep.classification == "mixed"
     assert rep.overlap == pytest.approx(1.0 / 3.0, abs=1e-3)
+
+
+@pytest.mark.parametrize(
+    "excess, label",
+    [(-2.0, "mixed"), (-1.0, "pure"), (0.0, "pure"), (1.0, "pure"), (2.0, "non-physical")],
+)
+def test_classify_labels_an_overlap_above_one_plus_tol_non_physical(monkeypatch, excess, label):
+    # excess is in units of the tolerance: the label's edges are 1 - tol and 1 + tol
+    tol = 0.125  # a power of two, so 1 +/- excess * tol is exact
+    monkeypatch.setattr(purity_module, "purity_overlap", lambda a, b: 1.0 + excess * tol)
+    report = purity_classify(vacuum(), tol=tol)
+    assert (report.overlap, report.classification) == (1.0 + excess * tol, label)
+
+
+def test_grids_whose_overlap_exceeds_one_are_non_physical():
+    # normal rows with Var(theta) = 0.6 + 0.5 sin 2 theta: a classical
+    # phase-space density, the tomogram of no quantum state
+    xs, phases = np.linspace(-8.0, 8.0, 256), uniform_phases(64)
+    var = 0.6 + 0.5 * np.sin(2.0 * phases)
+    report = purity_classify(TomogramGrid(phases, xs, gaussian_row(xs, 0.0, var[:, None])))
+    assert report.overlap == pytest.approx(1.5075567228888072, abs=1e-9)
+    assert report.classification == "non-physical"
+    # a squeezed Gaussian's 16-phase grid under-resolves its overlap
+    grid = tomogram_grid(random_state(np.random.default_rng(1115)), phases=16)
+    report = purity_classify(grid)
+    assert report.overlap == pytest.approx(1.0727545683960138, abs=1e-9)
+    assert report.classification == "non-physical"
 
 
 @pytest.mark.parametrize("junk", ["junk", None, 0.0])
@@ -138,9 +164,8 @@ def test_vacuum_bare_grids_reach_their_nyquist_limit(n_x):
     # at these sizes the radial cutoff lands on pi / (2 dx) exactly, which
     # the characteristic-function guard must accept
     grid = tomogram_grid(vacuum(), phases=16, n_x=n_x)
-    bare = TomogramGrid(grid.phases, grid.xs, grid.values)
-    assert purity_overlap(bare, bare) == pytest.approx(1.0, abs=1e-9)
-    assert purity_classify(bare).classification == "pure"
+    assert purity_overlap(grid, grid) == pytest.approx(1.0, abs=1e-9)
+    assert purity_classify(grid).classification == "pure"
 
 
 def test_coarse_grid_rows_are_rejected():
@@ -156,10 +181,8 @@ def test_mismatched_grid_phases_rejected():
     state = vacuum()
     g1 = tomogram_grid(state, phases=8)
     g2 = tomogram_grid(state, phases=16)
-    b1 = TomogramGrid(g1.phases, g1.xs, g1.values)
-    b2 = TomogramGrid(g2.phases, g2.xs, g2.values)
     with pytest.raises(InputError, match="share"):
-        purity_overlap(b1, b2)
+        purity_overlap(g1, g2)
 
 
 def _fock_only_state(rng, max_cutoff):
@@ -214,8 +237,6 @@ def test_state_pairs_match_the_dense_wavefunction_oracle(seed, same):
     a = random_state(rng, max_cutoff=16)
     b = a if same else random_state(rng, max_cutoff=16)
     assert abs(purity_overlap(a, b) - trace_product(a, b)) <= 1e-12
-    # a grid that carries a state counts as that state
-    assert purity_overlap(tomogram_grid(a, phases=2), b) == purity_overlap(a, b)
 
 
 def test_gaussian_fock_amplitudes_match_a_dense_hermite_projection():
@@ -235,7 +256,6 @@ def test_state_pairs_take_neither_the_quadrature_nor_the_characteristic_function
     mixture = MixedState(
         ((0.4, FockSuperposition((0.6, 0.0, 0.8j))), (0.6, GaussianState(0.3, -0.5, 1.7)))
     )
-    grid = tomogram_grid(fock(2), phases=8)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(quadrature, "adaptive", forbidden)
         mp.setattr(purity_module, "tomogram_characteristic", forbidden)
@@ -243,8 +263,6 @@ def test_state_pairs_take_neither_the_quadrature_nor_the_characteristic_function
             (mixture, mixture),
             (mixture, fock(2)),
             (thermal_state(1.0), vacuum()),
-            (grid, mixture),
-            (grid, grid),
         ):
             purity_overlap(a, b)
 
@@ -257,14 +275,14 @@ def test_state_against_bare_grid_matches_the_closed_form():
         (thermal_state(0.5), fock(1)),
     ):
         grid = tomogram_grid(state, phases=64)
-        bare = TomogramGrid(grid.phases, grid.xs, grid.values)
-        assert purity_overlap(bare, other) == pytest.approx(trace_product(state, other), abs=1e-4)
-        assert purity_overlap(other, bare) == pytest.approx(trace_product(other, state), abs=1e-4)
+        assert purity_overlap(grid, other) == pytest.approx(trace_product(state, other), abs=1e-4)
+        assert purity_overlap(other, grid) == pytest.approx(trace_product(other, state), abs=1e-4)
 
 
 def test_bare_grid_pairs_average_the_stored_phases():
-    grid = tomogram_grid(FockSuperposition((0.8, 0.0, 0.6)), phases=64)
-    bare = TomogramGrid(grid.phases, grid.xs, grid.values)
-    for a, b in ((bare, bare), (bare, grid)):
+    state = FockSuperposition((0.8, 0.0, 0.6))
+    grid = tomogram_grid(state, phases=64)
+    # the same grid twice, and two equal grids
+    for a, b in ((grid, grid), (grid, tomogram_grid(state, phases=64))):
         value, (r, wts) = _overlap_and_final_nodes(a, b)
-        assert value == _phase_sum(a, b, bare.phases, r, wts)
+        assert value == _phase_sum(a, b, grid.phases, r, wts)

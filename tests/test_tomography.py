@@ -18,14 +18,20 @@ from optomo import (
     TomogramGrid,
     fock,
     gaussian_row,
+    heisenberg_lhs,
     load_dataset_csv,
     load_tomogram_csv,
     optical_tomogram,
+    purity_classify,
+    purity_overlap,
     save_tomogram_csv,
+    state_label,
     symplectic_tomogram,
     thermal_state,
     tomogram_characteristic,
     tomogram_grid,
+    tomographic_moments,
+    trifonov_sweep,
     uniform_phases,
     vacuum,
 )
@@ -323,14 +329,27 @@ def test_grid_validation_rejects_bad_input():
         assert str(caught.value) == message
 
 
+@pytest.mark.parametrize("window", [(1.0, -1.0), (2.0, 2.0), (-1.0, 0.0, 1.0)])
+def test_a_window_that_is_not_an_increasing_pair_is_refused(window):
+    with pytest.raises(InputError, match="^invalid window"):
+        tomogram_grid(vacuum(), 4, window=window)
+
+
+@pytest.mark.parametrize("variance", [0.0, -0.5, np.array([[1.0], [0.0]])])
+def test_a_gaussian_row_needs_a_positive_variance(variance):
+    with pytest.raises(InputError, match="^variance must be > 0"):
+        gaussian_row(_XS, 0.0, variance)
+
+
 @pytest.mark.parametrize("source", ["junk", 1.0, np.zeros(2)])
-def test_grid_source_must_be_a_state_or_none(source):
-    with pytest.raises(InputError) as caught:
-        TomogramGrid([0.0], _XS, [_ROW], source=source)
-    assert str(caught.value) == f"source must be a state spec or None, got {type(source).__name__}"
-    with pytest.raises(InputError, match="expected a TomogramGrid or state"):
+def test_an_object_that_is_no_state_or_grid_is_refused_by_name(source):
+    name = type(source).__name__
+    with pytest.raises(InputError, match=f"expected a TomogramGrid or state, got {name}$"):
         tomogram_characteristic(source, 0.0, 1.0)
-    assert TomogramGrid([0.0], _XS, [_ROW], source=vacuum()).source == vacuum()
+    with pytest.raises(InputError, match=f"expected a TomogramGrid or state, got {name}$"):
+        symplectic_tomogram(source, 0.1, 1.0, 0.0)
+    with pytest.raises(InputError, match=f"expected a state, got {name}$"):
+        state_label(source)
 
 
 def test_grid_accepts_row_masses_within_the_tolerance():
@@ -542,7 +561,7 @@ def test_identity_direction_returns_the_stored_row():
     grid = tomogram_grid(vacuum(), phases=8)
     theta = float(grid.phases[2])
     x = 0.7
-    val = symplectic_tomogram(grid, x, math.cos(theta), math.sin(theta), exact=False)
+    val = symplectic_tomogram(grid, x, math.cos(theta), math.sin(theta))
     assert val == pytest.approx(float(np.interp(x, grid.xs, grid.values[2])), abs=1e-12)
 
 
@@ -550,29 +569,41 @@ def test_vacuum_scaling_closed_form():
     grid = tomogram_grid(vacuum(), phases=8)
     for x in (0.0, 0.8, -1.4):
         expected = 0.5 * SQRT_PI_INV * math.exp(-x * x / 4.0)
-        assert symplectic_tomogram(grid, x, 2.0, 0.0) == pytest.approx(expected, abs=1e-10)
-        assert symplectic_tomogram(grid, x, 2.0, 0.0, exact=False) == pytest.approx(
-            expected, abs=1e-3
-        )
+        assert symplectic_tomogram(vacuum(), x, 2.0, 0.0) == pytest.approx(expected, abs=1e-10)
+        assert symplectic_tomogram(grid, x, 2.0, 0.0) == pytest.approx(expected, abs=1e-3)
 
 
 def test_negative_direction_mirrors_the_position_density():
     state = GaussianState(1.0, 0.0, 1.0)
-    grid = tomogram_grid(state, phases=8)
     for x in (0.4, -0.9):
-        got = symplectic_tomogram(grid, x, -1.0, 0.0)
+        got = symplectic_tomogram(state, x, -1.0, 0.0)
         expected = SQRT_PI_INV * math.exp(-((-x) - 1.0) ** 2)
         assert got == pytest.approx(expected, abs=1e-10)
 
 
 @pytest.mark.parametrize("lam", [0.5, 2.0, 3.0])
 def test_scaling_homogeneity(lam):
-    grid = tomogram_grid(fock(1), phases=8)
-    for exact in (True, False):
+    state = fock(1)
+    grid = tomogram_grid(state, phases=8)
+    for source in (state, grid):
         for x, mu, nu in [(0.6, 1.0, 0.4), (-0.4, 0.3, -1.1), (0.2, -0.8, 0.5)]:
-            lhs = symplectic_tomogram(grid, lam * x, lam * mu, lam * nu, exact=exact)
-            rhs = symplectic_tomogram(grid, x, mu, nu, exact=exact) / lam
+            lhs = symplectic_tomogram(source, lam * x, lam * mu, lam * nu)
+            rhs = symplectic_tomogram(source, x, mu, nu) / lam
             assert lhs == pytest.approx(rhs, abs=1e-6)
+
+
+@given(
+    seed=hyp_st.integers(0, 2**32 - 1),
+    x=hyp_st.floats(-4.0, 4.0),
+    angle=hyp_st.floats(-2.0 * math.pi, 2.0 * math.pi),
+    length=hyp_st.floats(0.2, 5.0),
+)
+def test_a_state_gives_the_closed_form_symplectic_tomogram(seed, x, angle, length):
+    state = random_state(np.random.default_rng(seed))
+    mu, nu = length * math.cos(angle), length * math.sin(angle)
+    r = math.hypot(mu, nu)
+    want = float(state_row(state, math.atan2(nu, mu), np.array([x / r]))[0]) / r
+    assert symplectic_tomogram(state, x, mu, nu) == pytest.approx(want, rel=0.0, abs=1e-9)
 
 
 def test_zero_direction_rejected():
@@ -584,7 +615,7 @@ def test_zero_direction_rejected():
 def test_extrapolation_beyond_grid_rejected():
     grid = tomogram_grid(vacuum(), phases=4)
     with pytest.raises(ExtrapolationError):
-        symplectic_tomogram(grid, grid.xs[-1] * 2.0, 0.5, 0.0, exact=False)
+        symplectic_tomogram(grid, grid.xs[-1] * 2.0, 0.5, 0.0)
 
 
 # --------------------------------------------------------------------------
@@ -601,8 +632,7 @@ def test_characteristic_at_zero_is_normalization():
     for source in (vacuum(), fock(3), thermal_state(0.5)):
         assert tomogram_characteristic(source, 0.4, 0.0) == pytest.approx(1.0, abs=1e-10)
     grid = tomogram_grid(vacuum(), phases=4)
-    bare = TomogramGrid(grid.phases, grid.xs, grid.values)  # drop the source
-    assert tomogram_characteristic(bare, 0.0, 0.0) == pytest.approx(1.0, abs=1e-8)
+    assert tomogram_characteristic(grid, 0.0, 0.0) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_single_photon_characteristic_closed_form():
@@ -619,11 +649,10 @@ def test_single_photon_characteristic_closed_form():
 def test_grid_route_matches_state_route():
     state = FockSuperposition((0.8, 0.0, 0.6))
     grid = tomogram_grid(state, phases=8)
-    bare = TomogramGrid(grid.phases, grid.xs, grid.values)
     theta = float(grid.phases[5])
     rs = np.linspace(0.0, 8.0, 17)
     assert np.allclose(
-        tomogram_characteristic(bare, theta, rs),
+        tomogram_characteristic(grid, theta, rs),
         tomogram_characteristic(state, theta, rs),
         atol=1e-8,
     )
@@ -657,9 +686,8 @@ def test_phase_arrays_match_scalar_calls():
     fock_part = FockSuperposition((0.3, -0.5j, 0.7, 0.2 + 0.4j))
     mixture = MixedState(((0.4, fock_part), (0.6, GaussianState(0.7, -0.3, 1.9))))
     grid = tomogram_grid(FockSuperposition((0.8, 0.0, 0.6)), phases=8)
-    bare = TomogramGrid(grid.phases, grid.xs, grid.values)
     rs = np.linspace(0.0, 6.0, 13)
-    for source in (mixture, grid, bare):
+    for source in (mixture, grid):
         phases = np.concatenate([grid.phases, grid.phases + math.pi])  # mirrored half
         batch = tomogram_characteristic(source, phases, rs)
         assert batch.shape == (phases.size, rs.size)
@@ -673,22 +701,20 @@ def test_phase_arrays_match_scalar_calls():
 
 def test_bare_grid_characteristic_reads_phase_zero_across_the_seam():
     grid = tomogram_grid(GaussianState(0.8, -0.5, 2.0), phases=8)
-    bare = TomogramGrid(grid.phases, grid.xs, grid.values)
     rs = np.linspace(0.0, 3.0, 7)
-    at_zero = tomogram_characteristic(bare, 0.0, rs)
-    below_pi = tomogram_characteristic(bare, math.pi - 1e-12, rs)
+    at_zero = tomogram_characteristic(grid, 0.0, rs)
+    below_pi = tomogram_characteristic(grid, math.pi - 1e-12, rs)
     assert np.array_equal(below_pi.view(np.int64), np.conj(at_zero).view(np.int64))
-    below_zero = tomogram_characteristic(bare, -1e-12, rs)
+    below_zero = tomogram_characteristic(grid, -1e-12, rs)
     assert np.array_equal(below_zero.view(np.int64), at_zero.view(np.int64))
 
 
 def test_bare_grid_characteristic_is_the_trapezoid_sum_of_its_rows():
     grid = tomogram_grid(FockSuperposition((0.6, 0.3j, -0.5, 0.2)), phases=8)
-    bare = TomogramGrid(grid.phases, grid.xs, grid.values)
     rs = np.linspace(0.0, 5.0, 11)
-    weighted = bare.values * _trapezoid_weights(np.diff(bare.xs))
-    want = kernels.amplitude_rows(weighted.T, bare.xs, -1.0, rs).T
-    assert np.array_equal(tomogram_characteristic(bare, bare.phases, rs), want)
+    weighted = grid.values * _trapezoid_weights(np.diff(grid.xs))
+    want = kernels.amplitude_rows(weighted.T, grid.xs, -1.0, rs).T
+    assert np.array_equal(tomogram_characteristic(grid, grid.phases, rs), want)
 
 
 def test_nyquist_guard_on_coarse_grids():
@@ -716,6 +742,43 @@ def test_csv_round_trip_is_exact(tmp_path_factory, seed):
     assert np.array_equal(again.phases, grid.phases)
     assert np.array_equal(again.xs, grid.xs)
     assert np.array_equal(again.values, grid.values)
+
+
+def _outcome(call):
+    """What call() gives, comparable bit for bit: the result (arrays as their
+    bytes, anything else as its repr) or the type and text of what it raised,
+    and the text of every warning it gave."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = call()
+            result = result.tobytes() if isinstance(result, np.ndarray) else repr(result)
+        except Exception as exc:  # which exception is part of the outcome
+            result = (type(exc).__name__, str(exc))
+    return result, [str(w.message) for w in caught]
+
+
+@given(seed=hyp_st.integers(0, 2**32 - 1), n_phases=hyp_st.integers(16, 64))
+@example(seed=1115, n_phases=16)  # a squeezed state whose 16-phase overlap reads above 1
+def test_a_grid_gives_the_same_results_after_a_csv_round_trip(tmp_path_factory, seed, n_phases):
+    grid = tomogram_grid(random_state(np.random.default_rng(seed)), phases=n_phases)
+    path = tmp_path_factory.mktemp("csv") / "w.csv"
+    save_tomogram_csv(grid, path)
+    again = load_tomogram_csv(path)
+    rs = np.linspace(0.0, 6.0, 13)
+    probes = [(0.3, 0.7, 0.4), (-0.5, -1.0, 0.2), (1.1, 0.0, -2.0)]
+    phases = [float(t) for t in grid.phases[::5]] + [float(grid.phases[1]) + math.pi / 2.0]
+    calls = [
+        lambda g: purity_overlap(g, g),
+        lambda g: purity_classify(g),
+        lambda g: tomogram_characteristic(g, g.phases, rs),
+        lambda g: heisenberg_lhs(g),
+        lambda g: trifonov_sweep(g, g),
+    ]
+    calls += [lambda g, p=p: symplectic_tomogram(g, *p) for p in probes]
+    calls += [lambda g, t=t: tomographic_moments(g, t) for t in phases]
+    for call in calls:
+        assert _outcome(lambda: call(again)) == _outcome(lambda: call(grid))
 
 
 def test_tomogram_csv_lines_are_17_digit_renderings(tmp_path):
