@@ -1,14 +1,15 @@
 """Means and dispersions extracted from tomogram rows.
 
-All moments use Simpson's rule (``quadrature.simpson``).  A grid computes
-every row's mean and variance in one pass on its first moment query and
-keeps them (``TomogramGrid.row_moments``), with each row's moments as floats
-and a flag saying whether the window-coverage guard acts on it; a query at a
-grid phase is a lookup, two list reads and the mirror sign, and only a
-flagged row goes through the guard (on every query).  Loose rows
-(``row_mean``, ``row_variance``) are validated on every call.  Moments taken
-directly from a state bypass the stored grid through a dedicated fine row,
-so estimator accuracy is not tied to grid resolution.
+All moments are sums against the trapezoid weights that validate a row as a
+density (``tomography._trapezoid_moments``).  A grid computes every row's
+mean and variance in one pass on its first moment query and keeps them
+(``TomogramGrid.row_moments``), with each row's moments as floats and a flag
+saying whether the window-coverage guard acts on it; a query at a grid phase
+is a lookup, two list reads and the mirror sign, and only a flagged row goes
+through the guard (on every query).  Loose rows (``row_mean``,
+``row_variance``) are validated on every call.  Moments taken directly from a
+state bypass the stored grid through a dedicated fine row, so estimator
+accuracy is not tied to grid resolution.
 """
 
 from __future__ import annotations
@@ -19,9 +20,14 @@ import warnings
 import numpy as np
 
 from .errors import InputError, NumericalError, TruncationWarning
-from .quadrature import simpson_moments
 from .states import MomentSet, State, _as_points, _finite_real, grid_halfwidth
-from .tomography import TomogramGrid, _density_rows, _leaves_window, _state_row
+from .tomography import (
+    TomogramGrid,
+    _density_rows,
+    _leaves_window,
+    _state_row,
+    _trapezoid_moments,
+)
 
 __all__ = [
     "row_mean",
@@ -44,8 +50,8 @@ def _row_moments(xs, row):
         raise InputError("row and x grid must be matching 1-D arrays (>= 3 points)")
     if not (np.diff(xs) > 0.0).all():
         raise InputError("x grid must be strictly increasing")
-    rows, _ = _density_rows(row[None], np.diff(xs))
-    mean, var = simpson_moments(xs, rows[0])
+    rows, weights = _density_rows(row[None], np.diff(xs))
+    mean, var = _trapezoid_moments(xs, rows[0], weights)
     return xs, rows[0], float(mean), float(var)
 
 
@@ -70,7 +76,7 @@ def _guard_window(xs, row, mean, var):
 
 
 def row_mean(xs, row) -> float:
-    """integral w(X) X dX over the grid (Simpson)."""
+    """integral w(X) X dX over the grid (trapezoid)."""
     return _row_moments(xs, row)[2]
 
 

@@ -30,7 +30,9 @@ so a query just below pi (or 0) reads the stored phase 0, mirrored.
 A ``TomogramGrid`` is its stored rows, as a measured tomogram is: every
 function reads a grid through its rows alone, so a grid gives the same
 results before and after a CSV round trip.  A function with a closed form
-gets it by being handed the state itself.
+gets it by being handed the state itself.  Every integral over a stored row,
+its mass, mean, variance and characteristic function, is a sum against the
+row's trapezoid weights (``_trapezoid_weights``).
 """
 
 from __future__ import annotations
@@ -195,6 +197,17 @@ def _trapezoid_weights(steps):
     return weights
 
 
+def _trapezoid_moments(xs, values, weights):
+    """(mean, variance) of density rows along the last axis of values by the
+    trapezoid weights of xs; a variance that rounds below zero is clamped to 0.
+    Each sum is an elementwise product reduced along the last axis, so each
+    row of a 2-D ``values`` gets bitwise the moments it gets on its own."""
+    first = weights * xs
+    mean = np.sum(values * first, axis=-1)
+    var = np.sum(values * (first * xs), axis=-1) - mean * mean
+    return mean, np.where(var < 0.0, 0.0, var)
+
+
 def _density_rows(values, steps, phases=None):
     """(values clamped at zero, trapezoid weights) of 2-D finite rows on an x grid
     with these steps, each checked to be a density; ``phases`` names a failing row."""
@@ -302,11 +315,12 @@ class TomogramGrid:
 
     @cached_property
     def row_moments(self):
-        """(means, variances): every row's Simpson mean and variance, computed
-        in one pass on first use; variances are clamped at zero."""
+        """(means, variances): every row's mean and variance by the trapezoid
+        weights that validated it (``_trapezoid_moments``), computed in one
+        pass on first use; variances are clamped at zero."""
         if self.n_x < 3:
             raise InputError(f"moments need >= 3 points per row, the grid has {self.n_x}")
-        means, variances = quadrature.simpson_moments(self.xs, self.values)
+        means, variances = _trapezoid_moments(self.xs, self.values, self._weights)
         means.setflags(write=False)
         variances.setflags(write=False)
         return means, variances
@@ -449,21 +463,24 @@ def optical_tomogram(
     *,
     branch: str | None = None,
 ) -> np.ndarray:
-    """One tomogram row w(X, phase) of a pure state on the given X points.
+    """One tomogram row w(X, phase) of a state on the given X points.
 
     By default the row is the closed form: |sum_n c_n exp(-i n theta)
     psi_n(X)|^2 for a Fock superposition, the normal density with the
-    ``analytic_moments`` mean and variance for a Gaussian.  ``branch``
-    ("position" or "momentum") instead evaluates the oscillatory transform of
-    that wavefunction, refined until successive estimates differ by at most
-    1e-11 (``TRANSFORM_TOL``); it is an independent cross-check of the closed
-    form, valid wherever the branch is not singular (theta = 0 for
+    ``analytic_moments`` mean and variance for a Gaussian, the weighted sum
+    of its components' rows for a mixture.  ``branch`` ("position" or
+    "momentum") instead evaluates the oscillatory transform of a pure
+    state's wavefunction, refined until successive estimates differ by at
+    most 1e-11 (``TRANSFORM_TOL``); it is an independent cross-check of the
+    closed form, valid wherever the branch is not singular (theta = 0 for
     "position", pi/2 for "momentum").
     """
-    if not isinstance(state, (GaussianState, FockSuperposition)):
-        raise InputError(f"expected a pure state, got {type(state).__name__}")
+    if not isinstance(state, _STATE_TYPES):
+        raise InputError(f"expected a state, got {type(state).__name__}")
     if branch not in (None, "position", "momentum"):
         raise InputError(f"branch must be 'position' or 'momentum', got {branch!r}")
+    if branch is not None and isinstance(state, MixedState):
+        raise InputError("expected a pure state, got MixedState")
     pts = np.atleast_1d(_as_points(xs, "x points"))
     if branch is None:
         return _state_row(state, _finite_real("phase", phase), pts)

@@ -3,6 +3,8 @@ where it enters: a string, a bool, None, a NaN, an infinity or a 0-d array is
 an InputError whose message names the argument, and numpy's float and
 integer scalars give bitwise the results of the Python float they hold."""
 
+import contextlib
+import io
 import json
 import math
 
@@ -14,6 +16,7 @@ from optomo import (
     HomodyneDataset,
     InequalityReport,
     InputError,
+    MixedState,
     TomogramGrid,
     analytic_moments,
     empirical_trifonov,
@@ -29,11 +32,13 @@ from optomo import (
     operator_trifonov_lhs,
     optical_tomogram,
     purity_classify,
+    purity_overlap,
     row_mean,
     row_variance,
     sample,
     save_dataset_csv,
     state_from_dict,
+    state_to_dict,
     symplectic_tomogram,
     tomogram_characteristic,
     tomogram_grid,
@@ -416,3 +421,61 @@ def test_a_path_holding_a_nul_byte_is_an_input_error_naming_it(load):
     # open raises ValueError, not OSError, for such a path
     with pytest.raises(InputError, match="^cannot read .*a\x00b: embedded null byte"):
         load("a\0b")
+
+
+def _cli_input_error(argv):
+    """Run main(argv) and raise again the InputError it reported: main
+    prints it on one stderr line and exits 2."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        status = main(argv)
+    lines = err.getvalue().splitlines()
+    assert status == 2 and len(lines) == 1 and lines[0].startswith("input error: ")
+    raise InputError(lines[0].removeprefix("input error: "))
+
+
+MIXTURE = MixedState(((0.5, vacuum()), (0.5, FockSuperposition((0.0, 1.0)))))
+REFUSALS = [
+    ("out path with a NUL",
+     lambda: _cli_input_error(["tomogram", "--state", "s.json", "--out", "a\0b"]),
+     "cannot resolve a path of tomogram: embedded null byte"),
+    ("dataset of mismatched arrays", lambda: HomodyneDataset([0.0, 0.5], [0.1], 0, "x"),
+     "thetas and xs must be matching 1-D arrays"),
+    ("schedule entry not a pair", lambda: sample(vacuum(), [0.5], seed=1),
+     "schedule entries must be (phase, count) pairs"),
+    ("empty report", lambda: InequalityReport.from_dict({}), "report is missing field 'kind'"),
+    ("mismatched loose row", lambda: row_mean(XS, ROW[:-1]),
+     "row and x grid must be matching 1-D arrays (>= 3 points)"),
+    ("2-point loose row", lambda: row_mean([0.0, 1.0], [1.0, 1.0]),
+     "row and x grid must be matching 1-D arrays (>= 3 points)"),
+    ("overlap on non-uniform phases", lambda: purity_overlap(GRID, vacuum()),
+     "overlap integration needs phases uniform on [0, pi) starting at 0"),
+    ("mixture component not a pair", lambda: MixedState((vacuum(),)),
+     "components must be (weight, state) pairs"),
+    ("mixture of nothing", lambda: MixedState(()), "mixture needs at least one component"),
+    ("position wavefunction of a mixture", lambda: eval_position_wavefunction(MIXTURE, 0.0),
+     "expected a pure state, got MixedState"),
+    ("momentum wavefunction of a mixture", lambda: eval_momentum_wavefunction(MIXTURE, 0.0),
+     "expected a pure state, got MixedState"),
+    ("spec of a non-state", lambda: state_to_dict(42), "expected a state, got int"),
+    ("spec not an object", lambda: state_from_dict([]), "state spec must be a JSON object, got list"),
+    ("fock coeffs not a list", lambda: state_from_dict({"type": "fock", "coeffs": "1"}),
+     "fock state: coeffs must be a list of [re, im] pairs"),
+    ("mixed components not a list", lambda: state_from_dict({"type": "mixed", "components": {}}),
+     "mixed state: components must be a non-empty list"),
+    ("mixed component not an object", lambda: state_from_dict({"type": "mixed", "components": [1]}),
+     "mixed state: each component must be an object"),
+    ("unknown branch", lambda: optical_tomogram(vacuum(), 0.3, XS, branch="x"),
+     "branch must be 'position' or 'momentum', got 'x'"),
+    ("2-D phases", lambda: tomogram_grid(vacuum(), [[0.0, 0.5]]),
+     "phases must be an integer count or a 1-D list of finite real numbers"),
+    ("grid of a non-state", lambda: tomogram_grid(42), "expected a state, got int"),
+]
+
+
+@pytest.mark.parametrize("call, message", [case[1:] for case in REFUSALS],
+                         ids=[case[0] for case in REFUSALS])
+def test_each_refusal_is_an_input_error_with_its_message(call, message):
+    with pytest.raises(InputError) as info:
+        call()
+    assert str(info.value) == message

@@ -553,6 +553,24 @@ def test_thermal_tomogram_converges_to_gaussian_density():
         assert np.max(np.abs(row - oracle)) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "state",
+    [thermal_state(1.0),
+     MixedState(((0.3, GaussianState(0.4, -0.2, 1.7)),
+                 (0.7, FockSuperposition((0.5, 0.3j, -0.4)))))],
+    ids=["thermal", "gaussian+fock"],
+)
+def test_a_mixture_row_is_the_weighted_sum_of_its_component_rows(state):
+    xs = np.linspace(-8, 8, 161)
+    for theta in (0.0, 1.0, 4.0):
+        want = sum(w * optical_tomogram(s, theta, xs) for w, s in state.components)
+        assert np.max(np.abs(optical_tomogram(state, theta, xs) - want)) <= 1e-15
+    # the transform reads a wavefunction, which only a pure state has
+    for branch in ("position", "momentum"):
+        with pytest.raises(InputError, match="^expected a pure state, got MixedState$"):
+            optical_tomogram(state, 1.0, xs, branch=branch)
+
+
 # --------------------------------------------------------------------------
 # symplectic rescaling
 # --------------------------------------------------------------------------
