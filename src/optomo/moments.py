@@ -15,6 +15,7 @@ accuracy is not tied to grid resolution.
 from __future__ import annotations
 
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -55,6 +56,16 @@ def _row_moments(xs, row):
     return xs, rows[0], float(mean), float(var)
 
 
+def _caller_stacklevel():
+    """The ``stacklevel`` that makes a warning raised by the caller of this
+    function point at the first frame outside the package: the frame that
+    called into optomo, however deep the package's own calls go."""
+    frame, level = sys._getframe(1), 1
+    while frame.f_back is not None and frame.f_globals.get("__package__") == __package__:
+        frame, level = frame.f_back, level + 1
+    return level
+
+
 def _guard_window(xs, row, mean, var):
     """Warn (or raise, when the boundary density is not negligible) if the
     window does not cover mean +/- 6 sigma of the row (``_leaves_window``)."""
@@ -71,7 +82,7 @@ def _guard_window(xs, row, mean, var):
             f"grid window is narrower than 6 sigma around mean {mean:.4g}; "
             "variance may be slightly truncated",
             TruncationWarning,
-            stacklevel=3,  # the caller of the public moment function
+            stacklevel=_caller_stacklevel(),
         )
 
 

@@ -121,9 +121,14 @@ class FockSuperposition:
         if not cs:
             raise InputError("coeffs must be non-empty")
         _check_cutoff(len(cs) - 1)
-        norm = math.sqrt(sum(abs(v) ** 2 for v in cs))
+        try:
+            norm = math.sqrt(sum(abs(v) ** 2 for v in cs))
+        except OverflowError:  # a square past the float range
+            norm = math.inf
         if norm < 1e-12:
             raise InputError("coeffs have (numerically) zero norm")
+        if norm == math.inf:
+            raise InputError("coeffs have (numerically) infinite norm")
         if abs(norm - 1.0) > 1e-14:
             cs = tuple(v / norm for v in cs)
         object.__setattr__(self, "coeffs", cs)
@@ -333,17 +338,27 @@ def _compute_moments(state):
     if isinstance(state, GaussianState):
         return state.mean_q, state.mean_p, 0.5 * state.squeeze, 0.5 / state.squeeze, 0.0
     if isinstance(state, FockSuperposition):
-        c = state.coeff_array()
-        n = np.arange(c.size)
-        a1 = complex(np.sum(np.conj(c[:-1]) * c[1:] * np.sqrt(n[1:])))
-        a2 = complex(np.sum(np.conj(c[:-2]) * c[2:] * np.sqrt(n[2:] * (n[2:] - 1))))
-        x2 = 0.5 + float(np.sum(n * np.abs(c) ** 2))
+        # one pass over the coefficients, c_(n-2) and c_(n-1) carried along
+        a1 = a2 = before = last = 0j
+        number = 0.0
+        for n, c in enumerate(state.coeffs):
+            a1 += last.conjugate() * c * math.sqrt(n)
+            a2 += before.conjugate() * c * math.sqrt(n * (n - 1))
+            number += n * (c.real * c.real + c.imag * c.imag)
+            before, last = last, c
+        x2 = 0.5 + number
         mq, mp = math.sqrt(2.0) * a1.real, math.sqrt(2.0) * a1.imag
         return mq, mp, x2 + a2.real - mq * mq, x2 - a2.real - mp * mp, a2.imag - mq * mp
-    w = np.array([weight for weight, _ in state.components])
-    mq, mp, vq, vp, cqp = np.array([_mean_and_covariance(s) for _, s in state.components]).T
-    dq, dp = mq - w @ mq, mp - w @ mp
-    return w @ mq, w @ mp, w @ (vq + dq * dq), w @ (vp + dp * dp), w @ (cqp + dq * dp)
+    parts = [(w, _mean_and_covariance(s)) for w, s in state.components]
+    mq = sum(w * m[0] for w, m in parts)
+    mp = sum(w * m[1] for w, m in parts)
+    vq = vp = cqp = 0.0
+    for w, (q, p, sq, sp, sc) in parts:
+        dq, dp = q - mq, p - mp
+        vq += w * (sq + dq * dq)
+        vp += w * (sp + dp * dp)
+        cqp += w * (sc + dq * dp)
+    return mq, mp, vq, vp, cqp
 
 
 def _gaussian_overlap(a, b):

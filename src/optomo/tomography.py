@@ -200,12 +200,15 @@ def _trapezoid_weights(steps):
 def _trapezoid_moments(xs, values, weights):
     """(mean, variance) of density rows along the last axis of values by the
     trapezoid weights of xs; a variance that rounds below zero is clamped to 0.
-    Each sum is an elementwise product reduced along the last axis, so each
-    row of a 2-D ``values`` gets bitwise the moments it gets on its own."""
+    Each sum is an elementwise product (the second written over the first)
+    reduced along the last axis, so each row of a 2-D ``values`` gets bitwise
+    the moments it gets on its own."""
     first = weights * xs
-    mean = np.sum(values * first, axis=-1)
-    var = np.sum(values * (first * xs), axis=-1) - mean * mean
-    return mean, np.where(var < 0.0, 0.0, var)
+    product = values * first
+    mean = product.sum(axis=-1)
+    np.multiply(values, first * xs, out=product)
+    var = product.sum(axis=-1) - mean * mean
+    return mean, np.maximum(var, 0.0)
 
 
 def _density_rows(values, steps, phases=None):
@@ -293,7 +296,7 @@ class TomogramGrid:
     @cached_property
     def _row_of(self):
         """Stored phase -> row index."""
-        return {theta: i for i, theta in enumerate(self.phases.tolist())}
+        return dict(zip(self.phases.tolist(), range(self.n_phases)))
 
     def lookup(self, phase: float):
         """(index, mirrored): the stored phase that answers any real phase on
@@ -353,7 +356,7 @@ def _fock_rows(coeffs, reduced, mirrored, herm):
     coefficients c_n exp(-i n theta_i), with the odd ones negated on mirrored
     phases since psi_n(-X) = (-1)^n psi_n(X).  H is real, so the row is
     (Re C @ H)^2 + (Im C @ H)^2: one real product of Re C stacked over Im C,
-    squared and summed in place, with no complex copy of H."""
+    squared in place, its two halves summed, with no complex copy of H."""
     n = np.arange(coeffs.size)
     rotated = coeffs * np.exp(reduced[:, None] * (-1j * n))
     if mirrored.any():
@@ -361,11 +364,8 @@ def _fock_rows(coeffs, reduced, mirrored, herm):
     k = reduced.size
     parts = rotated.view(float).reshape(k, n.size, 2).transpose(2, 0, 1).reshape(2 * k, n.size)
     amp = parts @ herm[: n.size]
-    rows, imag = amp[:k], amp[k:]
-    rows *= rows
-    imag *= imag
-    rows += imag
-    return rows
+    amp *= amp
+    return amp[:k] + amp[k:]
 
 
 def _state_rows(state, phases, xs) -> np.ndarray:

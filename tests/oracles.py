@@ -157,3 +157,26 @@ def trace_product(a, b):
             for wj, phi in parts(b)
         )
     )
+
+
+def array_mean_and_covariance(state):
+    """(mean_q, mean_p, var_q, var_p, cov_qp) by whole-array formulas: a Fock
+    superposition's ladder sums <a>, <a^2> and <n> as numpy sums over the
+    coefficient vector, a mixture's law of total covariance as dot products
+    over its components' rows, a Gaussian's the closed form."""
+    if isinstance(state, GaussianState):
+        return state.mean_q, state.mean_p, 0.5 * state.squeeze, 0.5 / state.squeeze, 0.0
+    if isinstance(state, FockSuperposition):
+        c = np.asarray(state.coeffs, dtype=complex)
+        n = np.arange(c.size)
+        a1 = complex(np.sum(np.conj(c[:-1]) * c[1:] * np.sqrt(n[1:])))
+        a2 = complex(np.sum(np.conj(c[:-2]) * c[2:] * np.sqrt(n[2:] * (n[2:] - 1))))
+        x2 = 0.5 + float(np.sum(n * np.abs(c) ** 2))
+        mq, mp = math.sqrt(2.0) * a1.real, math.sqrt(2.0) * a1.imag
+        return mq, mp, x2 + a2.real - mq * mq, x2 - a2.real - mp * mp, a2.imag - mq * mp
+    w = np.array([weight for weight, _ in state.components])
+    mq, mp, vq, vp, cqp = np.array(
+        [array_mean_and_covariance(s) for _, s in state.components]
+    ).T
+    dq, dp = mq - w @ mq, mp - w @ mp
+    return w @ mq, w @ mp, w @ (vq + dq * dq), w @ (vp + dp * dp), w @ (cqp + dq * dp)

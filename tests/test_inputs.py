@@ -479,3 +479,25 @@ def test_each_refusal_is_an_input_error_with_its_message(call, message):
     with pytest.raises(InputError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("part", [1e154, 1e200])
+def test_fock_coefficients_whose_norm_overflows_are_refused(tmp_path, part):
+    # the squared norm is inf at 1e154 and raises OverflowError at 1e200
+    spec = {"type": "fock", "coeffs": [[part, 0.0], [part, 0.0]]}
+    message = "coeffs have (numerically) infinite norm"
+    with pytest.raises(InputError) as info:
+        state_from_dict(spec)
+    assert str(info.value) == message
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps(spec))
+    for argv in (["state", "validate"], ["check", "heisenberg"]):
+        with pytest.raises(InputError) as info:
+            _cli_input_error([*argv, "--state", str(path)])
+        assert str(info.value) == message
+
+
+def test_fock_coefficients_with_a_large_finite_norm_are_divided_by_it():
+    big = FockSuperposition((1e153, 1e153j))
+    norm = math.sqrt(2.0 * 1e153 ** 2)
+    assert big.coeffs == (1e153 / norm + 0j, 1e153j / norm)

@@ -24,6 +24,8 @@ from optomo import (
     tomographic_mean,
     tomographic_moments,
     tomographic_variance,
+    trifonov_lhs,
+    trifonov_sweep,
     vacuum,
 )
 from optomo.moments import STATE_ROW_POINTS, _guard_window, _row_moments
@@ -359,3 +361,24 @@ def test_moment_lookup_requires_grid_phase():
     grid = tomogram_grid(vacuum(), phases=4)
     with pytest.raises(InputError, match="not on the grid"):
         tomographic_variance(grid, 0.123)
+
+
+NARROW_VACUUM = tomogram_grid(vacuum(), phases=16, window=(-4.0, 4.0))
+WARNING_CALLS = {
+    "tomographic_variance": lambda: tomographic_variance(NARROW_VACUUM, 0.0),
+    "tomographic_moments": lambda: tomographic_moments(NARROW_VACUUM, 0.0),
+    "heisenberg_lhs": lambda: heisenberg_lhs(NARROW_VACUUM),
+    "trifonov_lhs": lambda: trifonov_lhs(NARROW_VACUUM, NARROW_VACUUM, math.pi / 16.0),
+    "trifonov_sweep": lambda: trifonov_sweep(NARROW_VACUUM, NARROW_VACUUM),
+}
+
+
+@pytest.mark.parametrize("name", WARNING_CALLS)
+def test_a_truncation_warning_points_at_the_caller_outside_the_package(name):
+    # every row of the narrowed window is flagged, so every variance read warns
+    assert all(NARROW_VACUUM._moment_table[2])
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        WARNING_CALLS[name]()
+    assert caught
+    assert all(w.category is TruncationWarning and w.filename == __file__ for w in caught)

@@ -26,6 +26,7 @@ from optomo import (
 )
 from optomo import states
 from oracles import (
+    array_mean_and_covariance,
     fourier_transform_minus,
     hermite_psi,
     random_fock,
@@ -426,3 +427,34 @@ def test_a_state_keeping_its_mean_and_covariance_equals_and_hashes_like_a_fresh_
         assert repr(kept) == repr(fresh)
         assert state_to_dict(kept) == state_to_dict(fresh)
         assert json.dumps(state_to_dict(kept)) == json.dumps(state_to_dict(fresh))
+
+
+# --------------------------------------------------------------------------
+# scalar ladder sums against the whole-array formulas
+# --------------------------------------------------------------------------
+
+def _assert_moments_match_the_array_formula(state):
+    """The five numbers of ``_mean_and_covariance`` equal those of the
+    whole-array formulas within 16 eps (1 + Vq + Vp); a Gaussian's bitwise."""
+    got, want = states._mean_and_covariance(state), array_mean_and_covariance(state)
+    if isinstance(state, GaussianState):
+        assert got == want
+        return
+    tol = 16.0 * np.finfo(float).eps * (1.0 + want[2] + want[3])
+    assert max(abs(a - b) for a, b in zip(got, want)) <= tol, (got, want)
+
+
+@given(seed=st.integers(0, 2**32 - 1))
+def test_moments_of_random_states_match_the_array_formula(seed):
+    _assert_moments_match_the_array_formula(random_state(np.random.default_rng(seed)))
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_moments_of_cutoff_64_superpositions_match_the_array_formula(seed):
+    rng, size = np.random.default_rng(seed), states.MAX_FOCK_CUTOFF + 1
+    coeffs = rng.normal(size=size) + 1j * rng.normal(size=size)
+    _assert_moments_match_the_array_formula(FockSuperposition(tuple(coeffs)))
+
+
+def test_moments_of_a_thermal_state_match_the_array_formula():
+    _assert_moments_match_the_array_formula(thermal_state(2.35))
