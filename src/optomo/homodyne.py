@@ -7,10 +7,10 @@ mean vector and covariance at that phase; no table is built.  Every other
 state (Fock superpositions, and every mixture, Gaussian components included)
 is sampled by inverse-CDF lookup on a finely tabulated tomogram row (4097
 points over the 8-sigma window keeps the CDF interpolation error well under
-1e-4 in probability).  Each ``sample`` call tabulates the rows of its
-schedule's distinct reduced phases in one batched row evaluation, and builds
-each row's lookup once, just before the entries that use it, and drops it
-before the next.  The lookup is a guide table (Chen & Asau 1974; Devroye
+1e-4 in probability).  Each ``sample`` call tabulates the rows that its
+schedule's entries share in one batched row evaluation, and builds each
+row's lookup once, just before the entries that use it, and drops it before
+the next.  The lookup is a guide table (Chen & Asau 1974; Devroye
 1986, sec. III.2.4): the uniform draw's bin among 2 * (CDF_POINTS - 1) equal
 bins of [0, 1) names the knot interval, so each shot costs a few array reads
 instead of a binary search, and the result is bitwise what ``np.interp``
@@ -19,19 +19,23 @@ buffers kept with the lookup, so apart from the records a ``sample`` call's
 memory does not grow with the shot count.  A schedule phase outside [0, pi)
 is reduced through the parity rule w(X, theta + pi) = w(-X, theta): a shot x
 at theta + pi is the record (theta, -x), so its records are drawn and stored
-at the reduced phase.  The RNG is numpy's PCG64 seeded through SeedSequence,
-with one spawned child stream per schedule entry, so a (state, schedule,
-seed) triple reproduces the dataset bit for bit.  A dataset stores its
-phases as runs of records at one phase, as ``sample`` writes them (one run
-per group of consecutive entries at one reduced phase), and derives the
-per-record ``thetas`` only when it is read; queries, moments and the CSV
-writer work on the runs.  A dataset computes the moments of each set of
-matching runs once and keeps them.
+at the reduced phase.  Entries whose reduced phases lie within PHASE_TOL of
+each other (0.3 and 0.3 + pi, which reduces to 0.2999999999999998) share one
+row, stored at the first such entry's phase.  The RNG is numpy's SFC64
+seeded through SeedSequence, with one spawned child stream per schedule
+entry, so a (state, schedule, seed) triple reproduces the dataset bit for
+bit; SFC64 replaced PCG64 because its normal draws cost less (README
+"Performance").  A dataset stores its phases as runs of records at one
+phase, as ``sample`` writes them (one run per group of consecutive entries
+that share a row), and derives the per-record ``thetas`` only when it is
+read; queries, moments and the CSV writer work on the runs.  A dataset
+computes the moments of each set of matching runs once and keeps them.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
@@ -77,7 +81,7 @@ __all__ = [
     "load_dataset_csv",
 ]
 
-GENERATOR_NAME = "numpy-PCG64(SeedSequence-spawn-per-phase)"
+GENERATOR_NAME = "numpy-SFC64(SeedSequence-spawn-per-phase)"
 MIN_SAMPLES = 30
 STDERR_SIGMAS = 3.0  # the dataset check allows this many standard errors
 CDF_POINTS = 4097  # CDF_POINTS - 1 must be a power of two: see _inverse_cdf
@@ -116,8 +120,8 @@ class HomodyneDataset:
     The phases are stored as runs, ``_runs = (phases, bounds)``: run k is
     records bounds[k]:bounds[k + 1], all at phases[k], split on the bits so
     that 0.0 and -0.0 keep separate runs that every query matches alike.
-    ``sample`` writes one run per group of consecutive schedule entries at
-    one reduced phase; the constructor splits the ``thetas`` it is given.
+    ``sample`` writes one run per group of consecutive schedule entries that
+    share a row; the constructor splits the ``thetas`` it is given.
     The per-record array ``thetas`` is derived from the runs on first read,
     bitwise the array the records were made from, and read-only.
     """
@@ -392,21 +396,45 @@ def _row_draws(state, phases):
     return lambda k: _table_draw(cdf[k], xs)
 
 
+def _shared_rows(reduced):
+    """(rows, row_of): the increasing phases of the rows that schedule entries
+    at the reduced phases ``reduced`` share, and each entry's row.
+
+    An entry within PHASE_TOL of a row's phase (the direct gap: the seam at
+    0 = pi is not crossed) shares that row, the nearer if two are; any other
+    entry opens a row at its own phase.  So a row keeps its first entry's
+    reduced phase, rows lie more than PHASE_TOL apart, and theta + pi, which
+    ``wrap_phase`` may reduce to a float beside theta, shares theta's row.
+    """
+    rows, picked = [], []
+    for phase in reduced:
+        i = bisect_left(rows, phase)
+        near = [row for row in rows[max(i - 1, 0):i + 1] if abs(row - phase) <= PHASE_TOL]
+        if near:
+            phase = min(near, key=lambda row: abs(row - phase))
+        else:
+            rows.insert(i, phase)
+        picked.append(phase)
+    rows = np.array(rows)
+    return rows, rows.searchsorted(picked)
+
+
 def sample(state: State, phase_schedule, seed: int) -> HomodyneDataset:
     """Draw quadrature samples for each (phase, count) entry of the schedule.
 
-    Deterministic: the seed and schedule fully determine the dataset.  Each
-    of the schedule's distinct reduced phases gets one draw (``_row_draws``),
-    built just before the entries at that phase and dropped before the next
-    phase's, and each entry's draw writes straight into its slice of the
-    records.  A Gaussian state's draws are sigma * z + mean from the closed
-    form, with no table.  Any other state's CDFs are tabulated in one pass
+    Deterministic: the seed and schedule fully determine the dataset.
+    Entries whose reduced phases lie within PHASE_TOL of each other share one
+    row (``_shared_rows``).  Each row gets one draw (``_row_draws``), built
+    just before the entries that share it and dropped before the next row's,
+    and each entry's draw writes straight into its slice of the records.  A
+    Gaussian state's draws are sigma * z + mean from the closed form, with
+    no table.  Any other state's CDFs are tabulated in one pass
     and each is inverted by guide-table lookup (``_inverse_cdf``, bitwise
     ``np.interp``) in fixed blocks, so at most one lookup is alive and the
     working memory beside the records stays fixed; nothing is kept between
     calls.  A phase outside [0, pi) (any finite phase below MAX_PHASE in
-    magnitude) is reduced mod pi, and its records are drawn and stored at the
-    reduced phase: by the parity rule a shot x at theta + pi is the record
+    magnitude) is reduced mod pi, and its records are drawn and stored at its
+    row's phase: by the parity rule a shot x at theta + pi is the record
     (theta, -x), and -x follows the law at theta.  Counts and the seed may be
     any integers (numpy's included) but bools.
     """
@@ -431,9 +459,7 @@ def sample(state: State, phase_schedule, seed: int) -> HomodyneDataset:
     starts = list(accumulate((count for _, count in parsed), initial=0))
     if starts[-1] > _MAX_COUNT:
         raise InputError(f"{starts[-1]} samples are more than an array can address")
-    # entries at one reduced phase share a row
-    entry_phases = np.array([phase for phase, _ in parsed])
-    distinct, row_of = np.unique(entry_phases, return_inverse=True)
+    distinct, row_of = _shared_rows([phase for phase, _ in parsed])
     draw_of = _row_draws(state, distinct)
     children = np.random.SeedSequence(seed_value).spawn(len(parsed))
     values = np.empty(starts[-1])
@@ -446,11 +472,11 @@ def sample(state: State, phase_schedule, seed: int) -> HomodyneDataset:
     for row, entries in enumerate(entries_of):
         draw = draw_of(row)
         for entry in entries:
-            generator = np.random.Generator(np.random.PCG64(children[entry]))
+            generator = np.random.Generator(np.random.SFC64(children[entry]))
             draw(generator, values[starts[entry]:starts[entry + 1]])
         del draw  # before the next row's lookup is built
-    # consecutive entries at one reduced phase make one run of records
-    phases, first_entries = _split_runs(entry_phases)
+    # consecutive entries that share a row make one run of records
+    phases, first_entries = _split_runs(distinct[row_of])
     bounds = np.array(starts)[first_entries]
     return HomodyneDataset._adopt(phases, bounds, values, seed_value, state_label(state))
 

@@ -122,7 +122,8 @@ def test_guide_table_is_bitwise_searchsorted(seed, phase, n_knots):
 def test_sampled_records_are_the_per_entry_draws_in_schedule_order(monkeypatch):
     # counts one short of, at, one past and past twice a block of draws; 0.5
     # recurs non-adjacently and as 0.5 + pi.  0.5 + pi and 2.0 + pi reduce to
-    # 0.5 and 2.0 exactly, and -0.0 == 0.0
+    # 0.5 and 2.0 exactly, and -0.0 == 0.0; 0.3 + pi reduces to
+    # 0.2999999999999998, within PHASE_TOL of 0.3, so it shares 0.3's row
     block = INVERT_BLOCK
     schedule = [
         (0.5, block + 1),
@@ -131,6 +132,8 @@ def test_sampled_records_are_the_per_entry_draws_in_schedule_order(monkeypatch):
         (0.5 + math.pi, block - 1),
         (2.0, 2 * block + 3),
         (0.0, 60),
+        (0.3, 40),
+        (0.3 + math.pi, 50),
         (0.5, 1),
     ]
     states = (
@@ -140,7 +143,7 @@ def test_sampled_records_are_the_per_entry_draws_in_schedule_order(monkeypatch):
             ((0.4, FockSuperposition((0.6, 0.0, 0.8))), (0.6, GaussianState(0.3, -0.2, 1.5)))
         ),
     )
-    distinct = np.array([0.0, 0.5, 2.0])
+    distinct = np.array([0.0, 0.3, 0.5, 2.0])
     calls = []
 
     def recording_rows(st, phases, xs):
@@ -170,12 +173,17 @@ def test_sampled_records_are_the_per_entry_draws_in_schedule_order(monkeypatch):
         thetas, xs = [], []
         for (phase, count), child in zip(schedule, children):
             reduced, _ = wrap_phase(phase)
-            row = np.flatnonzero(distinct == reduced)[0]
-            xs.append(draws(row, np.random.Generator(np.random.PCG64(child)), count))
-            thetas.append(np.full(count, reduced))
+            row = np.flatnonzero(np.abs(distinct - reduced) <= PHASE_TOL)[0]
+            xs.append(draws(row, np.random.Generator(np.random.SFC64(child)), count))
+            thetas.append(np.full(count, distinct[row]))
         assert np.array_equal(ds.thetas.view(np.int64), np.concatenate(thetas).view(np.int64))
         assert np.array_equal(ds.xs.view(np.int64), np.concatenate(xs).view(np.int64))
         assert not ds.thetas.flags.writeable and not ds.xs.flags.writeable
+        # 0.3 and 0.3 + pi are one run, read in place
+        phases, bounds = ds._runs
+        assert phases.tolist() == [0.5, 2.0, 0.0, 0.5, 2.0, 0.0, 0.3, 0.5]
+        assert bounds[7] - bounds[6] == 90
+        assert ds.values_at(0.3).base is ds.xs
 
 
 def _normal_ks_distance(values, mean, variance):
@@ -202,6 +210,41 @@ def test_gaussian_records_follow_the_exact_normal_law(state, seed):
         values = ds.values_at(phase)
         assert values.size == n
         assert _normal_ks_distance(values, want.mean, want.variance) < critical, phase
+
+
+def _ks_distance(cdf_values):
+    """The Kolmogorov-Smirnov distance of a sample whose sorted values have
+    the model CDF values ``cdf_values`` from that model."""
+    n = cdf_values.size
+    return max(np.max(np.arange(1, n + 1) / n - cdf_values), np.max(cdf_values - np.arange(n) / n))
+
+
+@pytest.mark.parametrize(
+    "state, seed",
+    [
+        (FockSuperposition((0.5, 0.3j, -0.4, 0.2)), 23),
+        (
+            MixedState(
+                ((0.4, FockSuperposition((0.6, 0.0, 0.8))), (0.6, GaussianState(0.3, -0.2, 1.5)))
+            ),
+            24,
+        ),
+    ],
+    ids=["fock-superposition", "fock+gaussian"],
+)
+def test_table_records_follow_their_tabulated_law(state, seed):
+    # the uniform stream and the guide-table inversion together: each run's
+    # records against the CDF row it was drawn from, linear between knots
+    phases = [0.0, 0.7, HALF_PI, 2.6, 1.9 + math.pi, np.nextafter(math.pi, 0.0)]
+    n = 20_000
+    ds = sample(state, [(phase, n) for phase in phases], seed=seed)
+    stored, bounds = ds._runs
+    assert np.array_equal(np.diff(bounds), np.full(len(phases), n))
+    cdf, xs = _tabulated_cdf(state, stored)
+    critical = math.sqrt(-math.log(1e-3 / 2.0) / 2.0) / math.sqrt(n)  # KS at alpha = 1e-3
+    for k, phase in enumerate(stored.tolist()):
+        records = np.sort(ds.xs[bounds[k]:bounds[k + 1]])
+        assert _ks_distance(np.interp(records, xs, cdf[k])) < critical, phase
 
 
 @pytest.mark.parametrize(
@@ -260,6 +303,21 @@ def test_cdf_tables_are_monotone_without_a_running_maximum(kind, seed, phases):
     cdf, _ = _tabulated_cdf(_TABLE_STATES[kind](np.random.default_rng(seed)), phases)
     assert np.all(cdf[:, 0] == 0.0) and np.all(cdf[:, -1] == 1.0)
     assert np.all(np.diff(cdf, axis=1) >= 0.0)
+
+
+def test_entries_within_phase_tol_share_one_row_at_the_first_phase():
+    # a row keeps its first entry's phase; 1.0 + 1.8e-9 is farther than
+    # PHASE_TOL from the row at 1.0, and the seam at 0 = pi is not crossed
+    below_pi = np.nextafter(math.pi, 0.0)
+    reduced = [wrap_phase(0.3 + math.pi)[0], 0.3, 1.0, 1.0 + 0.9e-9, 1.0 + 1.8e-9, below_pi, 0.0]
+    rows, row_of = homodyne._shared_rows(reduced)
+    assert reduced[0] == 0.2999999999999998
+    assert rows.tolist() == [0.0, reduced[0], 1.0, 1.0 + 1.8e-9, below_pi]
+    assert row_of.tolist() == [1, 1, 2, 2, 3, 4, 0]
+    ds = sample(fock(1), [(0.3 + math.pi, 40), (0.3, 50), (0.3 - 1e-10, 60), (0.0, 40)], seed=3)
+    phases, bounds = ds._runs
+    assert phases.tolist() == [reduced[0], 0.0] and bounds.tolist() == [0, 150, 190]
+    assert estimate_moments(ds, 0.3).count == estimate_moments(ds, 0.3 + math.pi).count == 150
 
 
 def test_consecutive_entries_at_one_reduced_phase_make_one_run():
@@ -689,7 +747,7 @@ def test_dataset_metadata_content(tmp_path):
     meta = json.loads((tmp_path / "d.json").read_text())
     assert meta["seed"] == 4
     assert "gaussian" in meta["state_label"]
-    assert "PCG64" in meta["generator"]
+    assert "SFC64" in meta["generator"]
 
 
 def test_a_dataset_path_that_is_its_own_sidecar_is_refused(tmp_path):
