@@ -20,7 +20,7 @@ from .errors import InputError
 from .moments import tomographic_variance
 from .states import State, _as_points, _finite_real, analytic_moments
 from .tomography import (
-    DEFAULT_N_PHASES, PHASE_TOL, TomogramGrid, _nearest_phase, uniform_phases, wrap_phase
+    DEFAULT_N_PHASES, PHASE_TOL, TomogramGrid, _nearest_phase, uniform_phases
 )
 
 __all__ = [
@@ -97,10 +97,10 @@ def _report(kind, phase, lhs, tolerance, stderr=None):
 
 def _variance(source, phase: float) -> float:
     """Var at a real ``phase``: a grid's from its stored rows, any other source's
-    from the closed form at the reduced phase (InputError for a non-state)."""
+    from the closed form (InputError for a non-state)."""
     if isinstance(source, TomogramGrid):
         return tomographic_variance(source, phase)
-    return analytic_moments(source, wrap_phase(phase)[0]).variance
+    return analytic_moments(source, phase).variance
 
 
 def heisenberg_lhs(grid, *, tolerance: float = DEFAULT_TOLERANCE) -> InequalityReport:

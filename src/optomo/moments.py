@@ -21,7 +21,7 @@ import warnings
 import numpy as np
 
 from .errors import InputError, NumericalError, TruncationWarning
-from .states import MomentSet, State, _as_points, _finite_real, grid_halfwidth
+from .states import MomentSet, State, _as_points, grid_halfwidth
 from .tomography import (
     TomogramGrid,
     _density_rows,
@@ -123,19 +123,17 @@ def tomographic_variance(grid: TomogramGrid, phase: float) -> float:
 
 
 def tomographic_moments(grid: TomogramGrid, phase: float) -> MomentSet:
-    phase = _finite_real("phase", phase)
     mean, var, row, mirrored = _grid_moments(grid, phase)
     if row is not None:
         _guard_window(grid.xs, row, mean, var)
-    return MomentSet(-mean if mirrored else mean, var, phase)
+    return MomentSet(-mean if mirrored else mean, var, float(phase))
 
 
 def moments_from_state(state: State, phase: float) -> MomentSet:
     """Tomographic moments from a dedicated fine row (2049 points over the
     state's window), independent of any grid."""
-    phase = _finite_real("phase", phase)
     half = grid_halfwidth(state)
     xs = np.linspace(-half, half, STATE_ROW_POINTS)
     xs, row, mean, var = _row_moments(xs, _state_row(state, phase, xs))
     _guard_window(xs, row, mean, var)
-    return MomentSet(mean, var, phase)
+    return MomentSet(mean, var, float(phase))

@@ -47,6 +47,8 @@ __all__ = [
 MAX_FOCK_CUTOFF = 64
 WEIGHT_TOL = 1e-10
 GRID_SIGMAS = 8.0
+# past 2**52 neighbouring doubles are >= 1 rad apart: no phase is left mod pi
+MAX_PHASE = 2.0 ** 52
 
 
 _REAL_TYPES = (int, float, np.integer, np.floating)
@@ -68,6 +70,50 @@ def _finite_real(name, value, rule="be a finite real number", valid=None):
     if not (math.isfinite(number) and (valid is None or valid(number))):
         raise InputError(f"{name} must {rule}, got {value!r}")
     return number
+
+
+def _wrap_phases(phases):
+    """(reduced, mirrored) arrays: every phase mapped into [0, pi), with the
+    flag saying the X axis is mirrored there.
+
+    Implements w(X, theta + pi) = w(-X, theta).  An array (not 0-d) that
+    already lies in [0, pi), as grid phases do, returns at once.
+    """
+    phases = np.asarray(phases, dtype=float)
+    if phases.ndim and phases.size and 0.0 <= phases.min() and phases.max() < math.pi:
+        # + 0.0 turns -0.0 into 0.0, as the reduction below does
+        return phases + 0.0, np.zeros(phases.shape, dtype=bool)
+    too_large = np.abs(phases) >= MAX_PHASE
+    if np.any(too_large):
+        raise InputError(
+            f"phase {phases[too_large].flat[0]:.17g} cannot be reduced mod pi: "
+            f"|phase| must be below 2**52 (MAX_PHASE = {MAX_PHASE:.0f})"
+        )
+    k = np.floor(phases / math.pi)
+    reduced = phases - k * math.pi
+    # a remainder below 0 is folded back: phase / pi underflows to -0.0 for
+    # the smallest negative phases, and can round up to the next integer
+    below = reduced < 0.0
+    reduced = np.where(below, reduced + math.pi, reduced)
+    k = k - below
+    above = reduced >= math.pi
+    reduced = np.where(above, reduced - math.pi, reduced)
+    k = k + above
+    return reduced, k % 2 == 1
+
+
+def wrap_phase(phase: float):
+    """Map a phase into [0, pi); the flag says the X axis is mirrored there.
+
+    The scalar view of ``_wrap_phases``, through ``_finite_real``.  A phase
+    already in [0, pi), as every stored grid phase is, comes back without a
+    numpy call; + 0.0 turns -0.0 into 0.0, as ``_wrap_phases`` does.
+    """
+    phase = _finite_real("phase", phase)
+    if 0.0 <= phase < math.pi:
+        return phase + 0.0, False
+    reduced, mirrored = _wrap_phases(phase)
+    return float(reduced), bool(mirrored)
 
 
 def _check_cutoff(cutoff):
@@ -393,10 +439,10 @@ def _rotated_moments(moments, phases):
 
 
 def analytic_moments(state: State, phase: float) -> MomentSet:
-    """Closed-form mean/variance of q cos(theta) + p sin(theta) in ``state``."""
-    theta = _finite_real("phase", phase)
-    mean, var = _rotated_moments(_mean_and_covariance(state), theta)
-    return MomentSet(float(mean), float(var), theta)
+    """Closed-form mean/variance of q cos(theta) + p sin(theta) in ``state``, via ``wrap_phase``."""
+    reduced, mirrored = wrap_phase(phase)
+    mean, var = _rotated_moments(_mean_and_covariance(state), reduced)
+    return MomentSet(float(-mean if mirrored else mean), float(var), float(phase))
 
 
 def _extremes(state: PureState):

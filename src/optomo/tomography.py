@@ -21,11 +21,11 @@ given ``branch="position"`` (the integral above, singular at theta = 0) or
 ``branch="momentum"`` (the same transform over the momentum wavefunction,
 shifted by pi/2, singular at theta = pi/2).
 
-Phases are reduced to [0, pi) by ``_wrap_phases`` (``wrap_phase`` is its
-scalar view); any other phase is reached through the parity rule
-w(X, theta + pi) = w(-X, theta).  Phases of magnitude 2**52 (``MAX_PHASE``)
-or more are rejected.  ``_nearest_phase`` matches a query to stored phases,
-so a query just below pi (or 0) reads the stored phase 0, mirrored.
+A phase is reduced to [0, pi) once, where it enters (``wrap_phase``, which
+refuses |phase| >= 2**52); the row engine ``_state_rows`` takes reduced phases,
+and ``_state_row`` reads a single mirrored row at -X by the parity rule
+w(X, theta + pi) = w(-X, theta).  ``_nearest_phase`` matches a query to stored
+phases, so a query just below pi (or 0) reads the stored phase 0, mirrored.
 
 A ``TomogramGrid`` is its stored rows, as a measured tomogram is: every
 function reads a grid through its rows alone, so a grid gives the same
@@ -60,11 +60,13 @@ from .states import (
     _mean_and_covariance,
     _open_input,
     _rotated_moments,
+    _wrap_phases,
     density_bandwidth,
     eval_momentum_wavefunction,
     eval_position_wavefunction,
     grid_halfwidth,
     quadrature_halfwidth,
+    wrap_phase,
 )
 
 __all__ = [
@@ -84,15 +86,13 @@ __all__ = [
 
 DEFAULT_N_PHASES = 64
 DEFAULT_N_X = 256
-MAX_N_X = 4096
+MAX_N_X = 4096  # a power of two, so default_n_x caps its count by capping what it needs
 NEGATIVE_TOL = 1e-12
 NORM_TOL = 1e-6
 # moment queries guard a row whose mean +/- this many sigma leaves the window
 WINDOW_SIGMAS = 6.0
 PHASE_TOL = 1e-9
 _PHASE_RULE = "be finite and lie in [0, pi)"  # for the phases a grid or a dataset stores
-# past 2**52 neighbouring doubles are >= 1 rad apart: no phase is left mod pi
-MAX_PHASE = 2.0 ** 52
 TRANSFORM_TOL = 1e-11
 # every float in a CSV file: 17 significant digits read back bit for bit
 _CSV_FLOAT = "%.17g"
@@ -112,50 +112,6 @@ def uniform_phases(n: int) -> np.ndarray:
     if count > _MAX_COUNT:
         raise InputError(f"phase count {count} is more than an array can address")
     return np.arange(count) * (math.pi / count)
-
-
-def _wrap_phases(phases):
-    """(reduced, mirrored) arrays: every phase mapped into [0, pi), with the
-    flag saying the X axis is mirrored there.
-
-    Implements w(X, theta + pi) = w(-X, theta).  An array (not 0-d) that
-    already lies in [0, pi), as grid phases do, returns at once.
-    """
-    phases = np.asarray(phases, dtype=float)
-    if phases.ndim and phases.size and 0.0 <= phases.min() and phases.max() < math.pi:
-        # + 0.0 turns -0.0 into 0.0, as the reduction below does
-        return phases + 0.0, np.zeros(phases.shape, dtype=bool)
-    too_large = np.abs(phases) >= MAX_PHASE
-    if np.any(too_large):
-        raise InputError(
-            f"phase {phases[too_large].flat[0]:.17g} cannot be reduced mod pi: "
-            f"|phase| must be below 2**52 (MAX_PHASE = {MAX_PHASE:.0f})"
-        )
-    k = np.floor(phases / math.pi)
-    reduced = phases - k * math.pi
-    # a remainder below 0 is folded back: phase / pi underflows to -0.0 for
-    # the smallest negative phases, and can round up to the next integer
-    below = reduced < 0.0
-    reduced = np.where(below, reduced + math.pi, reduced)
-    k = k - below
-    above = reduced >= math.pi
-    reduced = np.where(above, reduced - math.pi, reduced)
-    k = k + above
-    return reduced, k % 2 == 1
-
-
-def wrap_phase(phase: float):
-    """Map a phase into [0, pi); the flag says the X axis is mirrored there.
-
-    The scalar view of ``_wrap_phases``, through ``_finite_real``.  A phase
-    already in [0, pi), as every stored grid phase is, comes back without a
-    numpy call; + 0.0 turns -0.0 into 0.0, as ``_wrap_phases`` does.
-    """
-    phase = _finite_real("phase", phase)
-    if 0.0 <= phase < math.pi:
-        return phase + 0.0, False
-    reduced, mirrored = _wrap_phases(phase)
-    return float(reduced), bool(mirrored)
 
 
 def _nearest_phase(stored, phase):
@@ -351,38 +307,35 @@ def _components(state):
     return state.components if isinstance(state, MixedState) else ((1.0, state),)
 
 
-def _fock_rows(coeffs, reduced, mirrored, herm):
+def _fock_rows(coeffs, phases, herm):
     """|C(theta) @ H|^2 for every phase at once; row i of C holds the rotated
-    coefficients c_n exp(-i n theta_i), with the odd ones negated on mirrored
-    phases since psi_n(-X) = (-1)^n psi_n(X).  H is real, so the row is
+    coefficients c_n exp(-i n theta_i).  H is real, so the row is
     (Re C @ H)^2 + (Im C @ H)^2: one real product of Re C stacked over Im C,
     squared in place, its two halves summed, with no complex copy of H."""
     n = np.arange(coeffs.size)
-    rotated = coeffs * np.exp(reduced[:, None] * (-1j * n))
-    if mirrored.any():
-        rotated *= np.where(mirrored[:, None], (-1.0) ** n, 1.0)
-    k = reduced.size
+    rotated = coeffs * np.exp(phases[:, None] * (-1j * n))
+    k = phases.size
     parts = rotated.view(float).reshape(k, n.size, 2).transpose(2, 0, 1).reshape(2 * k, n.size)
     amp = parts @ herm[: n.size]
     amp *= amp
     return amp[:k] + amp[k:]
 
 
+@np.errstate(over="ignore")  # where X^2 overflows, exp(-inf) = 0 is the exact density
 def _state_rows(state, phases, xs) -> np.ndarray:
-    """Closed-form rows w(X, phase), shape (len(phases), len(xs)), for a pure
-    or mixed state; every Fock component shares one Hermite table."""
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    reduced, mirrored = _wrap_phases(phases)
+    """Closed-form rows w(X, phase), shape (len(phases), len(xs)), for a pure or
+    mixed state at phases in [0, pi); every Fock component shares one Hermite table."""
+    phases = np.asarray(phases, dtype=float)
     components = _components(state)
     cutoffs = [s.cutoff for _, s in components if isinstance(s, FockSuperposition)]
     herm = kernels.hermite_functions(max(cutoffs), xs) if cutoffs else None
     total = None
     for weight, comp in components:
         if isinstance(comp, FockSuperposition):
-            rows = _fock_rows(comp.coeff_array(), reduced, mirrored, herm)
+            rows = _fock_rows(comp.coeff_array(), phases, herm)
         else:
-            mean, var = _rotated_moments(_mean_and_covariance(comp), reduced[:, None])
-            rows = gaussian_row(xs, np.where(mirrored[:, None], -mean, mean), var)
+            mean, var = _rotated_moments(_mean_and_covariance(comp), phases[:, None])
+            rows = gaussian_row(xs, mean, var)
         # rows are >= 0, so starting the sum from them is bitwise 0 + w * rows
         if weight != 1.0:
             rows *= weight
@@ -393,8 +346,13 @@ def _state_rows(state, phases, xs) -> np.ndarray:
     return total
 
 
-def _state_row(state, phase, xs):
-    return _state_rows(state, [phase], xs)[0]
+def _state_row(state, phase, xs, branch=None):
+    """w(X, phase) on the array xs at any real phase: the reduced phase's row, at -X if mirrored."""
+    reduced, mirrored = wrap_phase(phase)
+    xs = -xs if mirrored else xs
+    if branch is None:
+        return _state_rows(state, np.array([reduced]), xs)[0]
+    return _transform_row(state, reduced, xs, branch)
 
 
 def _transform_row(state, theta, xs, branch):
@@ -427,7 +385,6 @@ def _transform_row(state, theta, xs, branch):
             break
         halfwidth *= 2.0
 
-    xs = np.atleast_1d(np.asarray(xs, dtype=float))
     x_extent = max(abs(float(xs[0])), abs(float(xs[-1])), 1.0)
     state_rate = (
         2.0 * math.sqrt(2.0 * state.cutoff + 1.0)
@@ -471,9 +428,9 @@ def optical_tomogram(
     of its components' rows for a mixture.  ``branch`` ("position" or
     "momentum") instead evaluates the oscillatory transform of a pure
     state's wavefunction, refined until successive estimates differ by at
-    most 1e-11 (``TRANSFORM_TOL``); it is an independent cross-check of the
-    closed form, valid wherever the branch is not singular (theta = 0 for
-    "position", pi/2 for "momentum").
+    most 1e-11 (``TRANSFORM_TOL``), a cross-check of the closed form valid
+    where the branch is not singular (theta = 0 for "position", pi/2 for
+    "momentum").  Either way a mirrored phase reads its reduced row at -X.
     """
     if not isinstance(state, _STATE_TYPES):
         raise InputError(f"expected a state, got {type(state).__name__}")
@@ -481,11 +438,7 @@ def optical_tomogram(
         raise InputError(f"branch must be 'position' or 'momentum', got {branch!r}")
     if branch is not None and isinstance(state, MixedState):
         raise InputError("expected a pure state, got MixedState")
-    pts = np.atleast_1d(_as_points(xs, "x points"))
-    if branch is None:
-        return _state_row(state, _finite_real("phase", phase), pts)
-    reduced, mirrored = wrap_phase(phase)
-    return _transform_row(state, reduced, -pts if mirrored else pts, branch)
+    return _state_row(state, phase, np.atleast_1d(_as_points(xs, "x points")), branch)
 
 
 def _resolve_phases(phases):
@@ -495,6 +448,8 @@ def _resolve_phases(phases):
     phase_arr = _as_points(phases, "phases", rule)
     if phase_arr.ndim != 1 or phase_arr.size < 1:
         raise InputError(f"phases must {rule}")
+    if not (0.0 <= phase_arr.min() and phase_arr.max() < math.pi):  # the grid's rule, before any row
+        raise InputError(f"phases must {_PHASE_RULE}")
     return phase_arr
 
 
@@ -512,7 +467,7 @@ def default_n_x(state, window, requested=None):
         return count
     width = window[1] - window[0]
     needed = width * density_bandwidth(state) / math.pi * 1.25
-    return min(MAX_N_X, max(DEFAULT_N_X, quadrature.pow2_at_least(needed)))
+    return max(DEFAULT_N_X, quadrature.pow2_at_least(min(needed, MAX_N_X)))
 
 
 def tomogram_grid(
@@ -534,8 +489,8 @@ def tomogram_grid(
         half = grid_halfwidth(state)
         window = (-half, half)
     bounds = [_finite_real("window", bound) for bound in window]
-    if len(bounds) != 2 or bounds[1] <= bounds[0]:
-        raise InputError(f"invalid window {window!r}")
+    if len(bounds) != 2 or not 0.0 < bounds[1] - bounds[0] < math.inf:
+        raise InputError(f"invalid window {window!r}: its width must be finite and > 0")
     lo, hi = bounds
     xs = np.linspace(lo, hi, default_n_x(state, (lo, hi), n_x))
     return TomogramGrid(phase_arr, xs, _state_rows(state, phase_arr, xs))

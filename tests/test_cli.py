@@ -774,6 +774,11 @@ def test_refusal_paths_exit_2_on_one_stderr_line(workspace, capsys):
          "give both --x-min and --x-max"),
         (["tomogram", "--state", vac, "--x-min", "5", "--x-max", "-5", "--out",
           str(workspace / "t.csv")], "invalid window (5.0, -5.0)"),
+        # a width past the float range; windows whose X^2 overflows hold no mass
+        *((["tomogram", "--state", vac, f"--x-min=-{half}", "--x-max", half, "--out",
+            str(workspace / "t.csv")], message)
+          for half, message in (("1e308", "width must be finite"), ("5e307", "integrates to 0"),
+                                ("1e300", "integrates to 0"))),
         (sim, "give --schedule or both --thetas and --shots"),
         (["check", "trifonov", "--data1", d, "--theta", "0"], "must be given together"),
         (["check", "trifonov", "--data1", d, "--data2", d, "--state1", vac, "--theta", "0"],
@@ -790,8 +795,11 @@ def test_refusal_paths_exit_2_on_one_stderr_line(workspace, capsys):
     ]
     capsys.readouterr()
     for argv, message in cases:
-        assert main(argv) == 2, argv
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # a warning is one more stderr line
+            assert main(argv) == 2, argv
         err = capsys.readouterr().err.splitlines()
+        assert not caught, (argv, [str(w.message) for w in caught])
         assert len(err) == 1 and err[0].startswith("input error:") and message in err[0], (argv, err)
     assert not (workspace / "new.csv").exists() and not (workspace / "new.json").exists()
     assert not (workspace / "t.csv").exists()

@@ -36,8 +36,8 @@ from optomo.homodyne import (
     _inverse_cdf,
     _tabulated_cdf,
 )
-from optomo.states import _mean_and_covariance, _rotated_moments
-from optomo.tomography import CSV_BLOCK_LINES, MAX_PHASE, PHASE_TOL, _state_rows, wrap_phase
+from optomo.states import MAX_PHASE, _mean_and_covariance, _rotated_moments
+from optomo.tomography import CSV_BLOCK_LINES, PHASE_TOL, _state_rows, wrap_phase
 from oracles import random_fock, random_gaussian, random_state
 
 S2 = GaussianState(0.0, 0.0, 2.0)

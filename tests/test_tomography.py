@@ -16,6 +16,7 @@ from optomo import (
     QuadratureError,
     ResolutionError,
     TomogramGrid,
+    analytic_moments,
     fock,
     gaussian_row,
     heisenberg_lhs,
@@ -24,6 +25,7 @@ from optomo import (
     optical_tomogram,
     purity_classify,
     purity_overlap,
+    sample,
     save_tomogram_csv,
     state_label,
     symplectic_tomogram,
@@ -35,16 +37,14 @@ from optomo import (
     uniform_phases,
     vacuum,
 )
-from optomo import kernels, quadrature
-from optomo.moments import tomographic_mean
-from optomo.states import _mean_and_covariance, _rotated_moments
+from optomo import homodyne, kernels, quadrature, tomography
+from optomo.moments import moments_from_state, tomographic_mean
+from optomo.states import MAX_PHASE, _mean_and_covariance, _rotated_moments, _wrap_phases
 from optomo.tomography import (
-    MAX_PHASE,
     PHASE_TOL,
     _state_row,
     _state_rows,
     _trapezoid_weights,
-    _wrap_phases,
     wrap_phase,
 )
 from oracles import fock_row, gaussian_tomogram_row, random_state, state_row
@@ -111,6 +111,55 @@ def test_row_parity_under_half_turn():
     shifted = optical_tomogram(state, theta + math.pi, xs)
     mirrored = optical_tomogram(state, theta, -xs)
     assert np.allclose(shifted, mirrored, atol=1e-12)
+
+
+@given(
+    seed=hyp_st.integers(0, 2**32 - 1),
+    theta=hyp_st.floats(1e-6, math.pi - 1e-6),
+    k=hyp_st.integers(-3, 3),
+)
+def test_a_row_k_half_turns_on_is_the_reduced_row_at_plus_minus_x_bitwise(seed, theta, k):
+    # w(X, theta + k pi) = w((-1)^k X, theta), bit for bit, on the public route
+    state = random_state(np.random.default_rng(seed))
+    xs = np.linspace(-7, 7, 57)
+    reduced, mirrored = wrap_phase(theta + k * math.pi)
+    assert mirrored == (k % 2 == 1)
+    want = optical_tomogram(state, reduced, (-1) ** k * xs)
+    assert np.array_equal(optical_tomogram(state, theta + k * math.pi, xs), want)
+
+
+def test_closed_form_rows_take_phases_in_zero_to_pi(monkeypatch):
+    # every phase is reduced where it enters: the row engine never sees one
+    # outside [0, pi), and an explicit grid phase there is refused first
+    seen = []
+    engine = tomography._state_rows
+
+    def spy(state, phases, xs):
+        seen.append(np.array(phases, dtype=float))
+        return engine(state, phases, xs)
+
+    monkeypatch.setattr(tomography, "_state_rows", spy)
+    monkeypatch.setattr(homodyne, "_state_rows", spy)
+    theta, xs = 0.7, np.linspace(-5, 5, 11)
+    calls = [
+        lambda s: tomogram_grid(s, 8),
+        lambda s: tomogram_grid(s, [0.0, theta, math.nextafter(math.pi, 0.0)]),
+        lambda s: optical_tomogram(s, theta + math.pi, xs),
+        lambda s: optical_tomogram(s, -theta, xs),
+        lambda s: symplectic_tomogram(s, 0.3, -0.7, -0.4),
+        lambda s: moments_from_state(s, theta + math.pi),
+        lambda s: sample(s, [(theta, 20), (theta + math.pi, 20), (-theta, 20)], seed=1),
+    ]
+    fsup = FockSuperposition((0.5, 0.3j, -0.4, 0.2))
+    for state in (fsup, MixedState(((0.5, fsup), (0.5, GaussianState(0.3, -0.2, 1.5))))):
+        for call in calls:
+            seen.clear()
+            call(state)
+            assert seen and all(((p >= 0.0) & (p < math.pi)).all() for p in seen), seen
+        seen.clear()
+        with pytest.raises(InputError, match=r"lie in \[0, pi\)"):
+            tomogram_grid(state, [0.5, theta + math.pi])
+        assert not seen
 
 
 # --------------------------------------------------------------------------
@@ -223,11 +272,14 @@ def test_grid_rows_in_real_arithmetic_match_the_complex_product(seed, n_phases):
     assert np.abs(grid.values - want).max() <= 1e-15
     for phase, row in zip(grid.phases, grid.values):
         assert np.allclose(row, state_row(state, phase, grid.xs), rtol=0.0, atol=1e-9)
-    # mirrored phases: the same stored rows at theta + pi, read at -X
-    shifted = grid.phases + math.pi
-    rows = _state_rows(state, shifted, grid.xs)
-    assert np.abs(rows - _complex_reference_rows(state, shifted, grid.xs)).max() <= 1e-15
-    assert np.abs(rows - _state_rows(state, grid.phases, -grid.xs)).max() <= 1e-15
+    # mirrored phases: the single-row entry reads a row at theta + pi as the
+    # row at its reduced phase, read at -X
+    for phase in grid.phases + math.pi:
+        reduced, mirrored = wrap_phase(phase)
+        row = _state_row(state, phase, grid.xs)
+        assert mirrored
+        assert np.array_equal(row, _state_rows(state, np.array([reduced]), -grid.xs)[0])
+        assert np.abs(row - _complex_reference_rows(state, [phase], grid.xs)[0]).max() <= 1e-15
 
 
 def test_default_grids_never_run_the_transform(monkeypatch):
@@ -329,10 +381,12 @@ def test_grid_validation_rejects_bad_input():
         assert str(caught.value) == message
 
 
-@pytest.mark.parametrize("window", [(1.0, -1.0), (2.0, 2.0), (-1.0, 0.0, 1.0)])
+# the last pair's width, 2e308, is past the float range
+@pytest.mark.parametrize("window", [(1.0, -1.0), (2.0, 2.0), (-1.0, 0.0, 1.0), (-1e308, 1e308)])
 def test_a_window_that_is_not_an_increasing_pair_is_refused(window):
-    with pytest.raises(InputError, match="^invalid window"):
-        tomogram_grid(vacuum(), 4, window=window)
+    for state in (vacuum(), fock(2)):
+        with pytest.raises(InputError, match="^invalid window"):
+            tomogram_grid(state, 4, window=window)
 
 
 @pytest.mark.parametrize("variance", [0.0, -0.5, np.array([[1.0], [0.0]])])
@@ -437,6 +491,8 @@ def test_every_phase_below_the_limit_reduces_into_range(phase):
 def test_phases_at_or_past_the_limit_are_rejected(phase):
     with pytest.raises(InputError, match=r"2\*\*52"):
         wrap_phase(phase)
+    with pytest.raises(InputError, match=r"2\*\*52"):
+        analytic_moments(vacuum(), phase)
     with pytest.raises(InputError, match=r"2\*\*52"):
         _wrap_phases(np.array([0.5, phase]))
 
