@@ -20,9 +20,9 @@ memory does not grow with the shot count.  A schedule phase outside [0, pi)
 is reduced through the parity rule w(X, theta + pi) = w(-X, theta): a shot x
 at theta + pi is the record (theta, -x), so its records are drawn and stored
 at the reduced phase.  Entries whose reduced phases lie within PHASE_TOL of
-each other (0.3 and 0.3 + pi, which reduces to 0.2999999999999998) share one
-row, stored at the first such entry's phase.  The RNG is numpy's SFC64
-seeded through SeedSequence, with one spawned child stream per schedule
+each other on the pi-circle (0.3 and 0.3 + pi, which reduces to 0.2999999999999998;
+0 and pi - 1e-12) share one row, at the first such entry's phase.  The RNG is
+numpy's SFC64 seeded through SeedSequence, with one spawned child stream per schedule
 entry, so a (state, schedule, seed) triple reproduces the dataset bit for
 bit; SFC64 replaced PCG64 because its normal draws cost less (README
 "Performance").  A dataset stores its phases as runs of records at one
@@ -35,7 +35,6 @@ computes the moments of each set of matching runs once and keeps them.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, repeat
@@ -173,11 +172,12 @@ class HomodyneDataset:
     def _match(self, phase):
         """(hit, mirrored): the runs whose phase lies within PHASE_TOL of any
         real phase on the pi-circle (``tomography._nearest_phase``), and
-        whether X is mirrored there."""
+        whether X is mirrored there.  The phase is checked here, once, even with no runs."""
+        reduced, mirrored = wrap_phase(phase)
         phases, _ = self._runs
         if not phases.size:
-            return np.empty(0, dtype=np.intp), False
-        _, mirrored, gaps = _nearest_phase(phases, phase)
+            return np.empty(0, dtype=np.intp), mirrored
+        _, mirrored, gaps = _nearest_phase(phases, reduced, mirrored)
         return (gaps <= PHASE_TOL).nonzero()[0], mirrored
 
     def _stored_values(self, hit):
@@ -196,7 +196,7 @@ class HomodyneDataset:
         """The records that answer any real phase, in record order and
         negated where X is mirrored, as a read-only array.  An unmirrored
         phase held in one run, as ``sample`` writes them, is read in place."""
-        hit, mirrored = self._match(_finite_real("phase", phase))
+        hit, mirrored = self._match(phase)
         values = self._stored_values(hit)
         if mirrored:
             values = -values
@@ -400,20 +400,19 @@ def _shared_rows(reduced):
     """(rows, row_of): the increasing phases of the rows that schedule entries
     at the reduced phases ``reduced`` share, and each entry's row.
 
-    An entry within PHASE_TOL of a row's phase (the direct gap: the seam at
-    0 = pi is not crossed) shares that row, the nearer if two are; any other
-    entry opens a row at its own phase.  So a row keeps its first entry's
-    reduced phase, rows lie more than PHASE_TOL apart, and theta + pi, which
-    ``wrap_phase`` may reduce to a float beside theta, shares theta's row.
+    An entry within PHASE_TOL of a row's phase on the pi-circle (``_nearest_phase``,
+    seam included) shares that row, the nearer if two are, the lower on a tie;
+    any other entry opens a row at its own phase.  So a row keeps its first
+    entry's reduced phase, rows lie more than PHASE_TOL apart on the circle, and
+    theta + pi, which ``wrap_phase`` may reduce to a float beside theta, shares theta's row.
     """
-    rows, picked = [], []
+    rows, picked = [reduced[0]], []
     for phase in reduced:
-        i = bisect_left(rows, phase)
-        near = [row for row in rows[max(i - 1, 0):i + 1] if abs(row - phase) <= PHASE_TOL]
-        if near:
-            phase = min(near, key=lambda row: abs(row - phase))
-        else:
-            rows.insert(i, phase)
+        i, _, gaps = _nearest_phase(np.array(rows), phase)
+        if gaps[i] <= PHASE_TOL:
+            phase = rows[i]
+        else:  # kept increasing, so a tie goes to the lower row
+            rows = sorted([*rows, phase])
         picked.append(phase)
     rows = np.array(rows)
     return rows, rows.searchsorted(picked)
@@ -423,8 +422,8 @@ def sample(state: State, phase_schedule, seed: int) -> HomodyneDataset:
     """Draw quadrature samples for each (phase, count) entry of the schedule.
 
     Deterministic: the seed and schedule fully determine the dataset.
-    Entries whose reduced phases lie within PHASE_TOL of each other share one
-    row (``_shared_rows``).  Each row gets one draw (``_row_draws``), built
+    Entries whose reduced phases lie within PHASE_TOL of each other on the pi-circle
+    share one row (``_shared_rows``).  Each row gets one draw (``_row_draws``), built
     just before the entries that share it and dropped before the next row's,
     and each entry's draw writes straight into its slice of the records.  A
     Gaussian state's draws are sigma * z + mean from the closed form, with
@@ -489,13 +488,12 @@ def estimate_moments(ds: HomodyneDataset, phase: float) -> MomentEstimate:
     parity rule: theta + pi holds the records of theta with the mean negated.
     The dataset computes each set of matching runs' moments once.
     """
-    phase = _finite_real("phase", phase)
-    mean, var, m4, n = _dataset(ds)._moments_at(phase)
+    mean, var, m4, n = _dataset(ds)._moments_at(phase)  # the one check of the phase
     var_of_var = max(0.0, (m4 - var * var * (n - 3) / (n - 1)) / n)
     return MomentEstimate(
         mean=mean,
         variance=var,
-        phase=phase,
+        phase=float(phase),
         count=n,
         mean_stderr=math.sqrt(var / n),
         variance_stderr=math.sqrt(var_of_var),

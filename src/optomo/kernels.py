@@ -49,9 +49,10 @@ def hermite_functions(nmax, y):
 
     psi_n(y) = (2^n n! sqrt(pi))^(-1/2) H_n(y) exp(-y^2/2); the recurrence
     psi_n = sqrt(2/n) y psi_{n-1} - sqrt((n-1)/n) psi_{n-2} never touches the
-    overflowing H_n or n! factors.
+    overflowing H_n or n! factors.  y is clipped to +-1e154, where every psi_n
+    is +-0 either way, so sqrt(2) y stays finite and no inf * 0 gives nan.
     """
-    y = np.ascontiguousarray(y, dtype=np.float64)
+    y = np.minimum(np.maximum(np.ascontiguousarray(y, dtype=np.float64), -1e154), 1e154)
     nmax = int(nmax)
     out = np.empty((nmax + 1, y.size))
     # each row is built in place, operation for operation as in the formulas

@@ -24,8 +24,8 @@ shifted by pi/2, singular at theta = pi/2).
 A phase is reduced to [0, pi) once, where it enters (``wrap_phase``, which
 refuses |phase| >= 2**52); the row engine ``_state_rows`` takes reduced phases,
 and ``_state_row`` reads a single mirrored row at -X by the parity rule
-w(X, theta + pi) = w(-X, theta).  ``_nearest_phase`` matches a query to stored
-phases, so a query just below pi (or 0) reads the stored phase 0, mirrored.
+w(X, theta + pi) = w(-X, theta).  ``_nearest_phase`` matches reduced phases on the
+pi-circle, so a query (or schedule entry) just below pi reads stored phase 0, mirrored.
 
 A ``TomogramGrid`` is its stored rows, as a measured tomogram is: every
 function reads a grid through its rows alone, so a grid gives the same
@@ -114,13 +114,12 @@ def uniform_phases(n: int) -> np.ndarray:
     return np.arange(count) * (math.pi / count)
 
 
-def _nearest_phase(stored, phase):
-    """(index, mirrored, gaps): the entry of ``stored`` (phases in [0, pi))
-    nearest to ``phase`` on the pi-circle, whether X is mirrored there, and
-    every entry's gap to the query.  The query is reduced once; the gaps are
-    direct when the nearest is within PHASE_TOL, else taken across the seam
-    at 0 = pi if that is nearer, which mirrors X once more."""
-    reduced, mirrored = wrap_phase(phase)
+def _nearest_phase(stored, reduced, mirrored=False):
+    """(index, mirrored, gaps): the entry of ``stored`` (phases in [0, pi)) nearest on
+    the pi-circle to a query that ``wrap_phase`` reduced to ``reduced`` with the flag
+    ``mirrored``, whether X is mirrored there, and every entry's gap to the query.
+    The gaps are direct when the nearest is within PHASE_TOL, else taken across the
+    seam at 0 = pi if that is nearer, which flips the flag."""
     gaps = np.abs(stored - reduced)
     i = int(gaps.argmin())  # the method form skips np.argmin's Python dispatch
     if gaps[i] > PHASE_TOL:
@@ -263,13 +262,12 @@ class TomogramGrid:
         reduced, mirrored = wrap_phase(phase)
         i = self._row_of.get(reduced)
         if i is None:
-            i, seam, gaps = _nearest_phase(self.phases, reduced)
+            i, mirrored, gaps = _nearest_phase(self.phases, reduced, mirrored)
             if gaps[i] > PHASE_TOL:
                 raise InputError(
                     f"phase {phase:.9g} (reduced {reduced:.9g}) is not on "
                     f"the grid; nearest stored phase is {self.phases[i]:.9g}"
                 )
-            mirrored = mirrored != seam
         return i, mirrored
 
     @cached_property
@@ -516,7 +514,7 @@ def symplectic_tomogram(source, x: float, mu: float, nu: float) -> float:
     if state is not None:
         return float(_state_row(state, math.atan2(nu, mu), np.array([x / r]))[0]) / r
 
-    j, mirrored, _ = _nearest_phase(source.phases, math.atan2(nu, mu))
+    j, mirrored, _ = _nearest_phase(source.phases, *wrap_phase(math.atan2(nu, mu)))
     u = -(x / r) if mirrored else x / r
     xs = source.xs
     if u < xs[0] or u > xs[-1]:

@@ -5,7 +5,7 @@ from dataclasses import astuple, replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, example, given
 from hypothesis import strategies as hyp_st
 
 from optomo import (
@@ -200,15 +200,17 @@ def _normal_ks_distance(values, mean, variance):
     ids=["displaced-squeezed", "displaced-antisqueezed", "vacuum"],
 )
 def test_gaussian_records_follow_the_exact_normal_law(state, seed):
-    # phases across [0, pi), a theta + pi entry and a phase just below pi
-    phases = [0.0, 0.7, HALF_PI, 2.6, 1.9 + math.pi, np.nextafter(math.pi, 0.0)]
+    # phases across [0, pi), a theta + pi entry and a phase just below pi,
+    # which shares the row at 0 across the seam: both answer 2n records
+    below_pi = np.nextafter(math.pi, 0.0)
+    phases = [0.0, 0.7, HALF_PI, 2.6, 1.9 + math.pi, below_pi]
     n = 20_000
     ds = sample(state, [(phase, n) for phase in phases], seed=seed)
     critical = math.sqrt(-math.log(1e-3 / 2.0) / 2.0) / math.sqrt(n)  # KS at alpha = 1e-3
     for phase in phases:
         want = analytic_moments(state, phase)
         values = ds.values_at(phase)
-        assert values.size == n
+        assert values.size == (2 * n if phase in (0.0, below_pi) else n)
         assert _normal_ks_distance(values, want.mean, want.variance) < critical, phase
 
 
@@ -307,13 +309,14 @@ def test_cdf_tables_are_monotone_without_a_running_maximum(kind, seed, phases):
 
 def test_entries_within_phase_tol_share_one_row_at_the_first_phase():
     # a row keeps its first entry's phase; 1.0 + 1.8e-9 is farther than
-    # PHASE_TOL from the row at 1.0, and the seam at 0 = pi is not crossed
+    # PHASE_TOL from the row at 1.0, and 0.0 shares the row at below_pi
+    # across the seam at 0 = pi
     below_pi = np.nextafter(math.pi, 0.0)
     reduced = [wrap_phase(0.3 + math.pi)[0], 0.3, 1.0, 1.0 + 0.9e-9, 1.0 + 1.8e-9, below_pi, 0.0]
     rows, row_of = homodyne._shared_rows(reduced)
     assert reduced[0] == 0.2999999999999998
-    assert rows.tolist() == [0.0, reduced[0], 1.0, 1.0 + 1.8e-9, below_pi]
-    assert row_of.tolist() == [1, 1, 2, 2, 3, 4, 0]
+    assert rows.tolist() == [reduced[0], 1.0, 1.0 + 1.8e-9, below_pi]
+    assert row_of.tolist() == [0, 0, 1, 1, 2, 3, 3]
     ds = sample(fock(1), [(0.3 + math.pi, 40), (0.3, 50), (0.3 - 1e-10, 60), (0.0, 40)], seed=3)
     phases, bounds = ds._runs
     assert phases.tolist() == [reduced[0], 0.0] and bounds.tolist() == [0, 150, 190]
@@ -412,6 +415,37 @@ def test_values_at_reads_the_stored_phase_across_half_turns(n, shift, pick, k, d
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
     assert not got.flags.writeable
     assert ds.values_at(phases[s] + math.pi / (2 * n) + k * math.pi).size == 0
+
+
+_BASES = (0.0, 0.4, HALF_PI, 2.9)
+
+
+@given(
+    entries=hyp_st.lists(
+        hyp_st.tuples(
+            hyp_st.sampled_from(_BASES),
+            hyp_st.integers(-2, 2),
+            hyp_st.floats(-0.45 * PHASE_TOL, 0.45 * PHASE_TOL),
+            hyp_st.integers(MIN_SAMPLES, 60),
+        ),
+        min_size=1,
+        max_size=6,
+    )
+)
+@example(entries=[(0.0, 0, 0.0, 30), (0.0, 1, -1e-10, 30)])
+@example(entries=[(0.0, 0, -0.4e-9, 30), (0.4, 0, 0.0, 30), (0.0, -1, 0.4e-9, 30)])
+def test_schedule_entries_of_one_direction_share_their_rows(entries):
+    # entries spread over 0.9 PHASE_TOL around a base phase, k half turns on
+    # and across the seam at 0 = pi, answer one query together
+    schedule = [(base + k * math.pi + jitter, count) for base, k, jitter, count in entries]
+    ds = sample(vacuum(), schedule, seed=2)
+    stored = np.unique(ds._runs[0])
+    gaps = np.abs(stored[:, None] - stored)
+    circle = np.minimum(gaps, math.pi - gaps)[~np.eye(stored.size, dtype=bool)]
+    assert np.all(circle > PHASE_TOL), stored
+    for (base, _, _, _), (phase, _) in zip(entries, schedule):
+        want = sum(count for b, _, _, count in entries if b == base)
+        assert estimate_moments(ds, phase).count == want, (phase, stored)
 
 
 def test_dataset_phases_just_below_a_stored_phase_read_it():

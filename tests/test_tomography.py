@@ -11,12 +11,14 @@ from optomo import (
     ExtrapolationError,
     FockSuperposition,
     GaussianState,
+    HomodyneDataset,
     InputError,
     MixedState,
     QuadratureError,
     ResolutionError,
     TomogramGrid,
     analytic_moments,
+    estimate_moments,
     fock,
     gaussian_row,
     heisenberg_lhs,
@@ -37,7 +39,7 @@ from optomo import (
     uniform_phases,
     vacuum,
 )
-from optomo import homodyne, kernels, quadrature, tomography
+from optomo import homodyne, inequalities, kernels, quadrature, tomography
 from optomo.moments import moments_from_state, tomographic_mean
 from optomo.states import MAX_PHASE, _mean_and_covariance, _rotated_moments, _wrap_phases
 from optomo.tomography import (
@@ -160,6 +162,43 @@ def test_closed_form_rows_take_phases_in_zero_to_pi(monkeypatch):
         with pytest.raises(InputError, match=r"lie in \[0, pi\)"):
             tomogram_grid(state, [0.5, theta + math.pi])
         assert not seen
+
+
+def test_phase_matching_takes_queries_already_in_zero_to_pi(monkeypatch):
+    # each caller reduces its phase where it enters, so _nearest_phase never
+    # sees a query outside [0, pi); sampling shares its rows through it too
+    seen = []
+    match = tomography._nearest_phase
+
+    def spy(stored, reduced, mirrored=False):
+        seen.append(reduced)
+        return match(stored, reduced, mirrored)
+
+    for module in (tomography, homodyne, inequalities):
+        monkeypatch.setattr(module, "_nearest_phase", spy)
+    theta = 0.7
+    grid = tomogram_grid(vacuum(), 8)
+    off = grid.phases[3] + 0.5 * PHASE_TOL  # no dictionary hit
+    ds = sample(vacuum(), [(theta, 40), (0.0, 40)], seed=1)
+    seam = [(0.0, 30), (math.nextafter(math.pi, 0.0), 30), (-1e-10, 30), (math.pi + 1e-10, 30)]
+    calls = [
+        lambda: grid.lookup(off + math.pi),
+        lambda: grid.lookup(-off),
+        lambda: grid.lookup(-1e-10),
+        lambda: symplectic_tomogram(grid, 0.3, -0.7, -0.4),
+        lambda: symplectic_tomogram(grid, 0.3, -0.7, 0.4),
+        lambda: ds.values_at(theta + math.pi),
+        lambda: estimate_moments(ds, theta + math.pi),
+        lambda: estimate_moments(ds, -1e-10),
+        lambda: trifonov_sweep(grid, tomogram_grid(vacuum(), 16)),
+        lambda: sample(fock(1), seam, seed=2),
+    ]
+    for call in calls:
+        seen.clear()
+        call()
+        assert seen and all(0.0 <= q < math.pi for q in seen), seen
+    # the seam entries all share the row at 0.0, in one run
+    assert sample(fock(1), seam, seed=2)._runs[0].tolist() == [0.0]
 
 
 # --------------------------------------------------------------------------
@@ -495,6 +534,12 @@ def test_phases_at_or_past_the_limit_are_rejected(phase):
         analytic_moments(vacuum(), phase)
     with pytest.raises(InputError, match=r"2\*\*52"):
         _wrap_phases(np.array([0.5, phase]))
+    # a dataset query checks its phase once, before it counts any record
+    for ds in (HomodyneDataset(np.empty(0), np.empty(0), 0, "x"), sample(vacuum(), [(0.3, 40)], 1)):
+        with pytest.raises(InputError, match=r"2\*\*52"):
+            estimate_moments(ds, phase)
+        with pytest.raises(InputError, match=r"2\*\*52"):
+            ds.values_at(phase)
 
 
 @given(
